@@ -32,23 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    AntipodalRay,
-    BoundInfeasible,
-    CalibError,
-    DegenerateGeometry,
-    DimensionMismatch,
-    EmptyInput,
-    FovOutOfRange,
-    InvalidFocal,
-    NewtonDivergence,
-    NoConsensus,
-    NonInvertiblePixel,
-    RayOutsideDomain,
-    SingularNormalMatrix,
-    ThetaOutOfDomain,
-    UnsupportedFamily,
-)
+from .errors import CalibError, DimensionMismatch, EmptyInput, FovOutOfRange, UnsupportedFamily
 from .fileio import dump_json, read_field, read_spec, write_field, write_json, write_spec
 from .fit import calibrate, calibrate_ransac, convert_model
 from .fov import FovField, field_from_spec
@@ -75,18 +59,6 @@ _INPUT_ERRORS = (
     UnsupportedFamily,
     FovOutOfRange,
     EmptyInput,
-)
-_NUMERICAL_ERRORS = (
-    DegenerateGeometry,
-    InvalidFocal,
-    SingularNormalMatrix,
-    NoConsensus,
-    NewtonDivergence,
-    BoundInfeasible,
-    NonInvertiblePixel,
-    RayOutsideDomain,
-    AntipodalRay,
-    ThetaOutOfDomain,
 )
 
 
@@ -346,10 +318,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
-        kind = exc.kind if isinstance(exc, CalibError) else type(exc).__name__
-        sys.stdout.write(dump_json({"error": {"kind": kind, "message": str(exc)}}))
-        return 3
     except _INPUT_ERRORS as exc:
         kind = {
             FileNotFoundError: "FileNotFound",
@@ -359,6 +327,10 @@ def main(argv: list[str] | None = None) -> int:
         }.get(type(exc), exc.kind if isinstance(exc, CalibError) else "InvalidInput")
         sys.stdout.write(dump_json({"error": {"kind": kind, "message": str(exc)}}))
         return 2
+    except CalibError as exc:
+        # every other library error is a numerical failure
+        sys.stdout.write(dump_json({"error": {"kind": exc.kind, "message": str(exc)}}))
+        return 3
 
 
 if __name__ == "__main__":

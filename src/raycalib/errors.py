@@ -47,10 +47,6 @@ class BoundInfeasible(CalibError):
     """No clamping choice of the active-set solve leaves a solvable system."""
 
 
-class SingularNormalMatrix(CalibError):
-    """The Gauss-Newton normal equations are singular."""
-
-
 class NoConsensus(CalibError):
     """RANSAC found no sample with a sufficient inlier ratio."""
 

@@ -47,6 +47,7 @@ from .models import (
     _even_poly_deriv,
     _kb_solve_theta,
     _odd_poly_theta_deriv,
+    pixel_centers,
     unproject_masked,
 )
 
@@ -88,18 +89,16 @@ class Correspondences:
 
     @classmethod
     def from_field(cls, fov_field: FovField, stride: int = 1) -> "Correspondences":
-        """Pixel centers and exp-mapped rays of a field, optionally strided."""
-        theta = fov_field.theta[::stride, ::stride]
-        px = fov_field.pixel_grid()[::stride, ::stride]
-        return cls(px.reshape(-1, 2), exp_map(theta.reshape(-1, 2)))
+        """Pixel centers and exp-mapped rays of a field's finite cells, optionally strided."""
+        theta = fov_field.theta[::stride, ::stride].reshape(-1, 2)
+        px = fov_field.pixel_grid()[::stride, ::stride].reshape(-1, 2)
+        ok = np.isfinite(theta).all(axis=-1)
+        return cls(px[ok], exp_map(theta[ok]))
 
     @classmethod
     def from_spec(cls, spec: CameraSpec, stride: int = 1) -> "Correspondences":
         """Unprojection grid of a camera, dropping non-invertible cells."""
-        u = (np.arange(spec.width // stride) + 0.5) * stride
-        v = (np.arange(spec.height // stride) + 0.5) * stride
-        uu, vv = np.meshgrid(u, v)
-        px = np.stack([uu.ravel(), vv.ravel()], axis=-1)
+        px = pixel_centers(spec.width, spec.height, stride).reshape(-1, 2)
         rays, ok = unproject_masked(spec, px)
         return cls(px[ok], rays[ok])
 
@@ -111,7 +110,8 @@ class CalibrationResult:
 
     ``gn_costs[0]`` is the mean squared tangent residual (radians^2) of the
     algebraic solution; each later entry is the cost after one Gauss-Newton
-    iteration, so the sequence is non-increasing.
+    iteration, so the sequence is non-increasing.  ``dropped`` counts the
+    correspondences the refined spec cannot unproject.
     """
 
     spec: CameraSpec
@@ -133,6 +133,7 @@ class CalibrationResult:
             out["warning"] = self.warning
         if self.inlier_ratio is not None:
             out["inlier_ratio"] = self.inlier_ratio
+        out["dropped"] = self.dropped
         return out
 
 
@@ -188,17 +189,61 @@ def fit_ppoint_aspect(corrs: Correspondences) -> tuple[float, float, float]:
 
 
 
-def _row_quantities(corrs: Correspondences, a: float, c: tuple[float, float]):
+def _identity_dist(ks: np.ndarray, f: float) -> tuple[float, ...]:
+    return tuple(ks)
+
+
+def _division_dist(ks: np.ndarray, f: float) -> tuple[float, ...]:
+    return tuple(k * f ** (2 * n - 1) for n, k in enumerate(ks, start=1))
+
+
+def _family_rows(model: ModelId, corrs: Correspondences, a: float, c: tuple[float, float]):
+    """Linear rows of a family once (a, c) are known.
+
+    Returns ``(focal_col, dist_cols, rhs, inverse, dist_of)``.  Each row reads
+    focal_col * f + sum_n dist_cols[n] * k'_n = rhs, with 1/f in place of f
+    when ``inverse`` (radial, kb).  ``dist_of(k', f)`` maps the solved
+    distortion unknowns to the family's coefficients.  Pinhole and radial
+    rows keep only rays with Z above _EPS_Z.  The extended unified model is
+    not linear in f and has its own rows (``_eucm_rows``).
+    """
+    fam = model.family
     X, Y, Z = corrs.rays[:, 0], corrs.rays[:, 1], corrs.rays[:, 2]
     du = corrs.pixels[:, 0] - c[0]
     dv = corrs.pixels[:, 1] - c[1]
+    if fam in (Family.PINHOLE, Family.BROWN_CONRADY):
+        keep = Z > _EPS_Z
+        X, Y, Z, du, dv = X[keep], Y[keep], Z[keep], du[keep], dv[keep]
     R = np.hypot(X, Y)
     Ra = np.sqrt(X * X + a * a * Y * Y)
     rc = np.hypot(du, dv)
-    theta = np.arctan2(R, Z)
-    d = np.sqrt(X * X + Y * Y + Z * Z)
-    rca2 = du * du + (dv / a) ** 2
-    return X, Y, Z, R, Ra, rc, theta, d, rca2
+    orders = range(1, model.num_dist + 1)
+    if fam is Family.PINHOLE:
+        return Ra, [], rc * Z, False, _identity_dist
+    if fam is Family.BROWN_CONRADY:
+        rho2 = (R / Z) ** 2
+        return rc * Z, [-Ra * rho2**n for n in orders], Ra, True, _identity_dist
+    if fam is Family.KANNALA_BRANDT:
+        theta = np.arctan2(R, Z)
+        cols = [-Ra * theta ** (2 * n + 1) for n in orders]
+        return R * rc, cols, Ra * theta, True, _identity_dist
+    if fam is Family.UCM:
+        d = np.sqrt(X * X + Y * Y + Z * Z)
+        return Ra, [-rc * d], rc * Z, False, _identity_dist
+    if fam is Family.DIVISION:
+        rca2 = du * du + (dv / a) ** 2
+        return Ra, [Ra * rca2**n for n in orders], rc * Z, False, _division_dist
+    raise UnsupportedFamily(f"no linear rows for {fam}")
+
+
+def _eucm_rows(corrs: Correspondences, f: float, a: float, c: tuple[float, float]):
+    """(col_g, col_a, rhs) of the extended unified model at a known focal."""
+    X, Y, Z = corrs.rays[:, 0], corrs.rays[:, 1], corrs.rays[:, 2]
+    R = np.hypot(X, Y)
+    mx = (corrs.pixels[:, 0] - c[0]) / f
+    my = (corrs.pixels[:, 1] - c[1]) / (a * f)
+    r = np.hypot(mx, my)
+    return r * r * R * R, 2.0 * r * Z * (r * Z - R), (R - r * Z) ** 2
 
 
 
@@ -232,60 +277,21 @@ def _fit_linear_full(
     c: tuple[float, float],
     size: tuple[int, int],
 ) -> tuple[CameraSpec, tuple[str, ...]]:
-    fam = model.family
-    if fam is Family.EUCM:
+    if model.family is Family.EUCM:
         return _fit_eucm_full(corrs, a, c, size)
-    X, Y, Z, R, Ra, rc, theta, d, rca2 = _row_quantities(corrs, a, c)
-
-    if fam in (Family.PINHOLE, Family.BROWN_CONRADY):
-        keep = Z > _EPS_Z
-        X, Y, Z, R, Ra, rc, theta, d, rca2 = (
-            q[keep] for q in (X, Y, Z, R, Ra, rc, theta, d, rca2)
-        )
-
-    if fam is Family.PINHOLE:
-        f = float(_lstsq(Ra[:, None], Z * rc, "pinhole focal solve")[0])
-        return _make_spec(model, f, a, c, (), size), ()
-
-    if fam is Family.BROWN_CONRADY:
-        rho2 = (R / Z) ** 2
-        cols = [rc * Z] + [-Ra * rho2 ** n for n in range(1, model.num_dist + 1)]
-        sol = _lstsq(np.stack(cols, axis=-1), Ra, "radial linear solve")
-        g, ks = sol[0], sol[1:]
-        if g <= 0:
-            raise InvalidFocal(f"solved inverse focal {g:.6g} is not positive")
-        return _make_spec(model, 1.0 / g, a, c, tuple(ks), size), ()
-
-    if fam is Family.KANNALA_BRANDT:
-        cols = [R * rc] + [
-            -Ra * theta ** (2 * n + 1) for n in range(1, model.num_dist + 1)
-        ]
-        sol = _lstsq(np.stack(cols, axis=-1), Ra * theta, "kb linear solve")
-        g, ks = sol[0], sol[1:]
-        if g <= 0:
-            raise InvalidFocal(f"solved inverse focal {g:.6g} is not positive")
-        return _make_spec(model, 1.0 / g, a, c, tuple(ks), size), ()
-
-    if fam is Family.UCM:
-        A = np.stack([Ra, -rc * d], axis=-1)
-        f, xi = _lstsq(A, rc * Z, "ucm linear solve")
-        bounds: tuple[str, ...] = ()
-        if xi < 0.0:
-            xi = 0.0
-            f = float(_lstsq(Ra[:, None], rc * Z, "ucm re-solve with xi=0")[0])
-            bounds = ("xi>=0",)
-        return _make_spec(model, float(f), a, c, (float(xi),), size), bounds
-
-    if fam is Family.DIVISION:
-        cols = [Ra] + [Ra * rca2 ** n for n in range(1, model.num_dist + 1)]
-        sol = _lstsq(np.stack(cols, axis=-1), Z * rc, "division linear solve")
-        f, kprime = float(sol[0]), sol[1:]
+    focal_col, dist_cols, rhs, inverse, dist_of = _family_rows(model, corrs, a, c)
+    A = np.stack([focal_col, *dist_cols], axis=-1)
+    sol = _lstsq(A, rhs, f"{model.family.value} linear solve")
+    f, ks = float(sol[0]), sol[1:]
+    if inverse:
         if f <= 0:
-            raise InvalidFocal(f"solved focal {f:.6g} is not positive")
-        ks = tuple(kp * f ** (2 * n - 1) for n, kp in enumerate(kprime, start=1))
-        return _make_spec(model, f, a, c, ks, size), ()
-
-    raise UnsupportedFamily(str(fam))
+            raise InvalidFocal(f"solved inverse focal {f:.6g} is not positive")
+        f = 1.0 / f
+    bounds: tuple[str, ...] = ()
+    if model.family is Family.UCM and ks[0] < 0.0:
+        ks, bounds = (0.0,), ("xi>=0",)
+        f = float(_lstsq(focal_col[:, None], rhs, "ucm re-solve with xi=0")[0])
+    return _make_spec(model, f, a, c, dist_of(ks, f), size), bounds
 
 
 
@@ -310,22 +316,12 @@ def _fit_eucm_full(
     a: float,
     c: tuple[float, float],
     size: tuple[int, int],
-    proxy_order: int = EUCM_PROXY_ORDER,
 ) -> tuple[CameraSpec, tuple[str, ...]]:
     proxy, _ = _fit_linear_full(
-        ModelId(Family.KANNALA_BRANDT, proxy_order), corrs, a, c, size
+        ModelId(Family.KANNALA_BRANDT, EUCM_PROXY_ORDER), corrs, a, c, size
     )
     f = proxy.fx
-
-    X, Y, Z = corrs.rays[:, 0], corrs.rays[:, 1], corrs.rays[:, 2]
-    R = np.hypot(X, Y)
-    mx = (corrs.pixels[:, 0] - c[0]) / f
-    my = (corrs.pixels[:, 1] - c[1]) / (a * f)
-    r = np.hypot(mx, my)
-
-    col_g = r * r * R * R
-    col_a = 2.0 * r * Z * (r * Z - R)
-    rhs = (R - r * Z) ** 2
+    col_g, col_a, rhs = _eucm_rows(corrs, f, a, c)
 
     gamma, alpha = _lstsq(np.stack([col_g, col_a], axis=-1), rhs, "eucm (gamma, alpha) solve")
     bounds: list[str] = []
@@ -377,10 +373,9 @@ def fit_eucm(
     a: float,
     c: tuple[float, float],
     size: tuple[int, int],
-    proxy_order: int = EUCM_PROXY_ORDER,
 ) -> CameraSpec:
     """Fit the extended unified model: proxy focal, then (gamma, alpha) rows."""
-    spec, _ = _fit_eucm_full(corrs, a, c, size, proxy_order)
+    spec, _ = _fit_eucm_full(corrs, a, c, size)
     return spec
 
 
@@ -460,15 +455,6 @@ def _mean_cost(e: np.ndarray, ok: np.ndarray) -> float:
     if n == 0:
         return math.inf
     return float(np.sum(e * e) / n)
-
-_ANALYTIC_FAMILIES = (
-    Family.PINHOLE,
-    Family.BROWN_CONRADY,
-    Family.KANNALA_BRANDT,
-    Family.UCM,
-    Family.EUCM,
-    Family.DIVISION,
-)
 
 
 def _unnormalized_ray_jacobian(
@@ -645,26 +631,28 @@ def _residual_jacobian_numeric(
 def residual_jacobian(
     spec: CameraSpec, pixels: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
-    """Jacobian of the tangent residuals w.r.t. (fx, fy, cx, cy, *dist).
+    """Analytic Jacobian of the tangent residuals w.r.t. (fx, fy, cx, cy, *dist).
 
-    Analytic for the closed-form-unprojection families, central differences
-    for the Newton-inverted ones.  Shape (n, 2, 4 + num_dist).
+    Every family is differentiated in closed form; the Newton-inverted ones
+    (radial, kb) through implicit derivatives of the converged solve.
+    Shape (n, 2, 4 + num_dist).
     """
     b1, b2 = _tangent_basis(targets)
-    kappa = _params_of(spec)
-    all_idx = np.arange(len(kappa))
-    if spec.model.family in _ANALYTIC_FAMILIES:
-        _, ok = unproject_masked(spec, pixels)
-        return _residual_jacobian_analytic(spec, pixels, targets, b1, b2, ok)
-    return _residual_jacobian_numeric(spec, pixels, targets, b1, b2, kappa, all_idx)
+    _, ok = unproject_masked(spec, pixels)
+    return _residual_jacobian_analytic(spec, pixels, targets, b1, b2, ok)
 
 
-def _refine(
-    spec0: CameraSpec,
-    corrs: Correspondences,
-    free: np.ndarray | None = None,
-    iterations: int = _GN_ITERATIONS,
+def refine(
+    spec0: CameraSpec, corrs: Correspondences, free: np.ndarray | None = None
 ) -> CalibrationResult:
+    """Polish intrinsics with five Gauss-Newton iterations on tangent residuals.
+
+    Minimizes the mean squared tangent-plane distance between the target rays
+    and the unprojections of the current intrinsics, over the parameters
+    (fx, fy, cx, cy, *dist) indexed by ``free`` (default: all of them).  Steps
+    that would increase the cost are halved up to four times and rejected if
+    still worse, so ``gn_costs`` never increases.
+    """
     pixels, targets = corrs.pixels, corrs.rays
     b1, b2 = _tangent_basis(targets)
     kappa = _params_of(spec0)
@@ -675,21 +663,15 @@ def _refine(
     cost = _mean_cost(e, ok)
     costs = [cost]
     warning = None
-    analytic = spec0.model.family in _ANALYTIC_FAMILIES
 
-    for _ in range(iterations):
+    for _ in range(_GN_ITERATIONS):
         if cost <= 1e-30:
             # at roundoff level further iterations only shuffle noise; record
             # the converged cost for the remaining slots
-            costs.extend([cost] * (iterations - len(costs) + 1))
+            costs.extend([cost] * (_GN_ITERATIONS - len(costs) + 1))
             break
         spec_cur = _spec_of(spec0, kappa)
-        if analytic:
-            J = _residual_jacobian_analytic(spec_cur, pixels, targets, b1, b2, ok)
-        else:
-            J = _residual_jacobian_numeric(
-                spec_cur, pixels, targets, b1, b2, kappa, free_idx
-            )
+        J = _residual_jacobian_analytic(spec_cur, pixels, targets, b1, b2, ok)
         J_free = J[:, :, free_idx].reshape(-1, len(free_idx))
         col_scale = np.linalg.norm(J_free, axis=0)
         try:
@@ -703,7 +685,7 @@ def _refine(
             rank, delta = 0, np.zeros(len(free_idx))
         if rank < len(free_idx) or not np.all(np.isfinite(delta)):
             warning = "singular normal matrix; refinement stopped early"
-            costs.extend([cost] * (iterations - len(costs) + 1))
+            costs.extend([cost] * (_GN_ITERATIONS - len(costs) + 1))
             break
 
         step = 1.0
@@ -718,7 +700,6 @@ def _refine(
                 cost_new = _mean_cost(e_new, ok_new)
                 if cost_new <= cost:
                     kappa, e, ok, cost = cand, e_new, ok_new, cost_new
-                    accepted = True
                     break
             step *= 0.5
         # a rejected step simply repeats the current cost
@@ -733,34 +714,10 @@ def _refine(
     )
 
 
-def refine(spec0: CameraSpec, corrs: Correspondences) -> CalibrationResult:
-    """Polish intrinsics with five Gauss-Newton iterations on tangent residuals.
-
-    Minimizes the mean squared tangent-plane distance between the target rays
-    and the unprojections of the current intrinsics, over all parameters
-    (fx, fy, cx, cy, dist).  Steps that would increase the cost are halved up
-    to four times and rejected if still worse, so ``gn_costs`` never
-    increases.
-    """
-    return _refine(spec0, corrs)
-
-
 # ---------------------------------------------------------------------------
 # full pipelines
 # ---------------------------------------------------------------------------
 
-
-
-def _model_unknowns(model: ModelId) -> int:
-    if model.family is Family.PINHOLE:
-        return 1
-    if model.family in (Family.BROWN_CONRADY, Family.KANNALA_BRANDT, Family.DIVISION):
-        return 1 + model.num_dist
-    if model.family is Family.UCM:
-        return 2
-    if model.family is Family.EUCM:
-        return 3
-    raise UnsupportedFamily(str(model.family))
 
 
 def _fit_corrs(
@@ -768,7 +725,7 @@ def _fit_corrs(
 ) -> CalibrationResult:
     a, cx, cy, ppoint_residual = _fit_ppoint_full(corrs)
     algebraic, bounds = _fit_linear_full(model, corrs, a, (cx, cy), size)
-    result = _refine(algebraic, corrs)
+    result = refine(algebraic, corrs)
     return replace(result, ppoint_residual=ppoint_residual, active_bounds=bounds)
 
 
@@ -813,7 +770,7 @@ def calibrate_ransac(
     corrs = Correspondences.from_field(fov_field, stride)
     size = (fov_field.width, fov_field.height)
     n = len(corrs)
-    sample_size = 3 + _model_unknowns(model)
+    sample_size = 3 + 1 + model.num_dist  # (a, cx, cy), then f and dist
     if n < sample_size:
         raise DegenerateGeometry(f"{n} correspondences < minimal sample {sample_size}")
     rng = np.random.default_rng(seed)
@@ -863,53 +820,25 @@ def convert_model(
     if not fix_focal:
         return _fit_corrs(dst_model, corrs, size).spec
 
-    a = src.aspect
-    c = (src.cx, src.cy)
-    f = src.fx
-    X, Y, Z, R, Ra, rc, theta, d, rca2 = _row_quantities(corrs, a, c)
-    fam = dst_model.family
-
-    if fam is Family.PINHOLE:
+    f, a, c = src.fx, src.aspect, (src.cx, src.cy)
+    if dst_model.num_dist == 0:
         return _make_spec(dst_model, f, a, c, (), size)
-
-    if fam in (Family.BROWN_CONRADY,):
-        keep = Z > _EPS_Z
-        rho2 = (R[keep] / Z[keep]) ** 2
-        cols = [Ra[keep] * rho2 ** n_i for n_i in range(1, dst_model.num_dist + 1)]
-        b = rc[keep] * Z[keep] / f - Ra[keep]
-        ks = _lstsq(np.stack(cols, axis=-1), b, "fixed-focal radial solve")
-        dist = tuple(ks)
-    elif fam is Family.KANNALA_BRANDT:
-        cols = [Ra * theta ** (2 * n_i + 1) for n_i in range(1, dst_model.num_dist + 1)]
-        b = R * rc / f - Ra * theta
-        ks = _lstsq(np.stack(cols, axis=-1), b, "fixed-focal kb solve")
-        dist = tuple(ks)
-    elif fam is Family.UCM:
-        xi = float(
-            _lstsq((rc * d)[:, None], Ra * f - rc * Z, "fixed-focal ucm solve")[0]
-        )
-        dist = (max(xi, 0.0),)
-    elif fam is Family.EUCM:
-        mx = (corrs.pixels[:, 0] - c[0]) / f
-        my = (corrs.pixels[:, 1] - c[1]) / (a * f)
-        r = np.hypot(mx, my)
-        col_g = r * r * R * R
-        col_a = 2.0 * r * Z * (r * Z - R)
-        rhs = (R - r * Z) ** 2
+    if dst_model.family is Family.EUCM:
+        col_g, col_a, rhs = _eucm_rows(corrs, f, a, c)
         gamma, alpha = _lstsq(
             np.stack([col_g, col_a], axis=-1), rhs, "fixed-focal eucm solve"
         )
         alpha = min(max(float(alpha), 1e-6), 1.0 - 1e-6)
-        beta = max(float(gamma) / alpha**2, 1e-6)
-        dist = (alpha, beta)
-    elif fam is Family.DIVISION:
-        cols = [Ra * rca2 ** n_i for n_i in range(1, dst_model.num_dist + 1)]
-        b = Z * rc - Ra * f
-        kprime = _lstsq(np.stack(cols, axis=-1), b, "fixed-focal division solve")
-        dist = tuple(kp * f ** (2 * n_i - 1) for n_i, kp in enumerate(kprime, start=1))
+        dist = (alpha, float(gamma) / alpha**2)
     else:
-        raise UnsupportedFamily(str(fam))
+        # the focal column moves to the right-hand side
+        focal_col, dist_cols, rhs, inverse, dist_of = _family_rows(dst_model, corrs, a, c)
+        held = rhs - (focal_col / f if inverse else focal_col * f)
+        what = f"fixed-focal {dst_model.family.value} solve"
+        dist = dist_of(_lstsq(np.stack(dist_cols, axis=-1), held, what), f)
 
+    # xi >= 0 and beta > 0, as the refinement enforces them
     spec0 = _make_spec(dst_model, f, a, c, dist, size)
+    spec0 = _spec_of(spec0, _clamp_params(dst_model, _params_of(spec0)))
     free = np.arange(4, 4 + dst_model.num_dist)
-    return _refine(spec0, corrs, free=free).spec
+    return refine(spec0, corrs, free=free).spec

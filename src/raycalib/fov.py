@@ -25,7 +25,7 @@ from .errors import (
     NonInvertiblePixel,
     ThetaOutOfDomain,
 )
-from .models import CameraSpec, unproject_masked
+from .models import CameraSpec, pixel_centers, unproject_masked
 
 _SERIES_CUTOVER = 1e-6
 
@@ -107,11 +107,7 @@ class FovField:
 
     def pixel_grid(self) -> np.ndarray:
         """(h, w, 2) array of the pixel-center coordinates of each cell."""
-        gh, gw = self.theta.shape[:2]
-        u = (np.arange(gw) + 0.5) * self.stride
-        v = (np.arange(gh) + 0.5) * self.stride
-        uu, vv = np.meshgrid(u, v)
-        return np.stack([uu, vv], axis=-1)
+        return pixel_centers(self.width, self.height, self.stride)
 
 
 @dataclass(frozen=True)
@@ -148,17 +144,12 @@ def field_from_spec(spec: CameraSpec, stride: int = 1) -> FovField:
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    gw = spec.width // stride
-    gh = spec.height // stride
-    u = (np.arange(gw) + 0.5) * stride
-    v = (np.arange(gh) + 0.5) * stride
-    uu, vv = np.meshgrid(u, v)
-    px = np.stack([uu, vv], axis=-1)
+    px = pixel_centers(spec.width, spec.height, stride)
     rays, ok = unproject_masked(spec, px.reshape(-1, 2))
     if not ok.all():
         n_bad = int(ok.size - np.count_nonzero(ok))
         raise NonInvertiblePixel(f"{n_bad} grid pixels not invertible for {spec.model}")
-    theta = log_map(rays).reshape(gh, gw, 2)
+    theta = log_map(rays).reshape(px.shape)
     return FovField(theta=theta, stride=stride)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BorderUnprojectionFailed, DimensionMismatch, EmptyInput
-from .models import CameraSpec, project_masked, unproject_masked
+from .models import CameraSpec, pixel_centers, project_masked, unproject_masked
 
 DEFAULT_AUC_THRESHOLDS = (1.0, 5.0, 10.0)
 
@@ -58,13 +58,6 @@ class EvalReport:
         )
 
 
-def _pixel_grid(width: int, height: int, stride: int) -> np.ndarray:
-    u = (np.arange(width // stride) + 0.5) * stride
-    v = (np.arange(height // stride) + 0.5) * stride
-    uu, vv = np.meshgrid(u, v)
-    return np.stack([uu.ravel(), vv.ravel()], axis=-1)
-
-
 def _check_same_size(gt: CameraSpec, est: CameraSpec) -> None:
     if (gt.width, gt.height) != (est.width, est.height):
         raise DimensionMismatch(
@@ -88,7 +81,7 @@ def angular_error_counted(
 ) -> tuple[float, int]:
     """As ``angular_error`` but also reporting the dropped-cell count."""
     _check_same_size(gt, est)
-    px = _pixel_grid(gt.width, gt.height, grid_stride)
+    px = pixel_centers(gt.width, gt.height, grid_stride).reshape(-1, 2)
     p, ok_g = unproject_masked(gt, px)
     q, ok_e = unproject_masked(est, px)
     ok = ok_g & ok_e
@@ -115,7 +108,7 @@ def reproj_error_counted(
 ) -> tuple[float, int]:
     """As ``reproj_error`` but also reporting the dropped-cell count."""
     _check_same_size(gt, est)
-    px = _pixel_grid(gt.width, gt.height, grid_stride)
+    px = pixel_centers(gt.width, gt.height, grid_stride).reshape(-1, 2)
     rays, ok_g = unproject_masked(gt, px)
     reproj, ok_e = project_masked(est, rays)
     ok = ok_g & ok_e

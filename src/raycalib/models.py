@@ -168,6 +168,18 @@ class CameraSpec:
         )
 
 
+def pixel_centers(width: int, height: int, stride: int = 1) -> np.ndarray:
+    """(height // stride, width // stride, 2) grid of sampled pixel centers.
+
+    Cell (j, i) is the center ((i + 0.5) * stride, (j + 0.5) * stride) of its
+    stride x stride block.
+    """
+    u = (np.arange(width // stride) + 0.5) * stride
+    v = (np.arange(height // stride) + 0.5) * stride
+    uu, vv = np.meshgrid(u, v)
+    return np.stack([uu, vv], axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers (coefficients k_1..k_N over even powers of the argument)
 # ---------------------------------------------------------------------------
@@ -441,8 +453,7 @@ def project(spec: CameraSpec, rays: np.ndarray) -> np.ndarray:
         RayOutsideDomain: if any ray exceeds the valid cone of ``spec`` or a
             Newton inversion fails to converge.
     """
-    rays = np.asarray(rays, dtype=np.float64)
-    px, ok = _project_arrays(spec, rays)
+    px, ok = project_masked(spec, rays)
     if not ok.all():
         n_bad = int(np.size(ok) - np.count_nonzero(ok))
         raise RayOutsideDomain(f"{n_bad} of {np.size(ok)} rays outside the valid cone")
@@ -557,8 +568,7 @@ def unproject(spec: CameraSpec, pixels: np.ndarray) -> np.ndarray:
         NonInvertiblePixel: on Newton divergence or pixels outside the
             injective image region.
     """
-    pixels = np.asarray(pixels, dtype=np.float64)
-    rays, ok = _unproject_arrays(spec, pixels)
+    rays, ok = unproject_masked(spec, pixels)
     if not ok.all():
         n_bad = int(np.size(ok) - np.count_nonzero(ok))
         raise NonInvertiblePixel(f"{n_bad} of {np.size(ok)} pixels not invertible")

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateGeometry, FovOutOfRange, NewtonDivergence, UnsupportedFamily
-from .fit import Correspondences, _fit_eucm_full, _refine
+from .fit import Correspondences, fit_eucm, refine
 from .fov import FovField
 from .models import (
     CameraSpec,
@@ -562,9 +562,8 @@ def lensfun_to_eucm(
     # normalized (distorted) image coordinates, origin at the sensor center
     coords = np.stack([gx[good], gy[good]], axis=-1) / entry.focal_mm
     corrs = Correspondences(coords, rays)
-    spec0, _ = _fit_eucm_full(corrs, 1.0, (0.0, 0.0), (1, 1))
-    refined = _refine(spec0, corrs, free=np.array([0, 1, 4, 5]))
-    spec = refined.spec
+    spec0 = fit_eucm(corrs, 1.0, (0.0, 0.0), (1, 1))
+    spec = refine(spec0, corrs, free=np.array([0, 1, 4, 5])).spec
 
     q, ok_q = unproject_masked(spec, coords)
     dots = np.clip(np.sum(q[ok_q] * rays[ok_q], axis=-1), -1.0, 1.0)

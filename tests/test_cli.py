@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import raycalib as rc
+import raycalib.cli
 from raycalib.cli import main
 from raycalib.fileio import read_field, read_spec, write_spec
 
@@ -114,8 +115,9 @@ class TestFitCommand:
         run("fit", str(ds / "fields" / "0000.aff1"), "--model", "pinhole", "-o", str(out))
         data = json.loads(out.read_text())
         for key in ("model", "width", "height", "fx", "fy", "cx", "cy", "dist",
-                    "gn_costs", "active_bounds", "ppoint_residual"):
+                    "gn_costs", "active_bounds", "ppoint_residual", "dropped"):
             assert key in data
+        assert data["dropped"] == 0
 
 
 class TestEvalCommand:
@@ -156,6 +158,21 @@ class TestEvalCommand:
         report = json.loads((rep / "report.json").read_text())
         assert report["n_pairs"] == 2
         assert report["missing"] == ["0002"]
+
+    def test_unprojectable_border_exits_numerical(self, tmp_path, capsys):
+        # an estimate below its injectivity clamp cannot unproject the image
+        # border, so its FoV is undefined
+        gt = centered_spec("radial:1", 60.0, 64, dist=(-0.1,))
+        f_min = rc.min_focal(gt.model, gt.dist, 64, 64)
+        est = gt.replace(fx=0.6 * f_min, fy=0.6 * f_min)
+        for name, spec in (("gt", gt), ("est", est)):
+            (tmp_path / name).mkdir()
+            write_spec(tmp_path / name / "0000.json", spec)
+        code = run("eval", str(tmp_path / "est"), str(tmp_path / "gt"),
+                   "-o", str(tmp_path / "rep"))
+        out = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert out["error"]["kind"] == "BorderUnprojectionFailed"
 
     def test_auc_monotone_on_noisy_set(self, tmp_path):
         gt = tmp_path / "gt"
@@ -246,7 +263,25 @@ class TestLensfunCommand:
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "ParseError"
 
 
+CALIB_ERRORS = sorted(
+    (e for e in vars(rc.errors).values()
+     if isinstance(e, type) and issubclass(e, rc.CalibError) and e is not rc.CalibError),
+    key=lambda e: e.__name__,
+)
+
+
 class TestExitCodesAndWorkers:
+    @pytest.mark.parametrize("error", CALIB_ERRORS, ids=lambda e: e.__name__)
+    def test_every_calib_error_has_one_exit_code(self, error, monkeypatch, capsys):
+        def stub(args):
+            raise error("stub failure")
+
+        monkeypatch.setattr(raycalib.cli, "cmd_fit", stub)
+        code = run("fit", "unused.aff1", "--model", "pinhole")
+        out = json.loads(capsys.readouterr().out)
+        assert code == (2 if issubclass(error, raycalib.cli._INPUT_ERRORS) else 3)
+        assert out == {"error": {"kind": error.__name__, "message": "stub failure"}}
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a directionally random field admits no consensus model
         rng = np.random.default_rng(1)

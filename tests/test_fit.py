@@ -266,6 +266,19 @@ class TestCalibrate:
         res = rc.calibrate(rc.field_from_spec(spec), spec.model, stride=4)
         assert max_param_error(res.spec, spec) < 1e-6
 
+    def test_nan_cell_is_dropped(self):
+        # one non-finite cell must not fail the fit of the rest of the field
+        spec = centered_spec("kb:2", 100.0, 64, dist=(0.05, -0.01))
+        field = rc.field_from_spec(spec)
+        theta = field.theta.copy()
+        theta[10, 20] = np.nan
+        holed = rc.FovField(theta=theta)
+        assert len(rc.Correspondences.from_field(holed)) == 64 * 64 - 1
+        res = rc.calibrate(holed, spec.model)
+        clean = rc.calibrate(field, spec.model)
+        assert max_param_error(res.spec, spec) < 1e-6
+        assert max_param_error(res.spec, clean.spec) < 1e-6
+
     def test_reparameterization_consistency(self):
         # refitting the correspondences of a fitted division spec returns the
         # same coefficients, confirming the k' reparameterization is undone
@@ -339,12 +352,28 @@ class TestConvertModel:
         got = rc.convert_model(spec, rc.parse_model("division:1"), stride=4)
         assert rc.angular_error(spec, got, grid_stride=4) < 0.05
 
-    def test_fixed_focal_holds_parameters(self):
+    @pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
+    def test_fixed_focal_holds_parameters(self, name):
         spec = centered_spec("kb:2", 110.0, 128, dist=(0.06, 0.002))
-        got = rc.convert_model(spec, rc.parse_model("ucm"), fix_focal=True, stride=4)
+        got = rc.convert_model(spec, rc.parse_model(name), fix_focal=True, stride=4)
         assert got.fx == spec.fx and got.fy == spec.fy
         assert got.cx == spec.cx and got.cy == spec.cy
-        assert got.dist[0] >= 0.0
+        assert got.model == rc.parse_model(name)
+        assert np.all(np.isfinite(got.dist))
+        if got.model.family is rc.Family.UCM:
+            assert got.dist[0] >= 0.0
+
+    @pytest.mark.parametrize(
+        "name, fov, dist",
+        [("radial:2", 80.0, (-0.1, 0.01)), ("kb:2", 110.0, (0.06, 0.002)),
+         ("ucm", 120.0, (0.8,)), ("eucm", 120.0, (0.6, 1.1)),
+         ("division:2", 110.0, (-0.15, 0.02))],
+    )
+    def test_fixed_focal_same_family_is_exact(self, name, fov, dist):
+        # the held-focal linear rows solve the source's own family exactly
+        spec = centered_spec(name, fov, 128, dist=dist)
+        got = rc.convert_model(spec, spec.model, fix_focal=True, stride=4)
+        assert max_param_error(got, spec) < 1e-9
 
     def test_kb_to_ucm_free_matches_published_values(self):
         # the published cross-model sample: mapping the focal too yields a
