@@ -41,7 +41,6 @@ from .models import parse_model, validate_spec
 from .synth import (
     DatasetKind,
     IntrinsicsSampler,
-    LensfunEntry,
     SamplerConfig,
     add_noise,
     lensfun_to_eucm,

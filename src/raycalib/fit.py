@@ -16,17 +16,25 @@ unknowns:
    re-solve the free unknowns);
 4. five Gauss-Newton iterations on the mean squared tangent-plane residual
    between the target rays and the unprojections of the current intrinsics.
-   Each step is halved up to four times if the cost would increase, so the
-   recorded per-iteration costs never increase.
+   The Jacobian is built per cell from the derivatives of the unnormalized
+   ray with respect to (mx, my, dist), reusing the state of the residual
+   pass, and reduced block by block with a tall-skinny QR, so no n x P
+   matrix is ever formed.  Each step is halved up to four times if the cost
+   would increase, so the recorded per-iteration costs never increase; a
+   step rejected at every length leaves the intrinsics unchanged, so the
+   refinement stops there, exactly where further iterations would repeat it.
 
-All linear stages use orthogonal factorizations (SVD-backed lstsq), never
-explicit normal equations.
+All linear stages use orthogonal factorizations, never explicit normal
+equations: SVD-backed lstsq for the closed-form stages, and for each
+Gauss-Newton step the blocked QR of [J | -e] followed by an SVD of its small
+triangular factor, with lstsq's column equilibration and rank rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,11 +50,9 @@ from .models import (
     CameraSpec,
     Family,
     ModelId,
-    _bc_undistort_radius,
-    _even_poly,
     _even_poly_deriv,
-    _kb_solve_theta,
     _odd_poly_theta_deriv,
+    _unproject_cells,
     pixel_centers,
     unproject_masked,
 )
@@ -56,6 +62,7 @@ EUCM_PROXY_ORDER = 3  # kb order used to estimate the extended model's focal
 _RCOND = 1e-12
 _GN_ITERATIONS = 5
 _GN_MAX_HALVINGS = 4
+_QR_BLOCK = 8192  # cells per QR block: 16,384 residual rows, about 1 MiB per block
 _EPS_XY = 1e-9  # rows with |X| and |Y| both below this are dropped
 _EPS_Z = 1e-6  # pinhole / radial rows require Z above this
 
@@ -111,7 +118,8 @@ class CalibrationResult:
     ``gn_costs[0]`` is the mean squared tangent residual (radians^2) of the
     algebraic solution; each later entry is the cost after one Gauss-Newton
     iteration, so the sequence is non-increasing.  ``dropped`` counts the
-    correspondences the refined spec cannot unproject.
+    correspondences the refined spec cannot unproject and, for a fit of a
+    field, the field's non-finite cells.
     """
 
     spec: CameraSpec
@@ -434,20 +442,47 @@ def _arc_factor_deriv(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.where(small, -1.0 / 3.0, (c * w - 1.0) / np.where(small, 1.0, s2))
 
 
+def _dot(v, d) -> np.ndarray:
+    """sum_i v[i] * d[i] over three components; a d[i] may be the constant 0.0 or 1.0."""
+    terms = [vi * di if np.ndim(di) else vi for vi, di in zip(v, d) if np.ndim(di) or di]
+    return sum(terms[1:], terms[0])
+
+
+class _Cells(NamedTuple):
+    """Per-cell state of one residual pass; the Jacobian reuses it."""
+
+    mx: np.ndarray
+    my: np.ndarray
+    r: np.ndarray
+    norm: np.ndarray  # |g| of the unnormalized ray
+    sol: np.ndarray | None  # Newton solution: rho (radial), theta (kb)
+    q: np.ndarray  # (n, 3) unit ray
+    c: np.ndarray  # target . q
+    w: np.ndarray  # arc factor of c
+    b1q: np.ndarray
+    b2q: np.ndarray
+    ok: np.ndarray
+
+    def rows(self, sl: slice) -> "_Cells":
+        """The state of the cells in ``sl``."""
+        return _Cells(*(x if x is None else x[sl] for x in self))
+
+
 def _residuals(
     spec: CameraSpec,
     pixels: np.ndarray,
     targets: np.ndarray,
     b1: np.ndarray,
     b2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent residuals (n, 2): invalid rows come back zeroed with mask False."""
-    q, ok = unproject_masked(spec, pixels)
-    c = np.sum(targets * q, axis=-1)
+) -> tuple[np.ndarray, _Cells]:
+    """Tangent residuals (n, 2) and their cell state: invalid rows come back
+    zeroed, with ``ok`` False."""
+    q, ok, (mx, my, r, norm, sol) = _unproject_cells(spec, pixels)
+    c = _dot(targets.T, q.T)
     w = _arc_factor(c)
-    e = np.stack([w * np.sum(b1 * q, -1), w * np.sum(b2 * q, -1)], axis=-1)
-    e = np.where(ok[:, None], e, 0.0)
-    return e, ok
+    b1q, b2q = _dot(b1.T, q.T), _dot(b2.T, q.T)
+    e = np.where(ok[:, None], np.stack([w * b1q, w * b2q], axis=-1), 0.0)
+    return e, _Cells(mx, my, r, norm, sol, q, c, w, b1q, b2q, ok)
 
 
 def _mean_cost(e: np.ndarray, ok: np.ndarray) -> float:
@@ -457,175 +492,88 @@ def _mean_cost(e: np.ndarray, ok: np.ndarray) -> float:
     return float(np.sum(e * e) / n)
 
 
-def _unnormalized_ray_jacobian(
-    spec: CameraSpec, pixels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """g and dg/dkappa for the closed-form families, shapes (n,3), (n,3,P)."""
+def _ray_derivatives(spec: CameraSpec, cells: _Cells) -> list[tuple]:
+    """dg/d(mx, my, *dist) of the unnormalized ray g, one (x, y, z) triple per
+    unknown; a component is an (n,) array or the constant 0.0 or 1.0."""
     fam = spec.model.family
-    n = len(pixels)
-    n_par = 4 + spec.model.num_dist
-    mx = (pixels[:, 0] - spec.cx) / spec.fx
-    my = (pixels[:, 1] - spec.cy) / spec.fy
-    # dm/d(fx, fy, cx, cy): each (n, 4)
-    dmx = np.zeros((n, n_par))
-    dmy = np.zeros((n, n_par))
-    dmx[:, 0] = -mx / spec.fx
-    dmx[:, 2] = -1.0 / spec.fx
-    dmy[:, 1] = -my / spec.fy
-    dmy[:, 3] = -1.0 / spec.fy
-
-    r2 = mx * mx + my * my
-    dr2 = 2.0 * mx[:, None] * dmx + 2.0 * my[:, None] * dmy
-
-    g = np.empty((n, 3))
-    dg = np.zeros((n, 3, n_par))
-    g[:, 0], g[:, 1] = mx, my
-    dg[:, 0, :], dg[:, 1, :] = dmx, dmy
-
+    mx, my, r = cells.mx, cells.my, cells.r
     if fam is Family.PINHOLE:
-        g[:, 2] = 1.0
-    elif fam is Family.BROWN_CONRADY:
-        # rho solves rho * psi(rho) = r; differentiate the converged solution
-        # implicitly: drho/dr = 1/h'(rho), drho/dk_n = -rho^(2n+1)/h'(rho)
-        r = np.sqrt(r2)
-        rho, _ = _bc_undistort_radius(spec.dist, r)
-        rho2 = rho * rho
-        hp = _even_poly(spec.dist, rho2) + 2.0 * rho2 * _even_poly_deriv(spec.dist, rho2)
+        return [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    if fam in (Family.BROWN_CONRADY, Family.KANNALA_BRANDT):
+        # sol solves sol + sum k_n sol^(2n+1) = r (rho for radial, theta for
+        # kb), so dsol/dr = 1/h' and dsol/dk_n = -sol^(2n+1)/h'.  g is
+        # (s mx / r, s my / r, gz) with s = rho, gz = 1 or s = sin, gz = cos
+        kb = fam is Family.KANNALA_BRANDT
+        sol = cells.sol
+        hp = _odd_poly_theta_deriv(spec.dist, sol)
         hp = np.where(np.abs(hp) > 1e-12, hp, 1e-12)
-        drho_dr = 1.0 / hp
         tiny = r < 1e-9
-        r_safe = np.where(tiny, 1.0, r)
-        u = np.where(tiny, 1.0, rho / r_safe)
-        du_dr = np.where(tiny, 0.0, (drho_dr - u) / r_safe)
-        dr = (mx[:, None] * dmx + my[:, None] * dmy) / r_safe[:, None]
-        dr[tiny] = 0.0
-        g[:, 0], g[:, 1], g[:, 2] = u * mx, u * my, 1.0
-        du = du_dr[:, None] * dr
-        for n_i in range(1, len(spec.dist) + 1):
-            du[:, 3 + n_i] += np.where(tiny, 0.0, -(rho ** (2 * n_i + 1)) / hp / r_safe)
-        dg[:, 0, :] = u[:, None] * dmx + mx[:, None] * du
-        dg[:, 1, :] = u[:, None] * dmy + my[:, None] * du
-    elif fam is Family.KANNALA_BRANDT:
-        # theta solves theta + sum k_n theta^(2n+1) = r; implicit derivatives
-        r = np.sqrt(r2)
-        theta, _ = _kb_solve_theta(spec.dist, r)
-        hp = _odd_poly_theta_deriv(spec.dist, theta)
-        hp = np.where(np.abs(hp) > 1e-12, hp, 1e-12)
-        dth_dr = 1.0 / hp
-        sin_t, cos_t = np.sin(theta), np.cos(theta)
-        tiny = r < 1e-9
-        r_safe = np.where(tiny, 1.0, r)
-        u = np.where(tiny, 1.0, sin_t / r_safe)
-        du_dr = np.where(tiny, 0.0, (cos_t * dth_dr - u) / r_safe)
-        dr = (mx[:, None] * dmx + my[:, None] * dmy) / r_safe[:, None]
-        dr[tiny] = 0.0
-        dth = dth_dr[:, None] * dr
-        du = du_dr[:, None] * dr
-        for n_i in range(1, len(spec.dist) + 1):
-            dth_dk = np.where(tiny, 0.0, -(theta ** (2 * n_i + 1)) / hp)
-            dth[:, 3 + n_i] += dth_dk
-            du[:, 3 + n_i] += np.where(tiny, 0.0, cos_t * dth_dk / r_safe)
-        g[:, 0], g[:, 1], g[:, 2] = u * mx, u * my, cos_t
-        dg[:, 0, :] = u[:, None] * dmx + mx[:, None] * du
-        dg[:, 1, :] = u[:, None] * dmy + my[:, None] * du
-        dg[:, 2, :] = -sin_t[:, None] * dth
-    elif fam is Family.UCM:
+        inv_r = np.where(tiny, 0.0, 1.0 / np.where(tiny, 1.0, r))
+        s, ds = (np.sin(sol), np.cos(sol)) if kb else (sol, 1.0)
+        u = np.where(tiny, 1.0, s * inv_r)
+        a = (ds / hp - u) * inv_r * inv_r  # (du/dr) / r
+        dz = -s / hp * inv_r if kb else 0.0  # (dgz/dr) / r
+        axy = a * mx * my
+        out = [(u + a * mx * mx, axy, dz * mx), (axy, u + a * my * my, dz * my)]
+        for n in range(1, spec.model.num_dist + 1):
+            dsol = -(sol ** (2 * n + 1)) / hp
+            du = ds * dsol * inv_r
+            out.append((du * mx, du * my, -s * dsol if kb else 0.0))
+        return out
+    r2 = r * r
+    if fam is Family.UCM:
         xi = spec.dist[0]
         t = np.sqrt(np.maximum(1.0 + (1.0 - xi * xi) * r2, 1e-12))
         s = (xi + t) / (1.0 + r2)
         ds_dr2 = ((1.0 - xi * xi) / (2.0 * t) * (1.0 + r2) - (xi + t)) / (1.0 + r2) ** 2
         ds_dxi = (1.0 - xi * r2 / t) / (1.0 + r2)
-        ds = ds_dr2[:, None] * dr2
-        ds[:, 4] += ds_dxi
-        g[:, 0], g[:, 1], g[:, 2] = s * mx, s * my, s - xi
-        dg[:, 0, :] = s[:, None] * dmx + mx[:, None] * ds
-        dg[:, 1, :] = s[:, None] * dmy + my[:, None] * ds
-        dg[:, 2, :] = ds
-        dg[:, 2, 4] -= 1.0
-    elif fam is Family.EUCM:
+        sx, sy = 2.0 * mx * ds_dr2, 2.0 * my * ds_dr2
+        return [
+            (s + mx * sx, my * sx, sx),
+            (mx * sy, s + my * sy, sy),
+            (mx * ds_dxi, my * ds_dxi, ds_dxi - 1.0),
+        ]
+    if fam is Family.EUCM:
         alpha, beta = spec.dist
-        arg = np.maximum(1.0 - (2.0 * alpha - 1.0) * beta * r2, 1e-12)
-        t = np.sqrt(arg)
+        t = np.sqrt(np.maximum(1.0 - (2.0 * alpha - 1.0) * beta * r2, 1e-12))
         den = alpha * t + (1.0 - alpha)
-        num = 1.0 - beta * alpha * alpha * r2
-        g[:, 2] = num / den
-        dt_dr2 = -(2.0 * alpha - 1.0) * beta / (2.0 * t)
-        dt_da = -beta * r2 / t
-        dt_db = -(2.0 * alpha - 1.0) * r2 / (2.0 * t)
-        dnum_dr2 = -beta * alpha * alpha
-        dnum_da = -2.0 * alpha * beta * r2
-        dnum_db = -alpha * alpha * r2
-        dden_dr2 = alpha * dt_dr2
-        dden_da = t + alpha * dt_da - 1.0
-        dden_db = alpha * dt_db
-        dmz_dr2 = (dnum_dr2 * den - num * dden_dr2) / den**2
-        dmz_da = (dnum_da * den - num * dden_da) / den**2
-        dmz_db = (dnum_db * den - num * dden_db) / den**2
-        dg[:, 2, :] = dmz_dr2[:, None] * dr2
-        dg[:, 2, 4] += dmz_da
-        dg[:, 2, 5] += dmz_db
-    elif fam is Family.DIVISION:
-        ks = spec.dist
-        psi = np.ones_like(r2)
-        dpsi_dr2 = np.zeros_like(r2)
-        for n_i in range(len(ks), 0, -1):
-            psi = psi + ks[n_i - 1] * r2**n_i
-            dpsi_dr2 = dpsi_dr2 + n_i * ks[n_i - 1] * r2 ** (n_i - 1)
-        g[:, 2] = psi
-        dg[:, 2, :] = dpsi_dr2[:, None] * dr2
-        for n_i in range(1, len(ks) + 1):
-            dg[:, 2, 3 + n_i] = r2**n_i
-    else:
-        raise UnsupportedFamily(f"no analytic jacobian for {fam}")
-    return g, dg
+        mz = (1.0 - beta * alpha * alpha * r2) / den
+        dt = -(2.0 * alpha - 1.0) / (2.0 * t)  # dt/dr2 = beta dt, dt/dbeta = r2 dt
+        dmz_dr2 = (-beta * alpha * alpha - mz * alpha * beta * dt) / den
+        dmz_da = (-2.0 * alpha * beta * r2 - mz * (t - beta * alpha * r2 / t - 1.0)) / den
+        dmz_db = (-alpha * alpha * r2 - mz * alpha * r2 * dt) / den
+        return [(1.0, 0.0, 2.0 * mx * dmz_dr2), (0.0, 1.0, 2.0 * my * dmz_dr2),
+                (0.0, 0.0, dmz_da), (0.0, 0.0, dmz_db)]
+    if fam is Family.DIVISION:
+        dpsi = _even_poly_deriv(spec.dist, r2)
+        return [(1.0, 0.0, 2.0 * mx * dpsi), (0.0, 1.0, 2.0 * my * dpsi),
+                *((0.0, 0.0, r2**n) for n in range(1, spec.model.num_dist + 1))]
+    raise UnsupportedFamily(f"no analytic jacobian for {fam}")
 
 
-def _residual_jacobian_analytic(
-    spec: CameraSpec,
-    pixels: np.ndarray,
-    targets: np.ndarray,
-    b1: np.ndarray,
-    b2: np.ndarray,
-    ok: np.ndarray,
-) -> np.ndarray:
-    g, dg = _unnormalized_ray_jacobian(spec, pixels)
-    norm = np.linalg.norm(g, axis=-1, keepdims=True)
-    q = g / norm
-    # dq_j = (dg_j - q (q . dg_j)) / |g|
-    qdg = np.einsum("ni,nij->nj", q, dg)
-    dq = (dg - q[:, :, None] * qdg[:, None, :]) / norm[:, :, None]
+def _jacobian_columns(
+    spec: CameraSpec, cells: _Cells, b1: np.ndarray, b2: np.ndarray, targets: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """d(e1, e2)/d(fx, fy, cx, cy, *dist): one pair of (n,) columns per parameter.
 
-    c = np.sum(targets * q, axis=-1)
-    w = _arc_factor(c)
+    The residual e_i = w(c) (b_i . q) of q = g / |g| and c = target . q has the
+    gradient (w b_i - (b_i . q) h) / |g| with respect to g, where
+    h = (w + c w') q - w' target; each ray derivative dg enters through it.
+    The intrinsics enter g only through m = ((u - cx) / fx, (v - cy) / fy).
+    Rows the residual pass marked invalid are zero.
+    """
+    w, c, norm, ok = cells.w, cells.c, cells.norm, cells.ok
     dw = _arc_factor_deriv(c, w)
-    pdq = np.einsum("ni,nij->nj", targets, dq)
-    b1q = np.sum(b1 * q, -1)
-    b2q = np.sum(b2 * q, -1)
-    J = np.empty((len(pixels), 2, dg.shape[2]))
-    J[:, 0, :] = w[:, None] * np.einsum("ni,nij->nj", b1, dq) + (dw * b1q)[:, None] * pdq
-    J[:, 1, :] = w[:, None] * np.einsum("ni,nij->nj", b2, dq) + (dw * b2q)[:, None] * pdq
-    return np.where(ok[:, None, None], J, 0.0)
-
-
-def _residual_jacobian_numeric(
-    spec: CameraSpec,
-    pixels: np.ndarray,
-    targets: np.ndarray,
-    b1: np.ndarray,
-    b2: np.ndarray,
-    kappa: np.ndarray,
-    free_idx: np.ndarray,
-) -> np.ndarray:
-    J = np.zeros((len(pixels), 2, len(kappa)))
-    for j in free_idx:
-        h = 1e-6 * max(1.0, abs(float(kappa[j])))
-        kp, km = kappa.copy(), kappa.copy()
-        kp[j] += h
-        km[j] -= h
-        ep, _ = _residuals(_spec_of(spec, kp), pixels, targets, b1, b2)
-        em, _ = _residuals(_spec_of(spec, km), pixels, targets, b1, b2)
-        J[:, :, j] = (ep - em) / (2.0 * h)
-    return J
+    h = (w + c * dw) * cells.q.T - dw * targets.T
+    grads = [(w * b.T - bq * h) / norm for b, bq in ((b1, cells.b1q), (b2, cells.b2q))]
+    cols = [tuple(_dot(gr, dg) for gr in grads) for dg in _ray_derivatives(spec, cells)]
+    if not ok.all():
+        cols = [(np.where(ok, j1, 0.0), np.where(ok, j2, 0.0)) for j1, j2 in cols]
+    (x1, x2), (y1, y2) = cols[:2]
+    fx, fy = spec.fx, spec.fy
+    sx, sy = -cells.mx / fx, -cells.my / fy
+    return [(x1 * sx, x2 * sx), (y1 * sy, y2 * sy),
+            (x1 / -fx, x2 / -fx), (y1 / -fy, y2 / -fy), *cols[2:]]
 
 
 def residual_jacobian(
@@ -638,8 +586,51 @@ def residual_jacobian(
     Shape (n, 2, 4 + num_dist).
     """
     b1, b2 = _tangent_basis(targets)
-    _, ok = unproject_masked(spec, pixels)
-    return _residual_jacobian_analytic(spec, pixels, targets, b1, b2, ok)
+    _, cells = _residuals(spec, pixels, targets, b1, b2)
+    cols = _jacobian_columns(spec, cells, b1, b2, targets)
+    return np.stack([np.stack(col, axis=-1) for col in cols], axis=-1)
+
+
+def _reduced_system(
+    spec: CameraSpec,
+    cells: _Cells,
+    e: np.ndarray,
+    basis: tuple[np.ndarray, np.ndarray, np.ndarray],
+    free_idx: np.ndarray,
+) -> np.ndarray:
+    """Triangular factor R of [J_free | -e], never building the whole matrix.
+
+    Each block of _QR_BLOCK cells is factored on its own (mode "r"), and the
+    stacked block factors once more, tall-skinny-QR style.
+    """
+    k = len(free_idx)
+    factors = [np.empty((0, k + 1))]
+    for lo in range(0, len(e), _QR_BLOCK):
+        sl = slice(lo, lo + _QR_BLOCK)
+        cols = _jacobian_columns(spec, cells.rows(sl), *(v[sl] for v in basis))
+        m = len(e[sl])
+        A = np.empty((2 * m, k + 1), order="F")
+        for j, idx in enumerate(free_idx):
+            A[:m, j], A[m:, j] = cols[idx]
+        A[:m, k], A[m:, k] = -e[sl, 0], -e[sl, 1]
+        factors.append(np.linalg.qr(A, mode="r"))
+    return np.linalg.qr(np.vstack(factors), mode="r")
+
+
+def _gn_step(R: np.ndarray, k: int) -> np.ndarray | None:
+    """Least-squares step from the factor R of [J | -e], or None if J is singular.
+
+    As in lstsq, the columns are equilibrated and singular values at or below
+    _RCOND times the largest count as zero.
+    """
+    scale = np.linalg.norm(R[:, :k], axis=0)
+    if np.any(scale <= 0.0) or not np.all(np.isfinite(scale)):
+        return None
+    U, s, Vt = np.linalg.svd(R[:k, :k] / scale, full_matrices=False)
+    if np.count_nonzero(s > _RCOND * s[0]) < k:
+        return None
+    delta = Vt.T @ ((U.T @ R[:k, k]) / s) / scale
+    return delta if np.all(np.isfinite(delta)) else None
 
 
 def refine(
@@ -651,41 +642,31 @@ def refine(
     and the unprojections of the current intrinsics, over the parameters
     (fx, fy, cx, cy, *dist) indexed by ``free`` (default: all of them).  Steps
     that would increase the cost are halved up to four times and rejected if
-    still worse, so ``gn_costs`` never increases.
+    still worse, so ``gn_costs`` never increases.  Refinement stops at a
+    cost at roundoff level, a singular step or a rejected step (the
+    parameters did not move, so every later iteration would repeat it); the
+    remaining ``gn_costs`` entries repeat the last cost.
     """
     pixels, targets = corrs.pixels, corrs.rays
     b1, b2 = _tangent_basis(targets)
     kappa = _params_of(spec0)
-    n_par = len(kappa)
-    free_idx = np.arange(n_par) if free is None else np.asarray(free, dtype=int)
+    free_idx = np.arange(len(kappa)) if free is None else np.asarray(free, dtype=int)
 
-    e, ok = _residuals(spec0, pixels, targets, b1, b2)
-    cost = _mean_cost(e, ok)
+    e, cells = _residuals(spec0, pixels, targets, b1, b2)
+    cost = _mean_cost(e, cells.ok)
     costs = [cost]
     warning = None
 
     for _ in range(_GN_ITERATIONS):
-        if cost <= 1e-30:
-            # at roundoff level further iterations only shuffle noise; record
-            # the converged cost for the remaining slots
-            costs.extend([cost] * (_GN_ITERATIONS - len(costs) + 1))
+        if cost <= 1e-30:  # further iterations would only shuffle roundoff
             break
-        spec_cur = _spec_of(spec0, kappa)
-        J = _residual_jacobian_analytic(spec_cur, pixels, targets, b1, b2, ok)
-        J_free = J[:, :, free_idx].reshape(-1, len(free_idx))
-        col_scale = np.linalg.norm(J_free, axis=0)
+        R = _reduced_system(_spec_of(spec0, kappa), cells, e, (b1, b2, targets), free_idx)
         try:
-            if np.any(col_scale <= 0.0) or not np.all(np.isfinite(col_scale)):
-                raise np.linalg.LinAlgError
-            delta, _, rank, _ = np.linalg.lstsq(
-                J_free / col_scale, -e.reshape(-1), rcond=_RCOND
-            )
-            delta = delta / col_scale
+            delta = _gn_step(R, len(free_idx))
         except np.linalg.LinAlgError:
-            rank, delta = 0, np.zeros(len(free_idx))
-        if rank < len(free_idx) or not np.all(np.isfinite(delta)):
+            delta = None
+        if delta is None:
             warning = "singular normal matrix; refinement stopped early"
-            costs.extend([cost] * (_GN_ITERATIONS - len(costs) + 1))
             break
 
         step = 1.0
@@ -694,23 +675,25 @@ def refine(
             cand[free_idx] += step * delta
             cand = _clamp_params(spec0.model, cand)
             if cand[0] > 0.0 and cand[1] > 0.0:
-                e_new, ok_new = _residuals(
-                    _spec_of(spec0, cand), pixels, targets, b1, b2
-                )
-                cost_new = _mean_cost(e_new, ok_new)
+                e_new, cells_new = _residuals(_spec_of(spec0, cand), pixels, targets, b1, b2)
+                cost_new = _mean_cost(e_new, cells_new.ok)
                 if cost_new <= cost:
-                    kappa, e, ok, cost = cand, e_new, ok_new, cost_new
+                    kappa, e, cells, cost = cand, e_new, cells_new, cost_new
                     break
             step *= 0.5
-        # a rejected step simply repeats the current cost
+        else:
+            # every trial was rejected and kappa did not move, so each later
+            # iteration would rebuild the same step and reject it again
+            break
         costs.append(cost)
+    costs.extend([cost] * (_GN_ITERATIONS + 1 - len(costs)))
 
     return CalibrationResult(
         spec=_spec_of(spec0, kappa),
         algebraic_spec=spec0,
         gn_costs=tuple(costs),
         warning=warning,
-        dropped=int(len(pixels) - np.count_nonzero(ok)),
+        dropped=int(len(pixels) - np.count_nonzero(cells.ok)),
     )
 
 
@@ -737,7 +720,9 @@ def calibrate(fov_field: FovField, model: ModelId, stride: int = 1) -> Calibrati
     Gauss-Newton refinement.
     """
     corrs = Correspondences.from_field(fov_field, stride)
-    return _fit_corrs(model, corrs, (fov_field.width, fov_field.height))
+    holes = fov_field.theta[::stride, ::stride].size // 2 - len(corrs)  # non-finite cells
+    result = _fit_corrs(model, corrs, (fov_field.width, fov_field.height))
+    return replace(result, dropped=result.dropped + holes)
 
 
 def _angular_residuals(spec: CameraSpec, corrs: Correspondences) -> np.ndarray:
@@ -770,6 +755,7 @@ def calibrate_ransac(
     corrs = Correspondences.from_field(fov_field, stride)
     size = (fov_field.width, fov_field.height)
     n = len(corrs)
+    holes = fov_field.theta[::stride, ::stride].size // 2 - n  # non-finite cells
     sample_size = 3 + 1 + model.num_dist  # (a, cx, cy), then f and dist
     if n < sample_size:
         raise DegenerateGeometry(f"{n} correspondences < minimal sample {sample_size}")
@@ -798,7 +784,7 @@ def calibrate_ransac(
             f"best inlier count {best_count}/{n} below the 10% consensus floor"
         )
     result = _fit_corrs(model, corrs.subset(best_mask), size)
-    return replace(result, inlier_ratio=best_count / n)
+    return replace(result, inlier_ratio=best_count / n, dropped=result.dropped + holes)
 
 
 def convert_model(

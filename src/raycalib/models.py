@@ -504,34 +504,43 @@ def _kb_solve_theta(
     return theta, done
 
 
-def _unproject_arrays(
+def _unproject_cells(
     spec: CameraSpec, pixels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Unit rays, their validity mask and the per-cell quantities behind them.
+
+    The third item is ``(mx, my, r, norm, sol)``: the normalized coordinates
+    and their radius, the norm of the unnormalized ray g, and the Newton
+    solution g came from (rho for radial, theta for kb, None otherwise).
+    """
+    pixels = np.asarray(pixels, dtype=np.float64)
     fam = spec.model.family
     mx = (pixels[..., 0] - spec.cx) / spec.fx
     my = (pixels[..., 1] - spec.cy) / spec.fy
     r = np.hypot(mx, my)
     valid = np.isfinite(r)
+    sol = None
 
+    # g = (gx, gy, gz); a constant component stays a scalar
     if fam is Family.PINHOLE:
-        g = np.stack([mx, my, np.ones_like(mx)], axis=-1)
+        g = (mx, my, 1.0)
     elif fam is Family.BROWN_CONRADY:
-        rho, done = _bc_undistort_radius(spec.dist, r)
+        sol, done = _bc_undistort_radius(spec.dist, r)
         valid &= done
-        scale = np.where(r > 1e-12, rho / np.where(r > 1e-12, r, 1.0), 1.0)
-        g = np.stack([scale * mx, scale * my, np.ones_like(mx)], axis=-1)
+        scale = np.where(r > 1e-12, sol / np.where(r > 1e-12, r, 1.0), 1.0)
+        g = (scale * mx, scale * my, 1.0)
     elif fam is Family.KANNALA_BRANDT:
-        theta, done = _kb_solve_theta(spec.dist, r)
+        sol, done = _kb_solve_theta(spec.dist, r)
         valid &= done
-        sc = np.where(r > 1e-12, np.sin(theta) / np.where(r > 1e-12, r, 1.0), 1.0)
-        g = np.stack([sc * mx, sc * my, np.cos(theta)], axis=-1)
+        sc = np.where(r > 1e-12, np.sin(sol) / np.where(r > 1e-12, r, 1.0), 1.0)
+        g = (sc * mx, sc * my, np.cos(sol))
     elif fam is Family.UCM:
         xi = spec.dist[0]
         r2 = r * r
         arg = 1.0 + (1.0 - xi * xi) * r2
         valid &= arg >= 0.0
         s = (xi + np.sqrt(np.maximum(arg, 0.0))) / (1.0 + r2)
-        g = np.stack([s * mx, s * my, s - xi], axis=-1)
+        g = (s * mx, s * my, s - xi)
     elif fam is Family.EUCM:
         alpha, beta = spec.dist
         r2 = r * r
@@ -539,26 +548,29 @@ def _unproject_arrays(
         valid &= arg >= 0.0
         den = alpha * np.sqrt(np.maximum(arg, 0.0)) + (1.0 - alpha)
         valid &= den > 1e-12
-        mz = (1.0 - beta * alpha * alpha * r2) / np.where(den > 1e-12, den, 1.0)
-        g = np.stack([mx, my, mz], axis=-1)
+        g = (mx, my, (1.0 - beta * alpha * alpha * r2) / np.where(den > 1e-12, den, 1.0))
     elif fam is Family.DIVISION:
         valid &= r <= _division_fold_radius(spec.dist)
-        g = np.stack([mx, my, _division_psi(spec, r)], axis=-1)
+        g = (mx, my, _division_psi(spec, r))
     else:
         raise UnsupportedFamily(str(fam))
 
-    norm = np.linalg.norm(g, axis=-1, keepdims=True)
-    valid &= norm[..., 0] > 1e-12
-    rays = g / np.where(norm > 1e-12, norm, 1.0)
-    return rays, valid & np.all(np.isfinite(rays), axis=-1)
+    # with |g| finite and above 1e-12, every component of g / |g| is finite
+    norm = np.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
+    valid &= (norm > 1e-12) & (norm < math.inf)
+    safe = np.where(norm > 1e-12, norm, 1.0)
+    rays = np.empty(mx.shape + (3,))
+    for i in range(3):
+        np.divide(g[i], safe, out=rays[..., i])
+    return rays, valid, (mx, my, r, norm, sol)
 
 
 def unproject_masked(
     spec: CameraSpec, pixels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unproject pixels, returning (unit rays, valid_mask) without raising."""
-    pixels = np.asarray(pixels, dtype=np.float64)
-    return _unproject_arrays(spec, pixels)
+    rays, ok, _ = _unproject_cells(spec, pixels)
+    return rays, ok
 
 
 def unproject(spec: CameraSpec, pixels: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import raycalib as rc
+from raycalib.fit import _residuals, _spec_of
 
 ALL_MODEL_STRINGS = [
     "pinhole",
@@ -77,3 +78,30 @@ def random_unit_rays(rng: np.random.Generator, n: int, theta_max: float) -> np.n
         [np.sin(theta) * np.cos(az), np.sin(theta) * np.sin(az), np.cos(theta)],
         axis=-1,
     )
+
+
+def residual_jacobian_numeric(
+    spec: rc.CameraSpec,
+    pixels: np.ndarray,
+    targets: np.ndarray,
+    b1: np.ndarray,
+    b2: np.ndarray,
+    kappa: np.ndarray,
+    free_idx: np.ndarray,
+    rel_step: float = 1e-6,
+) -> np.ndarray:
+    """Central-difference oracle for ``residual_jacobian``: (n, 2, len(kappa)).
+
+    Parameter j is stepped by rel_step * max(1, |kappa_j|); columns outside
+    ``free_idx`` stay zero.
+    """
+    J = np.zeros((len(pixels), 2, len(kappa)))
+    for j in free_idx:
+        h = rel_step * max(1.0, abs(float(kappa[j])))
+        kp, km = kappa.copy(), kappa.copy()
+        kp[j] += h
+        km[j] -= h
+        ep, _ = _residuals(_spec_of(spec, kp), pixels, targets, b1, b2)
+        em, _ = _residuals(_spec_of(spec, km), pixels, targets, b1, b2)
+        J[:, :, j] = (ep - em) / (2.0 * h)
+    return J

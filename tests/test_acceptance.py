@@ -37,15 +37,19 @@ import raycalib as rc
 from raycalib.cli import main as cli_main
 from raycalib.fit import (
     _params_of,
-    _residual_jacobian_numeric,
-    _spec_of,
     _tangent_basis,
     residual_jacobian,
 )
 from raycalib.models import radial_profile
 from raycalib.synth import _solve_radial1, _truncated_normal
 
-from conftest import ALL_MODEL_STRINGS, centered_spec, max_param_error, param_errors
+from conftest import (
+    ALL_MODEL_STRINGS,
+    centered_spec,
+    max_param_error,
+    param_errors,
+    residual_jacobian_numeric,
+)
 
 
 def _seed_for(name: str) -> int:
@@ -203,7 +207,7 @@ def test_criterion_4_jacobian_checks():
         pspec = spec.replace(fx=spec.fx * 1.02, cx=spec.cx + 0.4)
         Ja = residual_jacobian(pspec, px, targets)
         b1, b2 = _tangent_basis(targets)
-        Jn = _residual_jacobian_numeric(
+        Jn = residual_jacobian_numeric(
             pspec, px, targets, b1, b2, _params_of(pspec),
             np.arange(4 + pspec.model.num_dist),
         )

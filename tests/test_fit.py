@@ -9,16 +9,22 @@ import pytest
 
 import raycalib as rc
 from raycalib.fit import (
+    _QR_BLOCK,
     _fit_eucm_full,
+    _gn_step,
     _params_of,
-    _residual_jacobian_numeric,
+    _reduced_system,
     _residuals,
-    _spec_of,
     _tangent_basis,
     residual_jacobian,
 )
 
-from conftest import ALL_MODEL_STRINGS, centered_spec, max_param_error
+from conftest import (
+    ALL_MODEL_STRINGS,
+    centered_spec,
+    max_param_error,
+    residual_jacobian_numeric,
+)
 
 
 def grid_corrs(spec: rc.CameraSpec, stride: int = 8) -> rc.Correspondences:
@@ -179,6 +185,27 @@ class TestRefine:
             res = rc.calibrate(field, spec.model)
             assert res.gn_costs[-1] <= res.gn_costs[0]
 
+    def test_refined_spec_is_a_fixed_point(self, rng, monkeypatch):
+        # refining a refined noisy spec again leaves it in place, and every
+        # call is deterministic
+        spec = rc.sample_spec_for_model(rc.parse_model("kb:3"), 64, rng)
+        field = rc.add_noise(rc.field_from_spec(spec), 0.3, seed=7)
+        corrs = rc.Correspondences.from_field(field)
+        first = rc.calibrate(field, spec.model)
+        steps = []
+        monkeypatch.setattr(
+            "raycalib.fit._reduced_system", lambda *a: steps.append(a) or _reduced_system(*a)
+        )
+        again = rc.refine(first.spec, corrs)
+        costs = again.gn_costs
+        assert len(costs) == 6
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
+        assert max_param_error(again.spec, first.spec) < 1e-9
+        assert rc.refine(first.spec, corrs) == again
+        # here every trial length of the first step is rejected: the
+        # parameters did not move, so refine builds no second step
+        assert len(set(costs)) == 1 and len(steps) == 2
+
     def test_underdetermined_returns_start_with_warning(self):
         spec = centered_spec("kb:4", 100.0, 64, dist=(0.05, -0.01, 0.001, -0.0001))
         few = rc.Correspondences.from_spec(spec, 40)  # 2x2 grid: 8 rows < 8 params+
@@ -188,7 +215,9 @@ class TestRefine:
 
 
 class TestJacobians:
-    @pytest.mark.parametrize("name", ["pinhole", "ucm", "eucm", "division:2"])
+    @pytest.mark.parametrize(
+        "name", ["pinhole", "ucm", "eucm", "division:1", "division:2", "division:3"]
+    )
     def test_closed_form_families_match_central_differences(self, name, rng):
         # spec-pinned step 1e-6 * max(1, |param|); entries above a relevance
         # floor agree to 1e-5 relative
@@ -199,7 +228,7 @@ class TestJacobians:
         pspec = spec.replace(fx=spec.fx * 1.03, cx=spec.cx + 0.5)
         Ja = residual_jacobian(pspec, px, targets)
         b1, b2 = _tangent_basis(targets)
-        Jn = _residual_jacobian_numeric(
+        Jn = residual_jacobian_numeric(
             pspec, px, targets, b1, b2, _params_of(pspec), np.arange(4 + spec.model.num_dist)
         )
         colscale = np.maximum(np.abs(Jn).max(axis=(0, 1)), 1e-12)
@@ -207,10 +236,14 @@ class TestJacobians:
         rel = np.abs(Ja - Jn)[sig] / np.abs(Jn)[sig]
         assert rel.max() < 1e-5
 
-    @pytest.mark.parametrize("name", ["radial:2", "kb:3"])
+    @pytest.mark.parametrize(
+        "name", [f"{fam}:{n}" for fam in ("radial", "kb") for n in range(1, 5)]
+    )
     def test_implicit_derivatives_match_differences(self, name, rng):
         # the Newton-inverted families carry a 1e-10 solve tolerance, so the
-        # comparison uses a larger step where truncation and solve noise meet
+        # comparison uses a larger step where truncation and solve noise meet;
+        # at 1e-4 the truncation error alone reaches 2.2e-5 on radial:4's k4
+        # column (it falls as the step squared)
         spec = rc.sample_spec_for_model(rc.parse_model(name), 64, rng)
         px = rng.uniform(4, 60, size=(100, 2))
         targets, ok = rc.unproject_masked(spec, px)
@@ -219,18 +252,40 @@ class TestJacobians:
         Ja = residual_jacobian(pspec, px, targets)
         b1, b2 = _tangent_basis(targets)
         kappa = _params_of(pspec)
-        Jn = np.zeros_like(Ja)
-        for j in range(len(kappa)):
-            h = 1e-4 * max(1.0, abs(float(kappa[j])))
-            kp, km = kappa.copy(), kappa.copy()
-            kp[j] += h
-            km[j] -= h
-            ep, _ = _residuals(_spec_of(pspec, kp), px, targets, b1, b2)
-            em, _ = _residuals(_spec_of(pspec, km), px, targets, b1, b2)
-            Jn[:, :, j] = (ep - em) / (2.0 * h)
+        Jn = residual_jacobian_numeric(
+            pspec, px, targets, b1, b2, kappa, np.arange(len(kappa)), rel_step=1e-5
+        )
         colscale = np.maximum(np.abs(Jn).max(axis=(0, 1)), 1e-12)
         assert np.max(np.abs(Ja - Jn).max(axis=(0, 1)) / colscale) < 1e-5
 
+    def test_blocked_reduction_matches_dense_lstsq(self, rng):
+        # a 176x176 field spans four QR blocks; the perturbed fold radius of
+        # the radial spec leaves its outer cells invalid, so those rows are
+        # zero in both J and e
+        spec = rc.sample_spec_for_model(rc.parse_model("radial:2"), 176, rng)
+        corrs = rc.Correspondences.from_field(rc.add_noise(rc.field_from_spec(spec), 0.2, seed=3))
+        pspec = spec.replace(fx=spec.fx * 1.02, cy=spec.cy - 0.7, dist=(spec.dist[0], -0.3))
+        b1, b2 = _tangent_basis(corrs.rays)
+        e, cells = _residuals(pspec, corrs.pixels, corrs.rays, b1, b2)
+        assert len(e) > 2 * _QR_BLOCK and 0 < np.count_nonzero(~cells.ok)
+        free = np.arange(4 + spec.model.num_dist)
+        R = _reduced_system(pspec, cells, e, (b1, b2, corrs.rays), free)
+        step = _gn_step(R, len(free))
+        J = residual_jacobian(pspec, corrs.pixels, corrs.rays).reshape(-1, len(free))
+        scale = np.linalg.norm(J, axis=0)
+        dense, *_ = np.linalg.lstsq(J / scale, -e.reshape(-1), rcond=1e-12)
+        dense /= scale
+        assert np.max(np.abs(step - dense) / np.abs(dense)) < 1e-10
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-10, 1e-14])
+    def test_step_rank_rule_matches_lstsq(self, gap):
+        # two nearly parallel columns: the step is singular exactly when
+        # lstsq, on the equilibrated columns, counts rank 1 at rcond 1e-12
+        R = np.array([[1.0, 1.0, 0.5], [0.0, gap, 0.25], [0.0, 0.0, 0.0]])
+        J = R[:, :2] / np.linalg.norm(R[:, :2], axis=0)
+        rank = np.linalg.lstsq(J, R[:, 2], rcond=1e-12)[2]
+        assert (_gn_step(R, 2) is None) == (rank < 2)
+        assert rank == (2 if gap > 1e-12 else 1)
 
 # ---------------------------------------------------------------------------
 # full pipeline
@@ -278,6 +333,8 @@ class TestCalibrate:
         clean = rc.calibrate(field, spec.model)
         assert max_param_error(res.spec, spec) < 1e-6
         assert max_param_error(res.spec, clean.spec) < 1e-6
+        assert res.dropped == 1
+        assert rc.calibrate_ransac(holed, spec.model, iters=20, seed=4).dropped == 1
 
     def test_reparameterization_consistency(self):
         # refitting the correspondences of a fitted division spec returns the

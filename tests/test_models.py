@@ -8,13 +8,64 @@ import numpy as np
 import pytest
 
 import raycalib as rc
-from raycalib.models import radial_profile, theta_max
+from raycalib.models import (
+    _bc_undistort_radius,
+    _division_fold_radius,
+    _division_psi,
+    _kb_solve_theta,
+    radial_profile,
+    theta_max,
+)
 
 from conftest import ALL_MODEL_STRINGS, random_unit_rays
 
 
 def pinhole_spec(f=240.0, c=(240.0, 240.0), size=480):
     return rc.CameraSpec(rc.parse_model("pinhole"), f, f, c[0], c[1], (), size, size)
+
+
+def stacked_unproject(spec: rc.CameraSpec, pixels: np.ndarray):
+    """Reference unprojection: stacks g, then np.linalg.norm and np.isfinite on the rays."""
+    fam = spec.model.family
+    mx = (pixels[..., 0] - spec.cx) / spec.fx
+    my = (pixels[..., 1] - spec.cy) / spec.fy
+    r = np.hypot(mx, my)
+    r2 = r * r
+    valid = np.isfinite(r)
+    one = np.ones_like(mx)
+    if fam is rc.Family.PINHOLE:
+        g = np.stack([mx, my, one], axis=-1)
+    elif fam is rc.Family.BROWN_CONRADY:
+        rho, done = _bc_undistort_radius(spec.dist, r)
+        valid &= done
+        scale = np.where(r > 1e-12, rho / np.where(r > 1e-12, r, 1.0), 1.0)
+        g = np.stack([scale * mx, scale * my, one], axis=-1)
+    elif fam is rc.Family.KANNALA_BRANDT:
+        theta, done = _kb_solve_theta(spec.dist, r)
+        valid &= done
+        sc = np.where(r > 1e-12, np.sin(theta) / np.where(r > 1e-12, r, 1.0), 1.0)
+        g = np.stack([sc * mx, sc * my, np.cos(theta)], axis=-1)
+    elif fam is rc.Family.UCM:
+        xi = spec.dist[0]
+        arg = 1.0 + (1.0 - xi * xi) * r2
+        valid &= arg >= 0.0
+        s = (xi + np.sqrt(np.maximum(arg, 0.0))) / (1.0 + r2)
+        g = np.stack([s * mx, s * my, s - xi], axis=-1)
+    elif fam is rc.Family.EUCM:
+        alpha, beta = spec.dist
+        arg = 1.0 - (2.0 * alpha - 1.0) * beta * r2
+        valid &= arg >= 0.0
+        den = alpha * np.sqrt(np.maximum(arg, 0.0)) + (1.0 - alpha)
+        valid &= den > 1e-12
+        mz = (1.0 - beta * alpha * alpha * r2) / np.where(den > 1e-12, den, 1.0)
+        g = np.stack([mx, my, mz], axis=-1)
+    else:
+        valid &= r <= _division_fold_radius(spec.dist)
+        g = np.stack([mx, my, _division_psi(spec, r)], axis=-1)
+    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    valid &= norm[..., 0] > 1e-12
+    rays = g / np.where(norm > 1e-12, norm, 1.0)
+    return rays, valid & np.all(np.isfinite(rays), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +144,30 @@ class TestUnproject:
         spec = rc.sample_spec_for_model(rc.parse_model(name), 64, rng)
         ray = rc.unproject(spec, np.array([spec.cx, spec.cy]))
         np.testing.assert_allclose(ray, [0.0, 0.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
+    def test_bit_identical_to_stacked_reference(self, name, rng):
+        # pixels up to half an image outside it, under the sampled focal and
+        # under 0.4 of it, so folds and invalid cells occur; plus the
+        # principal point and a NaN pixel
+        spec = rc.sample_spec_for_model(rc.parse_model(name), 64, rng)
+        px = np.concatenate([
+            rng.uniform(-32.0, 96.0, size=(4000, 2)),
+            [[spec.cx, spec.cy], [np.nan, 10.0]],
+        ]).reshape(2, -1, 2)
+        for s in (spec, spec.replace(fx=0.4 * spec.fx, fy=0.4 * spec.fy)):
+            rays, ok = rc.unproject_masked(s, px)
+            ref_rays, ref_ok = stacked_unproject(s, px)
+            np.testing.assert_array_equal(rays, ref_rays)
+            np.testing.assert_array_equal(ok, ref_ok)
+
+    @pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
+    def test_overflowing_pixel_is_invalid(self, name, rng):
+        # |g| overflows to inf: the ray is not a direction, whatever g / |g| gives
+        spec = rc.sample_spec_for_model(rc.parse_model(name), 64, rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, ok = rc.unproject_masked(spec, np.array([[1e200, 0.5], [0.5, -1e200]]))
+        assert not ok.any()
 
     def test_pinhole_45_degrees(self):
         ray = rc.unproject(pinhole_spec(), np.array([480.0, 240.0]))
