@@ -173,18 +173,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
     def score(name: str):
         gt = read_spec(gt_files[name])
         est = read_spec(est_files[name])
-        report = evaluate(gt, est, grid_stride=args.stride)
-        if args.dump_per_pixel:
-            gt_field = field_from_spec(gt, stride=args.stride)
-            est_field = field_from_spec(est, stride=args.stride)
-            write_field(
-                out / "perpixel" / f"{name}.aff1",
-                FovField(theta=gt_field.theta - est_field.theta, stride=gt_field.stride),
-            )
+        try:
+            report = evaluate(gt, est, grid_stride=args.stride)
+            if args.dump_per_pixel:
+                gt_field = field_from_spec(gt, stride=args.stride)
+                est_field = field_from_spec(est, stride=args.stride)
+                write_field(
+                    out / "perpixel" / f"{name}.aff1",
+                    FovField(theta=gt_field.theta - est_field.theta, stride=gt_field.stride),
+                )
+        except CalibError as exc:  # one pair that cannot be scored fails alone
+            return name, exc
         return name, report
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         scored = dict(pool.map(score, names))
+    failed = {n: r for n, r in scored.items() if isinstance(r, CalibError)}
+    if len(failed) == len(names):  # nothing scored: fail as one batch
+        raise failed[names[0]]
+    names = [n for n in names if n not in failed]
 
     per_image = {name: scored[name].to_dict() for name in names}
     hfov_errs = [scored[n].hfov_err for n in names]
@@ -201,6 +208,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = {
         "n_pairs": len(names),
         "missing": missing,
+        "failed": {n: {"kind": exc.kind, "message": str(exc)} for n, exc in failed.items()},
         "medians": medians,
         "auc": {
             "hfov": dict(zip(("1", "5", "10"), auc(hfov_errs))),

@@ -6,7 +6,8 @@ row-major order with the top-left cell first.
 
 The CSV variant is one ``u,v,theta_x,theta_y`` record per grid cell, with an
 optional header line; u and v are pixel centers, so a dense field has
-u = i + 0.5, v = j + 0.5.
+u = i + 0.5, v = j + 0.5.  Every cell needs a record; its theta values may be
+non-finite (``nan``, ``inf``), as in AFF1.
 
 Intrinsics are stored as JSON objects
 ``{"model": ..., "width": ..., "height": ..., "fx": ..., "fy": ...,
@@ -84,11 +85,12 @@ def _read_field_csv(path: Path) -> FovField:
     gw = int(round(np.max(data[:, 0]) + 0.5))
     gh = int(round(np.max(data[:, 1]) + 0.5))
     theta = np.full((gh, gw, 2), np.nan)
+    covered = np.zeros((gh, gw), dtype=bool)  # a cell's theta may itself be NaN
     cols = np.round(data[:, 0] - 0.5).astype(int)
     lines = np.round(data[:, 1] - 0.5).astype(int)
-    theta[lines, cols, 0] = data[:, 2]
-    theta[lines, cols, 1] = data[:, 3]
-    if np.isnan(theta).any():
+    theta[lines, cols] = data[:, 2:]
+    covered[lines, cols] = True
+    if not covered.all():
         raise DimensionMismatch(f"{path}: CSV field does not cover a full grid")
     return FovField(theta=theta)
 

@@ -38,20 +38,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BoundInfeasible,
-    DegenerateGeometry,
-    InvalidFocal,
-    NoConsensus,
-    UnsupportedFamily,
-)
+from .errors import BoundInfeasible, DegenerateGeometry, InvalidFocal, NoConsensus
 from .fov import FovField, exp_map
 from .models import (
     CameraSpec,
     Family,
     ModelId,
-    _even_poly_deriv,
-    _odd_poly_theta_deriv,
+    _ray_angle,
+    _ray_derivatives,
     _unproject_cells,
     pixel_centers,
     unproject_masked,
@@ -238,10 +232,8 @@ def _family_rows(model: ModelId, corrs: Correspondences, a: float, c: tuple[floa
     if fam is Family.UCM:
         d = np.sqrt(X * X + Y * Y + Z * Z)
         return Ra, [-rc * d], rc * Z, False, _identity_dist
-    if fam is Family.DIVISION:
-        rca2 = du * du + (dv / a) ** 2
-        return Ra, [Ra * rca2**n for n in orders], rc * Z, False, _division_dist
-    raise UnsupportedFamily(f"no linear rows for {fam}")
+    rca2 = du * du + (dv / a) ** 2  # division
+    return Ra, [Ra * rca2**n for n in orders], rc * Z, False, _division_dist
 
 
 def _eucm_rows(corrs: Correspondences, f: float, a: float, c: tuple[float, float]):
@@ -492,65 +484,6 @@ def _mean_cost(e: np.ndarray, ok: np.ndarray) -> float:
     return float(np.sum(e * e) / n)
 
 
-def _ray_derivatives(spec: CameraSpec, cells: _Cells) -> list[tuple]:
-    """dg/d(mx, my, *dist) of the unnormalized ray g, one (x, y, z) triple per
-    unknown; a component is an (n,) array or the constant 0.0 or 1.0."""
-    fam = spec.model.family
-    mx, my, r = cells.mx, cells.my, cells.r
-    if fam is Family.PINHOLE:
-        return [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
-    if fam in (Family.BROWN_CONRADY, Family.KANNALA_BRANDT):
-        # sol solves sol + sum k_n sol^(2n+1) = r (rho for radial, theta for
-        # kb), so dsol/dr = 1/h' and dsol/dk_n = -sol^(2n+1)/h'.  g is
-        # (s mx / r, s my / r, gz) with s = rho, gz = 1 or s = sin, gz = cos
-        kb = fam is Family.KANNALA_BRANDT
-        sol = cells.sol
-        hp = _odd_poly_theta_deriv(spec.dist, sol)
-        hp = np.where(np.abs(hp) > 1e-12, hp, 1e-12)
-        tiny = r < 1e-9
-        inv_r = np.where(tiny, 0.0, 1.0 / np.where(tiny, 1.0, r))
-        s, ds = (np.sin(sol), np.cos(sol)) if kb else (sol, 1.0)
-        u = np.where(tiny, 1.0, s * inv_r)
-        a = (ds / hp - u) * inv_r * inv_r  # (du/dr) / r
-        dz = -s / hp * inv_r if kb else 0.0  # (dgz/dr) / r
-        axy = a * mx * my
-        out = [(u + a * mx * mx, axy, dz * mx), (axy, u + a * my * my, dz * my)]
-        for n in range(1, spec.model.num_dist + 1):
-            dsol = -(sol ** (2 * n + 1)) / hp
-            du = ds * dsol * inv_r
-            out.append((du * mx, du * my, -s * dsol if kb else 0.0))
-        return out
-    r2 = r * r
-    if fam is Family.UCM:
-        xi = spec.dist[0]
-        t = np.sqrt(np.maximum(1.0 + (1.0 - xi * xi) * r2, 1e-12))
-        s = (xi + t) / (1.0 + r2)
-        ds_dr2 = ((1.0 - xi * xi) / (2.0 * t) * (1.0 + r2) - (xi + t)) / (1.0 + r2) ** 2
-        ds_dxi = (1.0 - xi * r2 / t) / (1.0 + r2)
-        sx, sy = 2.0 * mx * ds_dr2, 2.0 * my * ds_dr2
-        return [
-            (s + mx * sx, my * sx, sx),
-            (mx * sy, s + my * sy, sy),
-            (mx * ds_dxi, my * ds_dxi, ds_dxi - 1.0),
-        ]
-    if fam is Family.EUCM:
-        alpha, beta = spec.dist
-        t = np.sqrt(np.maximum(1.0 - (2.0 * alpha - 1.0) * beta * r2, 1e-12))
-        den = alpha * t + (1.0 - alpha)
-        mz = (1.0 - beta * alpha * alpha * r2) / den
-        dt = -(2.0 * alpha - 1.0) / (2.0 * t)  # dt/dr2 = beta dt, dt/dbeta = r2 dt
-        dmz_dr2 = (-beta * alpha * alpha - mz * alpha * beta * dt) / den
-        dmz_da = (-2.0 * alpha * beta * r2 - mz * (t - beta * alpha * r2 / t - 1.0)) / den
-        dmz_db = (-alpha * alpha * r2 - mz * alpha * r2 * dt) / den
-        return [(1.0, 0.0, 2.0 * mx * dmz_dr2), (0.0, 1.0, 2.0 * my * dmz_dr2),
-                (0.0, 0.0, dmz_da), (0.0, 0.0, dmz_db)]
-    if fam is Family.DIVISION:
-        dpsi = _even_poly_deriv(spec.dist, r2)
-        return [(1.0, 0.0, 2.0 * mx * dpsi), (0.0, 1.0, 2.0 * my * dpsi),
-                *((0.0, 0.0, r2**n) for n in range(1, spec.model.num_dist + 1))]
-    raise UnsupportedFamily(f"no analytic jacobian for {fam}")
-
-
 def _jacobian_columns(
     spec: CameraSpec, cells: _Cells, b1: np.ndarray, b2: np.ndarray, targets: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -566,7 +499,8 @@ def _jacobian_columns(
     dw = _arc_factor_deriv(c, w)
     h = (w + c * dw) * cells.q.T - dw * targets.T
     grads = [(w * b.T - bq * h) / norm for b, bq in ((b1, cells.b1q), (b2, cells.b2q))]
-    cols = [tuple(_dot(gr, dg) for gr in grads) for dg in _ray_derivatives(spec, cells)]
+    dgs = _ray_derivatives(spec, cells.mx, cells.my, cells.r, cells.sol)
+    cols = [tuple(_dot(gr, dg) for gr in grads) for dg in dgs]
     if not ok.all():
         cols = [(np.where(ok, j1, 0.0), np.where(ok, j2, 0.0)) for j1, j2 in cols]
     (x1, x2), (y1, y2) = cols[:2]
@@ -728,10 +662,7 @@ def calibrate(fov_field: FovField, model: ModelId, stride: int = 1) -> Calibrati
 def _angular_residuals(spec: CameraSpec, corrs: Correspondences) -> np.ndarray:
     """Angle (rad) between each target ray and the spec's unprojection; inf if invalid."""
     q, ok = unproject_masked(spec, corrs.pixels)
-    dots = np.sum(q * corrs.rays, axis=-1)
-    cross = np.linalg.norm(np.cross(q, corrs.rays), axis=-1)
-    ang = np.arctan2(cross, dots)
-    return np.where(ok, ang, np.inf)
+    return np.where(ok, _ray_angle(q, corrs.rays), np.inf)
 
 
 def calibrate_ransac(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BorderUnprojectionFailed, DimensionMismatch, EmptyInput
-from .models import CameraSpec, pixel_centers, project_masked, unproject_masked
+from .models import CameraSpec, _ray_angle, pixel_centers, project_masked, unproject_masked
 
 DEFAULT_AUC_THRESHOLDS = (1.0, 5.0, 10.0)
 
@@ -87,9 +87,7 @@ def angular_error_counted(
     ok = ok_g & ok_e
     if not ok.any():
         raise EmptyInput("no grid cell is unprojectable under both cameras")
-    dots = np.sum(p[ok] * q[ok], axis=-1)
-    cross = np.linalg.norm(np.cross(p[ok], q[ok]), axis=-1)
-    ang = np.degrees(np.arctan2(cross, dots))
+    ang = np.degrees(_ray_angle(p[ok], q[ok]))
     return float(np.mean(ang)), int(ok.size - np.count_nonzero(ok))
 
 

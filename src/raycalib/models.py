@@ -17,9 +17,9 @@ with the family-specific radial function phi.  The division model is defined
 backwards, by its unprojection [X, Y, Z] ~ [m_x, m_y, psi(r)] with
 m = ((u - cx)/fx, (v - cy)/fy) and r = |m|; its forward map inverts that
 relation with a Newton solve (tolerance 1e-10 on the normalized radius,
-at most 20 iterations).  Brown-Conrady and Kannala-Brandt unprojections are
-Newton-inverted under the same tolerances, starting from the undistorted
-solution.
+at most 20 iterations).  Brown-Conrady and Kannala-Brandt unprojections share
+one Newton solve under the same tolerances: both invert the odd polynomial
+x + sum_n k_n x^(2n+1) = r, for x = rho = R/Z and x = theta respectively.
 
 Pixel coordinates live in the continuous domain [0, W] x [0, H]; sampled
 grids use pixel centers (i + 0.5, j + 0.5).
@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonInvertiblePixel, RayOutsideDomain, UnsupportedFamily
+from .errors import NonInvertiblePixel, RayOutsideDomain
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 20
@@ -246,34 +246,12 @@ def _division_fold_radius(ks: tuple[float, ...]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _division_psi(spec: CameraSpec, r: np.ndarray) -> np.ndarray:
-    return _even_poly(spec.dist, r * r)
-
-
 def _radial_profile_theta(spec: CameraSpec, theta: np.ndarray) -> np.ndarray:
     """Normalized image radius |m| reached at polar angle theta (NaN = invalid)."""
-    fam = spec.model.family
     theta = np.asarray(theta, dtype=np.float64)
-    s, c = np.sin(theta), np.cos(theta)
-    if fam is Family.PINHOLE:
-        return np.where(c > 1e-12, s / np.where(c > 1e-12, c, 1.0), np.nan)
-    if fam is Family.BROWN_CONRADY:
-        rho = np.where(c > 1e-12, s / np.where(c > 1e-12, c, 1.0), np.nan)
-        return rho * _even_poly(spec.dist, rho * rho)
-    if fam is Family.KANNALA_BRANDT:
-        return _odd_poly_theta(spec.dist, theta)
-    if fam is Family.UCM:
-        xi = spec.dist[0]
-        den = xi + c
-        return np.where(den > 1e-12, s / np.where(den > 1e-12, den, 1.0), np.nan)
-    if fam is Family.EUCM:
-        alpha, beta = spec.dist
-        den = alpha * np.sqrt(beta * s * s + c * c) + (1.0 - alpha) * c
-        return np.where(den > 1e-12, s / np.where(den > 1e-12, den, 1.0), np.nan)
-    if fam is Family.DIVISION:
-        r, ok = _division_forward_radius(spec, s, c)
-        return np.where(ok, r, np.nan)
-    raise UnsupportedFamily(str(fam))
+    s = np.sin(theta)
+    scale, ok, _ = _projection_scale(spec, s, 0.0, np.cos(theta))
+    return np.where(ok, scale * s, np.nan)
 
 
 def radial_profile(spec: CameraSpec, theta: np.ndarray) -> np.ndarray:
@@ -312,7 +290,7 @@ def theta_max(spec: CameraSpec) -> float:
     if fam is Family.DIVISION:
         # invert in radius space, where the profile is theta(r) = atan2(r, psi(r))
         r_end = min(r_corner, _division_fold_radius(spec.dist))
-        psi = float(_division_psi(spec, np.array(r_end)))
+        psi = float(_even_poly(spec.dist, np.array(r_end * r_end)))
         return math.atan2(r_end, psi) + _THETA_MAX_SLACK
 
     if fam in (Family.PINHOLE, Family.BROWN_CONRADY):
@@ -348,16 +326,15 @@ def theta_max(spec: CameraSpec) -> float:
 
 
 def _division_forward_radius(
-    spec: CameraSpec, R: np.ndarray, Z: np.ndarray
+    spec: CameraSpec, R: np.ndarray, Z: np.ndarray, theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve atan2(r, psi(r)) = atan2(R, Z) for the normalized radius r.
+    """Solve atan2(r, psi(r)) = theta = atan2(R, Z) for the normalized radius r.
 
     The angle profile is strictly monotone up to the model's fold radius, so
     a Newton iteration clipped into that bracket converges from the
     undistorted (pinhole) start.  Returns (r, converged).
     """
     ks = spec.dist
-    theta = np.arctan2(R, Z)
     r_fold = _division_fold_radius(ks)
     if math.isfinite(r_fold):
         hi = 0.999999 * r_fold
@@ -387,48 +364,36 @@ def _division_forward_radius(
     return r, converged & np.isfinite(r)
 
 
-def _project_arrays(
-    spec: CameraSpec, rays: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _projection_scale(spec: CameraSpec, X, Y, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi(R, Z) of the forward model, the mask of rays in its domain and the
+    polar angle atan2(R, Z).  The valid cone (``theta_max``) is left to the
+    caller; the radial profile is phi(sin t, cos t) sin t."""
     fam = spec.model.family
-    X, Y, Z = rays[..., 0], rays[..., 1], rays[..., 2]
     R = np.hypot(X, Y)
     theta = np.arctan2(R, Z)
-    valid = theta <= theta_max(spec)
-
-    a = spec.aspect
+    ok = True
     if fam in (Family.PINHOLE, Family.BROWN_CONRADY):
         safe_z = np.where(Z > 1e-12, Z, 1.0)
         scale = 1.0 / safe_z
         if fam is Family.BROWN_CONRADY:
-            rho2 = (R / safe_z) ** 2
-            scale = scale * _even_poly(spec.dist, rho2)
-        valid &= Z > 1e-12
+            scale = scale * _even_poly(spec.dist, (R / safe_z) ** 2)
+        ok = Z > 1e-12
     elif fam is Family.KANNALA_BRANDT:
         poly = _odd_poly_theta(spec.dist, theta)
         scale = np.where(R > 1e-12, poly / np.where(R > 1e-12, R, 1.0), 1.0)
-    elif fam is Family.UCM:
-        xi = spec.dist[0]
-        d = np.sqrt(X * X + Y * Y + Z * Z)
-        den = xi * d + Z
-        valid &= den > 1e-12
-        scale = 1.0 / np.where(den > 1e-12, den, 1.0)
-    elif fam is Family.EUCM:
-        alpha, beta = spec.dist
-        rho = np.sqrt(beta * R * R + Z * Z)
-        den = alpha * rho + (1.0 - alpha) * Z
-        valid &= den > 1e-12
-        scale = 1.0 / np.where(den > 1e-12, den, 1.0)
     elif fam is Family.DIVISION:
-        r, ok = _division_forward_radius(spec, R, Z)
-        valid &= ok
+        r, ok = _division_forward_radius(spec, R, Z, theta)
         scale = np.where(R > 1e-12, r / np.where(R > 1e-12, R, 1.0), 1.0)
     else:
-        raise UnsupportedFamily(str(fam))
-
-    u = spec.fx * scale * X + spec.cx
-    v = spec.fx * a * scale * Y + spec.cy
-    return np.stack([u, v], axis=-1), valid & np.isfinite(u) & np.isfinite(v)
+        # unified models: phi = 1 / (xi |p| + Z) or 1 / (alpha rho + (1 - alpha) Z)
+        if fam is Family.UCM:
+            den = spec.dist[0] * np.sqrt(X * X + Y * Y + Z * Z) + Z
+        else:
+            alpha, beta = spec.dist
+            den = alpha * np.sqrt(beta * R * R + Z * Z) + (1.0 - alpha) * Z
+        ok = den > 1e-12
+        scale = 1.0 / np.where(ok, den, 1.0)
+    return scale, ok, theta
 
 
 def project_masked(spec: CameraSpec, rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -443,7 +408,12 @@ def project_masked(spec: CameraSpec, rays: np.ndarray) -> tuple[np.ndarray, np.n
         are unspecified.
     """
     rays = np.asarray(rays, dtype=np.float64)
-    return _project_arrays(spec, rays)
+    X, Y = rays[..., 0], rays[..., 1]
+    scale, ok, theta = _projection_scale(spec, X, Y, rays[..., 2])
+    u = spec.fx * scale * X + spec.cx
+    v = spec.fx * spec.aspect * scale * Y + spec.cy
+    valid = (theta <= theta_max(spec)) & ok & np.isfinite(u) & np.isfinite(v)
+    return np.stack([u, v], axis=-1), valid
 
 
 def project(spec: CameraSpec, rays: np.ndarray) -> np.ndarray:
@@ -465,43 +435,27 @@ def project(spec: CameraSpec, rays: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _bc_undistort_radius(
-    dist: tuple[float, ...], r: np.ndarray
+def _odd_poly_solve(
+    dist: tuple[float, ...], r: np.ndarray, cap: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve rho * psi(rho) = r for the undistorted radial coordinate."""
-    rho_fold = _stationary_radius(dist)
-    hi = min(rho_fold, 1e9)
-    rho = np.minimum(r, 0.999 * hi) if math.isfinite(rho_fold) else r.copy()
-    done = np.zeros(rho.shape, dtype=bool)
+    """Solve x + sum k_n x^(2n+1) = r on [0, min(fold, cap)]: the undistorted
+    rho for radial (cap 1e9), the polar angle theta for kb (cap pi - 1e-9).
+
+    Newton from min(r, 0.999 hi), clipped into the bracket.  Returns
+    (x, converged).
+    """
+    hi = min(_stationary_radius(dist), cap)
+    x = np.minimum(r, 0.999 * hi)
+    done = np.zeros(x.shape, dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
-        rho2 = rho * rho
-        h = rho * _even_poly(dist, rho2) - r
-        hp = _even_poly(dist, rho2) + 2.0 * rho2 * _even_poly_deriv(dist, rho2)
+        h = _odd_poly_theta(dist, x) - r
+        hp = _odd_poly_theta_deriv(dist, x)
         step = h / np.where(np.abs(hp) > 1e-300, hp, 1.0)
-        rho = np.clip(rho - step, 0.0, hi)
+        x = np.clip(x - step, 0.0, hi)
         done |= np.abs(step) <= NEWTON_TOL
         if done.all():
             break
-    return rho, done
-
-
-def _kb_solve_theta(
-    dist: tuple[float, ...], r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve theta + sum k_n theta^(2n+1) = r for the polar angle."""
-    th_fold = _stationary_radius(dist)
-    hi = min(th_fold, math.pi - 1e-9)
-    theta = np.minimum(r, 0.999 * hi)
-    done = np.zeros(theta.shape, dtype=bool)
-    for _ in range(NEWTON_MAX_ITER):
-        h = _odd_poly_theta(dist, theta) - r
-        hp = _odd_poly_theta_deriv(dist, theta)
-        step = h / np.where(np.abs(hp) > 1e-300, hp, 1.0)
-        theta = np.clip(theta - step, 0.0, hi)
-        done |= np.abs(step) <= NEWTON_TOL
-        if done.all():
-            break
-    return theta, done
+    return x, done
 
 
 def _unproject_cells(
@@ -524,16 +478,14 @@ def _unproject_cells(
     # g = (gx, gy, gz); a constant component stays a scalar
     if fam is Family.PINHOLE:
         g = (mx, my, 1.0)
-    elif fam is Family.BROWN_CONRADY:
-        sol, done = _bc_undistort_radius(spec.dist, r)
+    elif fam in (Family.BROWN_CONRADY, Family.KANNALA_BRANDT):
+        # g = (s mx / r, s my / r, gz) with s = rho, gz = 1 or s = sin, gz = cos
+        kb = fam is Family.KANNALA_BRANDT
+        sol, done = _odd_poly_solve(spec.dist, r, math.pi - 1e-9 if kb else 1e9)
         valid &= done
-        scale = np.where(r > 1e-12, sol / np.where(r > 1e-12, r, 1.0), 1.0)
-        g = (scale * mx, scale * my, 1.0)
-    elif fam is Family.KANNALA_BRANDT:
-        sol, done = _kb_solve_theta(spec.dist, r)
-        valid &= done
-        sc = np.where(r > 1e-12, np.sin(sol) / np.where(r > 1e-12, r, 1.0), 1.0)
-        g = (sc * mx, sc * my, np.cos(sol))
+        s = np.sin(sol) if kb else sol
+        sc = np.where(r > 1e-12, s / np.where(r > 1e-12, r, 1.0), 1.0)
+        g = (sc * mx, sc * my, np.cos(sol) if kb else 1.0)
     elif fam is Family.UCM:
         xi = spec.dist[0]
         r2 = r * r
@@ -549,11 +501,9 @@ def _unproject_cells(
         den = alpha * np.sqrt(np.maximum(arg, 0.0)) + (1.0 - alpha)
         valid &= den > 1e-12
         g = (mx, my, (1.0 - beta * alpha * alpha * r2) / np.where(den > 1e-12, den, 1.0))
-    elif fam is Family.DIVISION:
-        valid &= r <= _division_fold_radius(spec.dist)
-        g = (mx, my, _division_psi(spec, r))
     else:
-        raise UnsupportedFamily(str(fam))
+        valid &= r <= _division_fold_radius(spec.dist)
+        g = (mx, my, _even_poly(spec.dist, r * r))
 
     # with |g| finite and above 1e-12, every component of g / |g| is finite
     norm = np.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
@@ -563,6 +513,76 @@ def _unproject_cells(
     for i in range(3):
         np.divide(g[i], safe, out=rays[..., i])
     return rays, valid, (mx, my, r, norm, sol)
+
+
+def _ray_derivatives(
+    spec: CameraSpec, mx: np.ndarray, my: np.ndarray, r: np.ndarray, sol: np.ndarray | None
+) -> list[tuple]:
+    """dg/d(mx, my, *dist) of the unnormalized ray g of ``_unproject_cells``,
+    one (x, y, z) triple per unknown; a component is an (n,) array or the
+    constant 0.0 or 1.0."""
+    fam = spec.model.family
+    if fam is Family.PINHOLE:
+        return [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    if fam in (Family.BROWN_CONRADY, Family.KANNALA_BRANDT):
+        # sol solves sol + sum k_n sol^(2n+1) = r (rho for radial, theta for
+        # kb), so dsol/dr = 1/h' and dsol/dk_n = -sol^(2n+1)/h'.  g is
+        # (s mx / r, s my / r, gz) with s = rho, gz = 1 or s = sin, gz = cos
+        kb = fam is Family.KANNALA_BRANDT
+        hp = _odd_poly_theta_deriv(spec.dist, sol)
+        hp = np.where(np.abs(hp) > 1e-12, hp, 1e-12)
+        tiny = r < 1e-9
+        inv_r = np.where(tiny, 0.0, 1.0 / np.where(tiny, 1.0, r))
+        s, ds = (np.sin(sol), np.cos(sol)) if kb else (sol, 1.0)
+        u = np.where(tiny, 1.0, s * inv_r)
+        a = (ds / hp - u) * inv_r * inv_r  # (du/dr) / r
+        dz = -s / hp * inv_r if kb else 0.0  # (dgz/dr) / r
+        axy = a * mx * my
+        out = [(u + a * mx * mx, axy, dz * mx), (axy, u + a * my * my, dz * my)]
+        for n in range(1, spec.model.num_dist + 1):
+            dsol = -(sol ** (2 * n + 1)) / hp
+            du = ds * dsol * inv_r
+            out.append((du * mx, du * my, -s * dsol if kb else 0.0))
+        return out
+    r2 = r * r
+    if fam is Family.UCM:
+        xi = spec.dist[0]
+        t = np.sqrt(np.maximum(1.0 + (1.0 - xi * xi) * r2, 1e-12))
+        s = (xi + t) / (1.0 + r2)
+        ds_dr2 = ((1.0 - xi * xi) / (2.0 * t) * (1.0 + r2) - (xi + t)) / (1.0 + r2) ** 2
+        ds_dxi = (1.0 - xi * r2 / t) / (1.0 + r2)
+        sx, sy = 2.0 * mx * ds_dr2, 2.0 * my * ds_dr2
+        return [
+            (s + mx * sx, my * sx, sx),
+            (mx * sy, s + my * sy, sy),
+            (mx * ds_dxi, my * ds_dxi, ds_dxi - 1.0),
+        ]
+    if fam is Family.EUCM:
+        alpha, beta = spec.dist
+        t = np.sqrt(np.maximum(1.0 - (2.0 * alpha - 1.0) * beta * r2, 1e-12))
+        den = alpha * t + (1.0 - alpha)
+        mz = (1.0 - beta * alpha * alpha * r2) / den
+        dt = -(2.0 * alpha - 1.0) / (2.0 * t)  # dt/dr2 = beta dt, dt/dbeta = r2 dt
+        dmz_dr2 = (-beta * alpha * alpha - mz * alpha * beta * dt) / den
+        dmz_da = (-2.0 * alpha * beta * r2 - mz * (t - beta * alpha * r2 / t - 1.0)) / den
+        dmz_db = (-alpha * alpha * r2 - mz * alpha * r2 * dt) / den
+        return [(1.0, 0.0, 2.0 * mx * dmz_dr2), (0.0, 1.0, 2.0 * my * dmz_dr2),
+                (0.0, 0.0, dmz_da), (0.0, 0.0, dmz_db)]
+    dpsi = _even_poly_deriv(spec.dist, r2)
+    return [(1.0, 0.0, 2.0 * mx * dpsi), (0.0, 1.0, 2.0 * my * dpsi),
+            *((0.0, 0.0, r2**n) for n in range(1, spec.model.num_dist + 1))]
+
+
+def _ray_angle(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Angle (rad) between the rows of two (n, 3) arrays of unit rays.
+
+    arctan2(|p x q|, p . q), with every sum taken component by component:
+    the same bits as np.sum(..., axis=-1) and np.linalg.norm(np.cross(...)),
+    without their generic reduction passes.
+    """
+    (px, py, pz), (qx, qy, qz) = p.T, q.T
+    cx, cy, cz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
+    return np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz), px * qx + py * qy + pz * qz)
 
 
 def unproject_masked(
@@ -592,29 +612,29 @@ def unproject(spec: CameraSpec, pixels: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def min_focal(
-    model: ModelId, dist: tuple[float, ...] | list[float], width: int, height: int
-) -> float:
-    """Smallest focal length keeping the projection injective over the image.
+def _fold_radius(model: ModelId, dist: tuple[float, ...]) -> float:
+    """Normalized image radius at which the projection folds, or inf.
 
     Brown-Conrady folds at the first stationary point of rho * psi(rho); the
     extended unified model folds at the normalized radius 1/sqrt(beta(2a-1))
-    when alpha > 0.5.  Families without a fold constraint return 0.
+    when alpha > 0.5.  The other families have no fold constraint.
     """
-    dist = tuple(float(k) for k in dist)
-    r_im = 0.5 * math.hypot(width, height)
     if model.family is Family.BROWN_CONRADY:
         rho_max = _stationary_radius(dist)
-        if not math.isfinite(rho_max):
-            return 0.0
-        peak = rho_max * float(_even_poly(dist, np.array(rho_max**2)))
-        return r_im / peak
-    if model.family is Family.EUCM:
+        if math.isfinite(rho_max):
+            return rho_max * float(_even_poly(dist, np.array(rho_max**2)))
+    elif model.family is Family.EUCM and dist[0] > 0.5:
         alpha, beta = dist
-        if alpha <= 0.5:
-            return 0.0
-        return r_im * math.sqrt(beta * (2.0 * alpha - 1.0))
-    return 0.0
+        return 1.0 / math.sqrt(beta * (2.0 * alpha - 1.0))
+    return math.inf
+
+
+def min_focal(
+    model: ModelId, dist: tuple[float, ...] | list[float], width: int, height: int
+) -> float:
+    """Smallest focal length keeping the projection injective over the image:
+    the half diagonal over the fold radius, 0 for families that do not fold."""
+    return 0.5 * math.hypot(width, height) / _fold_radius(model, tuple(float(k) for k in dist))
 
 
 @dataclass(frozen=True)
@@ -649,23 +669,10 @@ def validate_spec(spec: CameraSpec) -> ValidityReport:
             bad.append(f"alpha must be in [0, 1], got {alpha}")
         if beta <= 0.0:
             bad.append(f"beta must be > 0, got {beta}")
-    if not bad and fam in (Family.BROWN_CONRADY, Family.EUCM):
+    if not bad:
         # corner-vs-fold check in normalized units; for a centered square spec
         # with unit aspect this is exactly fx >= min_focal(...)
-        if fam is Family.BROWN_CONRADY:
-            rho_max = _stationary_radius(spec.dist)
-            fold = (
-                rho_max * float(_even_poly(spec.dist, np.array(rho_max**2)))
-                if math.isfinite(rho_max)
-                else math.inf
-            )
-        else:
-            alpha, beta = spec.dist
-            fold = (
-                1.0 / math.sqrt(beta * (2.0 * alpha - 1.0))
-                if alpha > 0.5
-                else math.inf
-            )
+        fold = _fold_radius(spec.model, spec.dist)
         corner = _corner_norm_radius(spec)
         if corner > fold:
             bad.append(

@@ -44,8 +44,6 @@ from .models import (
     Family,
     ModelId,
     _corner_norm_radius,
-    _even_poly,
-    _even_poly_deriv,
     _odd_poly_theta,
     _odd_poly_theta_deriv,
     _radial_profile_theta,
@@ -134,6 +132,20 @@ def _centered_square(model: ModelId, f: float, dist: tuple[float, ...], size: in
     )
 
 
+def _spec_from_fov(
+    model: ModelId, dist: tuple[float, ...], fov_deg: float, size: int, headroom: float
+) -> CameraSpec | None:
+    """Centered square spec whose focal puts FoV/2 at the half height, raised
+    to min_focal * (1 + headroom) if it is below; None if the model cannot
+    reach that field of view."""
+    try:
+        f = focal_from_fov(model, dist, fov_deg, size)
+    except FovOutOfRange:
+        return None
+    f = max(f, min_focal(model, dist, size, size) * (1.0 + headroom))
+    return _centered_square(model, f, dist, size)
+
+
 def _solve_radial1(k_hat: float, fov_deg: float, size: int) -> tuple[float, float]:
     """Joint fixed point for the radial:1 focal and coefficient k = khat * f / H.
 
@@ -189,8 +201,7 @@ class IntrinsicsSampler:
 
         if family == "pinhole":
             fov = rng.uniform(20.0, 105.0)
-            f = focal_from_fov(ModelId(Family.PINHOLE, 0), (), fov, size)
-            return _centered_square(ModelId(Family.PINHOLE, 0), f, (), size)
+            return _spec_from_fov(ModelId(Family.PINHOLE, 0), (), fov, size, 0.0)
         if family == "radial":
             fov = rng.uniform(20.0, 105.0)
             k_hat = _truncated_normal(rng, 0.07, 0.3)
@@ -199,13 +210,7 @@ class IntrinsicsSampler:
         fov = rng.uniform(50.0, 180.0)
         alpha = rng.uniform(0.5, 0.8)
         beta = rng.uniform(0.5, 2.0)
-        model = ModelId(Family.EUCM, 2)
-        try:
-            f = focal_from_fov(model, (alpha, beta), fov, size)
-        except FovOutOfRange:
-            return None
-        f = max(f, min_focal(model, (alpha, beta), size, size) * (1.0 + 1e-9))
-        return _centered_square(model, f, (alpha, beta), size)
+        return _spec_from_fov(ModelId(Family.EUCM, 2), (alpha, beta), fov, size, 1e-9)
 
 
 def sample_intrinsics(cfg: SamplerConfig) -> CameraSpec:
@@ -221,19 +226,12 @@ def _radial_slope_floor(spec: CameraSpec) -> float:
     hostile and physically implausible, so samplers reject them.
     """
     fam = spec.model.family
-    r_corner = _corner_norm_radius(spec)
-    if fam is Family.KANNALA_BRANDT:
-        th = np.linspace(0.0, 2.2, 256)
-        th = th[_odd_poly_theta(spec.dist, th) <= r_corner]
-        return float(np.min(_odd_poly_theta_deriv(spec.dist, th))) if th.size else 1.0
-    if fam is Family.BROWN_CONRADY:
-        rho = np.linspace(0.0, 3.0, 256)
-        rho2 = rho * rho
-        dist_r = rho * _even_poly(spec.dist, rho2)
-        keep = dist_r <= r_corner
-        slope = _even_poly(spec.dist, rho2) + 2.0 * rho2 * _even_poly_deriv(spec.dist, rho2)
-        return float(np.min(slope[keep])) if keep.any() else 1.0
-    return 1.0
+    if fam not in (Family.BROWN_CONRADY, Family.KANNALA_BRANDT):
+        return 1.0
+    # x = theta for kb, x = rho = R/Z for radial; both map by x + sum k_n x^(2n+1)
+    x = np.linspace(0.0, 2.2 if fam is Family.KANNALA_BRANDT else 3.0, 256)
+    x = x[_odd_poly_theta(spec.dist, x) <= _corner_norm_radius(spec)]
+    return float(np.min(_odd_poly_theta_deriv(spec.dist, x))) if x.size else 1.0
 
 
 # generic per-model sampler used by tests and benchmarks; families absent from
@@ -245,74 +243,36 @@ def sample_spec_for_model(
 ) -> CameraSpec:
     fam = model.family
     for _ in range(_MAX_RESAMPLE):
-        spec: CameraSpec | None = None
         if fam is Family.PINHOLE:
-            fov = rng.uniform(20.0, 105.0)
-            spec = _centered_square(model, focal_from_fov(model, (), fov, size), (), size)
+            fov, dist = rng.uniform(20.0, 105.0), ()
         elif fam is Family.BROWN_CONRADY:
             fov = rng.uniform(20.0, 105.0)
             k_hat = _truncated_normal(rng, 0.07, 0.3)
             f, k1 = _solve_radial1(k_hat, fov, size)
             # higher orders use the same focal normalization as k1 with
             # rapidly decaying magnitudes, mirroring real lens calibrations
-            dist = [k1] + [
+            dist = (k1, *(
                 _truncated_normal(rng, 0.07 * 3.0 ** (1 - n), 0.3 * 3.0 ** (1 - n))
                 * (f / size) ** (2 * n - 1)
                 for n in range(2, model.num_dist + 1)
-            ]
-            try:
-                f = focal_from_fov(model, tuple(dist), fov, size)
-            except FovOutOfRange:
-                continue
-            f_min = min_focal(model, tuple(dist), size, size)
-            spec = _centered_square(model, max(f, f_min * (1 + 1e-4)), tuple(dist), size)
-        elif fam is Family.KANNALA_BRANDT:
-            fov = rng.uniform(50.0, 170.0)
-            th_b = math.radians(fov) / 2.0
-            dist = tuple(
-                _truncated_normal(rng, 0.05 * 2.0 ** (1 - n), 0.2 * 2.0 ** (1 - n))
-                / th_b ** (2 * n)
-                for n in range(1, model.num_dist + 1)
-            )
-            try:
-                f = focal_from_fov(model, dist, fov, size)
-            except FovOutOfRange:
-                continue
-            spec = _centered_square(model, f, dist, size)
-        elif fam is Family.UCM:
-            fov = rng.uniform(50.0, 170.0)
-            xi = rng.uniform(0.1, 1.5)
-            try:
-                f = focal_from_fov(model, (xi,), fov, size)
-            except FovOutOfRange:
-                continue
-            spec = _centered_square(model, f, (xi,), size)
-        elif fam is Family.EUCM:
-            fov = rng.uniform(50.0, 180.0)
-            alpha = rng.uniform(0.5, 0.8)
-            beta = rng.uniform(0.5, 2.0)
-            try:
-                f = focal_from_fov(model, (alpha, beta), fov, size)
-            except FovOutOfRange:
-                continue
-            f = max(f, min_focal(model, (alpha, beta), size, size) * (1 + 1e-4))
-            spec = _centered_square(model, f, (alpha, beta), size)
-        elif fam is Family.DIVISION:
-            fov = rng.uniform(50.0, 160.0)
-            r_b = math.radians(fov) / 2.0  # border radius is theta-like in scale
+            ))
+        elif fam in (Family.KANNALA_BRANDT, Family.DIVISION):
+            fov = rng.uniform(50.0, 170.0 if fam is Family.KANNALA_BRANDT else 160.0)
+            # the border radius, theta for kb and theta-like in scale for division
+            r_b = math.radians(fov) / 2.0
             dist = tuple(
                 _truncated_normal(rng, 0.05 * 2.0 ** (1 - n), 0.2 * 2.0 ** (1 - n))
                 / r_b ** (2 * n)
                 for n in range(1, model.num_dist + 1)
             )
-            try:
-                f = focal_from_fov(model, dist, fov, size)
-            except FovOutOfRange:
-                continue
-            spec = _centered_square(model, f, dist, size)
+        elif fam is Family.UCM:
+            fov = rng.uniform(50.0, 170.0)
+            dist = (rng.uniform(0.1, 1.5),)
         else:
-            raise UnsupportedFamily(str(fam))
+            fov = rng.uniform(50.0, 180.0)
+            dist = (rng.uniform(0.5, 0.8), rng.uniform(0.5, 2.0))  # alpha, beta
 
+        spec = _spec_from_fov(model, dist, fov, size, 1e-4)
         if spec is None or not validate_spec(spec).ok:
             continue
         if model.num_dist >= 2:

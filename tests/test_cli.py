@@ -174,6 +174,33 @@ class TestEvalCommand:
         assert code == 3
         assert out["error"]["kind"] == "BorderUnprojectionFailed"
 
+    def test_unscorable_pair_fails_alone(self, tmp_path):
+        # the estimate of test_unprojectable_border_exits_numerical next to a
+        # valid pinhole pair: the batch scores the pinhole pair and records
+        # the other one under "failed"
+        gt = centered_spec("radial:1", 60.0, 64, dist=(-0.1,))
+        f_min = rc.min_focal(gt.model, gt.dist, 64, 64)
+        pin = centered_spec("pinhole", 60.0, 64)
+        pairs = {"0000": (gt, gt.replace(fx=0.6 * f_min, fy=0.6 * f_min)), "0001": (pin, pin)}
+        for name, specs in pairs.items():
+            for side, spec in zip(("gt", "est"), specs):
+                (tmp_path / side).mkdir(exist_ok=True)
+                write_spec(tmp_path / side / f"{name}.json", spec)
+        rep = tmp_path / "rep"
+        assert run("eval", str(tmp_path / "est"), str(tmp_path / "gt"), "-o", str(rep)) == 0
+        report = json.loads((rep / "report.json").read_text())
+        assert list(report["failed"]) == ["0000"]
+        assert report["failed"]["0000"]["kind"] == "BorderUnprojectionFailed"
+        assert report["failed"]["0000"]["message"]
+        assert list(report["per_image"]) == ["0001"] and report["n_pairs"] == 1
+        assert report["medians"]["ae_mean_deg"] == 0.0
+        assert report["auc"]["hfov"]["1"] == 100.0
+        csv_names = [line.split(",")[0] for line in (rep / "report.csv").read_text().splitlines()]
+        assert csv_names == ["name", "0001"]
+        # the map is present when nothing failed
+        assert run("eval", str(tmp_path / "gt"), str(tmp_path / "gt"), "-o", str(rep)) == 0
+        assert json.loads((rep / "report.json").read_text())["failed"] == {}
+
     def test_auc_monotone_on_noisy_set(self, tmp_path):
         gt = tmp_path / "gt"
         run("synth", "--kind", "opp", "--n", "4", "--size", "48", "--seed", "8", "-o", str(gt))

@@ -336,6 +336,15 @@ class TestCalibrate:
         assert res.dropped == 1
         assert rc.calibrate_ransac(holed, spec.model, iters=20, seed=4).dropped == 1
 
+    def test_ucm_xi_bound_resolves_focal(self):
+        # a pincushion camera pulls the linear xi below zero; the active set
+        # clamps it to 0 and re-solves the focal alone
+        spec = rc.CameraSpec(rc.parse_model("radial:1"), 200.0, 200.0, 64.0, 64.0, (0.1,), 128, 128)
+        res = rc.calibrate(rc.field_from_spec(spec), rc.parse_model("ucm"))
+        assert res.active_bounds == ("xi>=0",)
+        assert res.spec.dist == (0.0,)
+        assert all(b <= a for a, b in zip(res.gn_costs, res.gn_costs[1:]))
+
     def test_reparameterization_consistency(self):
         # refitting the correspondences of a fitted division spec returns the
         # same coefficients, confirming the k' reparameterization is undone

@@ -200,6 +200,35 @@ class TestFieldFiles:
         back = read_field(path)
         np.testing.assert_allclose(back.theta, theta, atol=1e-12)
 
+    def test_csv_nan_cell_reads_back_like_aff1(self, tmp_path):
+        spec = centered_spec("kb:2", 100.0, 16, dist=(0.05, -0.01))
+        theta = rc.field_from_spec(spec).theta.copy()
+        theta[3, 5] = np.nan
+        field = rc.FovField(theta=theta)
+        write_field(tmp_path / "field.aff1", field)
+        write_field_csv(tmp_path / "field.csv", field)
+        aff1, csv = read_field(tmp_path / "field.aff1"), read_field(tmp_path / "field.csv")
+        assert np.array_equal(np.isnan(csv.theta), np.isnan(aff1.theta))
+        assert np.isnan(csv.theta[3, 5]).all() and np.count_nonzero(np.isnan(csv.theta)) == 2
+        np.testing.assert_allclose(csv.theta, aff1.theta, atol=2e-7)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines[:5] + ["0.5,0.5,0.1"] + lines[5:],  # malformed record
+            lambda lines: [],  # empty file
+            lambda lines: lines[:7] + lines[8:],  # one cell without a record
+        ],
+        ids=["malformed", "empty", "missing-cell"],
+    )
+    def test_csv_defects_rejected(self, tmp_path, rng, edit):
+        path = tmp_path / "field.csv"
+        write_field_csv(path, rc.FovField(theta=rng.uniform(-1.0, 1.0, (4, 5, 2))))
+        lines = edit(path.read_text().splitlines())
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(rc.DimensionMismatch):
+            read_field(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "bad.aff1"
         path.write_bytes(b"AFF1" + (3).to_bytes(4, "little") + (3).to_bytes(4, "little") + b"\0" * 8)

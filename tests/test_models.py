@@ -9,10 +9,10 @@ import pytest
 
 import raycalib as rc
 from raycalib.models import (
-    _bc_undistort_radius,
     _division_fold_radius,
-    _division_psi,
-    _kb_solve_theta,
+    _even_poly,
+    _odd_poly_solve,
+    _ray_angle,
     radial_profile,
     theta_max,
 )
@@ -36,12 +36,12 @@ def stacked_unproject(spec: rc.CameraSpec, pixels: np.ndarray):
     if fam is rc.Family.PINHOLE:
         g = np.stack([mx, my, one], axis=-1)
     elif fam is rc.Family.BROWN_CONRADY:
-        rho, done = _bc_undistort_radius(spec.dist, r)
+        rho, done = _odd_poly_solve(spec.dist, r, 1e9)
         valid &= done
         scale = np.where(r > 1e-12, rho / np.where(r > 1e-12, r, 1.0), 1.0)
         g = np.stack([scale * mx, scale * my, one], axis=-1)
     elif fam is rc.Family.KANNALA_BRANDT:
-        theta, done = _kb_solve_theta(spec.dist, r)
+        theta, done = _odd_poly_solve(spec.dist, r, math.pi - 1e-9)
         valid &= done
         sc = np.where(r > 1e-12, np.sin(theta) / np.where(r > 1e-12, r, 1.0), 1.0)
         g = np.stack([sc * mx, sc * my, np.cos(theta)], axis=-1)
@@ -61,7 +61,7 @@ def stacked_unproject(spec: rc.CameraSpec, pixels: np.ndarray):
         g = np.stack([mx, my, mz], axis=-1)
     else:
         valid &= r <= _division_fold_radius(spec.dist)
-        g = np.stack([mx, my, _division_psi(spec, r)], axis=-1)
+        g = np.stack([mx, my, _even_poly(spec.dist, r * r)], axis=-1)
     norm = np.linalg.norm(g, axis=-1, keepdims=True)
     valid &= norm[..., 0] > 1e-12
     rays = g / np.where(norm > 1e-12, norm, 1.0)
@@ -317,3 +317,14 @@ class TestSpecSerialization:
     def test_dict_round_trip(self, name, rng):
         spec = rc.sample_spec_for_model(rc.parse_model(name), 64, rng)
         assert rc.CameraSpec.from_dict(spec.to_dict()) == spec
+
+
+class TestRayAngle:
+    def test_bit_identical_to_stacked_formula(self, rng):
+        # arbitrary pairs plus near-parallel ones, the usual case in scoring
+        p = random_unit_rays(rng, 4000, math.pi)
+        near = p + rng.normal(0.0, 1e-3, p.shape)
+        q = np.concatenate([random_unit_rays(rng, 2000, math.pi), near[2000:]])
+        q /= np.linalg.norm(q, axis=-1, keepdims=True)
+        stacked = np.arctan2(np.linalg.norm(np.cross(p, q), axis=-1), np.sum(p * q, axis=-1))
+        assert np.array_equal(_ray_angle(p, q), stacked)

@@ -1,0 +1,65 @@
+"""Property tests over cameras drawn by ``sample_spec_for_model``.
+
+Hypothesis runs derandomized and without an example database, so every run
+draws the same examples and writes nothing.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import raycalib as rc
+from raycalib.models import pixel_centers, radial_profile, theta_max
+
+from conftest import ALL_MODEL_STRINGS
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=12)
+SIZES = st.integers(48, 96)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def draw_spec(name: str, size: int, seed: int) -> rc.CameraSpec:
+    return rc.sample_spec_for_model(rc.parse_model(name), size, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
+@PROPERTY
+@given(size=SIZES, seed=SEEDS)
+def test_unproject_project_round_trip(name, size, seed):
+    spec = draw_spec(name, size, seed)
+    px = pixel_centers(size, size).reshape(-1, 2)
+    rays, ok = rc.unproject_masked(spec, px)
+    assert ok.all()
+    back, ok = rc.project_masked(spec, rays)
+    assert ok.all()
+    np.testing.assert_allclose(back, px, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
+@PROPERTY
+@given(size=SIZES, seed=SEEDS)
+def test_radial_profile_is_projected_x_offset(name, size, seed):
+    spec = draw_spec(name, size, seed)
+    theta = np.linspace(0.0, theta_max(spec), 65)[:-1]
+    rays = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
+    px, ok = rc.project_masked(spec, rays)
+    assert ok.all()
+    np.testing.assert_allclose(
+        radial_profile(spec, theta), px[:, 0] - spec.cx, rtol=1e-12, atol=1e-9 * spec.fx
+    )
+
+
+@pytest.mark.parametrize("name", [m for m in ALL_MODEL_STRINGS if m.startswith(("radial", "eucm"))])
+@PROPERTY
+@given(size=SIZES, seed=SEEDS)
+def test_validate_spec_switches_at_min_focal(name, size, seed):
+    spec = draw_spec(name, size, seed)
+    f_min = rc.min_focal(spec.model, spec.dist, size, size)
+    assume(f_min > 0.0)  # the drawn camera folds somewhere
+    assert rc.validate_spec(spec.replace(fx=1.001 * f_min, fy=1.001 * f_min)).ok
+    below = rc.validate_spec(spec.replace(fx=0.999 * f_min, fy=0.999 * f_min))
+    assert len(below.violations) == 1
+    assert below.violations[0].startswith("focal below the injectivity clamp")

@@ -217,6 +217,40 @@ class TestLensfun:
         assert entry.focal_mm == 8.0
         assert entry.sensor_width_mm == pytest.approx(36.0)
 
+    def test_xml_fisheye_without_distortion_and_poly_rows(self):
+        text = """<lensdatabase>
+          <lens>
+            <type>fisheye-stereographic</type>
+            <cropfactor>2.0</cropfactor>
+            <focal>7.5</focal>
+          </lens>
+          <lens>
+            <type>fisheye</type>
+            <cropfactor>1.5</cropfactor>
+          </lens>
+          <lens>
+            <type>equisolid</type>
+            <calibration>
+              <distortion model="poly5" focal="10" k1="0.01" k2="-0.002"/>
+              <distortion model="ptlens" real-focal="12" focal="11" a="0.001" b="-0.01" c="0.02"/>
+              <distortion model="acm" focal="10"/>
+            </calibration>
+          </lens>
+        </lensdatabase>"""
+        stereo, equidistant, poly5, ptlens = parse_lensfun_xml(text)
+        # a fisheye type without calibration rows is its ideal projection
+        assert (stereo.model_kind, stereo.projection) == ("fisheye_stereographic", "stereographic")
+        assert stereo.coefficients == () and stereo.focal_mm == 7.5
+        assert (stereo.sensor_width_mm, stereo.sensor_height_mm) == (18.0, 12.0)
+        # with no focal given, the focal defaults to half the sensor width
+        assert equidistant.model_kind == "fisheye_equidistant"
+        assert equidistant.focal_mm == pytest.approx(12.0)
+        assert (poly5.model_kind, poly5.projection) == ("poly5", "equisolid")
+        assert poly5.coefficients == (0.01, -0.002) and poly5.focal_mm == 10.0
+        # the real focal wins over the nominal one
+        assert ptlens.model_kind == "ptlens" and ptlens.focal_mm == 12.0
+        assert ptlens.coefficients == (0.001, -0.01, 0.02)
+
     def test_json_loading(self, tmp_path):
         path = tmp_path / "entry.json"
         path.write_text(
