@@ -16,10 +16,12 @@ All forward models project a unit ray p = [X, Y, Z] as
 with the family-specific radial function phi.  The division model is defined
 backwards, by its unprojection [X, Y, Z] ~ [m_x, m_y, psi(r)] with
 m = ((u - cx)/fx, (v - cy)/fy) and r = |m|; its forward map inverts that
-relation with a Newton solve (tolerance 1e-10 on the normalized radius,
-at most 20 iterations).  Brown-Conrady and Kannala-Brandt unprojections share
-one Newton solve under the same tolerances: both invert the odd polynomial
-x + sum_n k_n x^(2n+1) = r, for x = rho = R/Z and x = theta respectively.
+relation with a Newton solve.  Brown-Conrady and Kannala-Brandt
+unprojections invert the odd polynomial x + sum_n k_n x^(2n+1) = r, for
+x = rho = R/Z and x = theta respectively.  One clipped Newton loop
+(``_newton``: step tolerance 1e-10, at most 20 iterations) serves these
+radial/kb unprojections, the division projection and the LensFun
+undistortion in ``synth``.
 
 Pixel coordinates live in the continuous domain [0, W] x [0, H]; sampled
 grids use pixel centers (i + 0.5, j + 0.5).
@@ -241,6 +243,27 @@ def _division_fold_radius(ks: tuple[float, ...]) -> float:
     return _first_positive_root_even(tuple((1 - 2 * n) * k for n, k in enumerate(ks, 1)))
 
 
+def _newton(
+    fun, x0: np.ndarray, hi: float, max_iter: int = NEWTON_MAX_ITER
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cellwise Newton iteration on h(x) = 0, clipped into [0, hi].
+
+    ``fun(x)`` returns (h, h').  A cell is converged once a step is at most
+    NEWTON_TOL; the loop ends when every cell is, or after ``max_iter``
+    steps.  Returns (x, converged).
+    """
+    x = x0
+    done = np.zeros(x.shape, dtype=bool)
+    for _ in range(max_iter):
+        h, hp = fun(x)
+        step = h / np.where(np.abs(hp) > 1e-300, hp, 1.0)
+        x = np.clip(x - step, 0.0, hi)
+        done |= np.abs(step) <= NEWTON_TOL
+        if done.all():
+            break
+    return x, done
+
+
 # ---------------------------------------------------------------------------
 # normalized radial profiles r_m(theta) = phi(sin t, cos t) * sin t
 # ---------------------------------------------------------------------------
@@ -347,20 +370,17 @@ def _division_forward_radius(
                 break
             hi_s *= 2.0
         hi = hi_s
-    r = np.clip(np.where(Z > 0.2, R / np.where(Z > 0.2, Z, 1.0), theta), 0.0, hi)
-    converged = np.zeros(r.shape, dtype=bool)
-    for _ in range(NEWTON_MAX_ITER):
+
+    def fun(r):
         r2 = r * r
         psi = _even_poly(ks, r2)
-        h = np.arctan2(r, psi) - theta
         # d/dr atan2(r, psi) = (psi - r psi') / (r^2 + psi^2), positive on the
         # monotone domain
         hp = (psi - 2.0 * r2 * _even_poly_deriv(ks, r2)) / (r2 + psi * psi)
-        step = h / np.where(np.abs(hp) > 1e-300, hp, 1.0)
-        r = np.clip(r - step, 0.0, hi)
-        converged |= np.abs(step) <= NEWTON_TOL
-        if converged.all():
-            break
+        return np.arctan2(r, psi) - theta, hp
+
+    r0 = np.clip(np.where(Z > 0.2, R / np.where(Z > 0.2, Z, 1.0), theta), 0.0, hi)
+    r, converged = _newton(fun, r0, hi)
     return r, converged & np.isfinite(r)
 
 
@@ -445,17 +465,11 @@ def _odd_poly_solve(
     (x, converged).
     """
     hi = min(_stationary_radius(dist), cap)
-    x = np.minimum(r, 0.999 * hi)
-    done = np.zeros(x.shape, dtype=bool)
-    for _ in range(NEWTON_MAX_ITER):
-        h = _odd_poly_theta(dist, x) - r
-        hp = _odd_poly_theta_deriv(dist, x)
-        step = h / np.where(np.abs(hp) > 1e-300, hp, 1.0)
-        x = np.clip(x - step, 0.0, hi)
-        done |= np.abs(step) <= NEWTON_TOL
-        if done.all():
-            break
-    return x, done
+
+    def fun(x):
+        return _odd_poly_theta(dist, x) - r, _odd_poly_theta_deriv(dist, x)
+
+    return _newton(fun, np.minimum(r, 0.999 * hi), hi)
 
 
 def _unproject_cells(

@@ -15,15 +15,18 @@ provided:
                                     beta ~ U(0.5, 2))
     opg   34% pinhole / 33% radial:1 / 33% eucm
 
-The radial:1 coefficient is parameterized as khat = k * H / f, which couples
-k and f; the two are resolved jointly by a fixed-point iteration that also
-applies the minimum-focal clamp.  Sampled focals are always clamped to the
-injectivity limit, so every sampled spec passes ``validate_spec``.
+Every kind draws its model string's spec with ``sample_spec_for_model``, the
+one per-model sampler.  The radial:1 coefficient is parameterized as
+khat = k * H / f, which couples k and f; the two are resolved jointly by a
+fixed-point iteration, so a radial:1 camera puts FoV/2 exactly at the half
+height with k = khat * f / H, unless its focal is raised to ``min_focal``.
+Sampled focals are raised to min_focal * (1 + 1e-4) where they fall below
+it, so every sampled spec passes ``validate_spec``.
 
 LensFun lens entries (polynomial distortion on top of an ideal fisheye
 projection) are mapped to the extended unified model by undistorting a
-uniform sensor grid with Newton's method, inverting the ideal projection,
-and fitting in focal-normalized units.
+uniform sensor grid with the library's Newton loop, inverting the ideal
+projection, and fitting in focal-normalized units.
 """
 
 from __future__ import annotations
@@ -44,10 +47,13 @@ from .models import (
     Family,
     ModelId,
     _corner_norm_radius,
+    _newton,
     _odd_poly_theta,
     _odd_poly_theta_deriv,
     _radial_profile_theta,
+    _ray_angle,
     min_focal,
+    parse_model,
     theta_max,
     unproject_masked,
     validate_spec,
@@ -90,16 +96,7 @@ def focal_from_fov(
     half = math.radians(fov_deg) / 2.0
     if half >= math.pi:
         raise FovOutOfRange(f"half angle {half:.3f} rad is not representable")
-    probe = CameraSpec(
-        model=model,
-        fx=1.0,
-        fy=1.0,
-        cx=0.0,
-        cy=0.0,
-        dist=tuple(dist),
-        width=max(height, 1),
-        height=max(height, 1),
-    )
+    probe = _centered_square(model, 1.0, tuple(dist), max(height, 1))
     r = float(_radial_profile_theta(probe, np.array(half)))
     if not math.isfinite(r) or r <= 0.0:
         raise FovOutOfRange(f"{model} cannot reach a {fov_deg} degree field of view")
@@ -132,41 +129,22 @@ def _centered_square(model: ModelId, f: float, dist: tuple[float, ...], size: in
     )
 
 
-def _spec_from_fov(
-    model: ModelId, dist: tuple[float, ...], fov_deg: float, size: int, headroom: float
-) -> CameraSpec | None:
-    """Centered square spec whose focal puts FoV/2 at the half height, raised
-    to min_focal * (1 + headroom) if it is below; None if the model cannot
-    reach that field of view."""
-    try:
-        f = focal_from_fov(model, dist, fov_deg, size)
-    except FovOutOfRange:
-        return None
-    f = max(f, min_focal(model, dist, size, size) * (1.0 + headroom))
-    return _centered_square(model, f, dist, size)
-
-
 def _solve_radial1(k_hat: float, fov_deg: float, size: int) -> tuple[float, float]:
     """Joint fixed point for the radial:1 focal and coefficient k = khat * f / H.
 
-    Alternates the focal-from-FoV solve (with the injectivity clamp applied)
-    and the coefficient update until the focal is stable to 1e-10 relative.
+    Repeats k = khat * f / H, f = max(focal_from_fov(k), min_focal(k)) from
+    the k = 0 focal until f changes by at most 1e-12 relative (at most 50
+    times).  Unless the clamp is active, f puts FoV/2 exactly at H/2 for k.
     """
     model = ModelId(Family.BROWN_CONRADY, 1)
-    k = 0.0
-    f = focal_from_fov(model, (k,), fov_deg, size)
-    for _ in range(20):
-        f_new = max(
-            focal_from_fov(model, (k,), fov_deg, size),
-            min_focal(model, (k,), size, size),
+    f = focal_from_fov(model, (0.0,), fov_deg, size)
+    for _ in range(50):
+        k = k_hat * f / size
+        f_prev, f = f, max(
+            focal_from_fov(model, (k,), fov_deg, size), min_focal(model, (k,), size, size)
         )
-        k = k_hat * f_new / size
-        if abs(f_new - f) / f_new < 1e-10:
-            f = f_new
+        if abs(f - f_prev) <= 1e-12 * f:
             break
-        f = f_new
-    # a final clamp with headroom keeps validate_spec strict after rounding
-    f = max(f, min_focal(model, (k,), size, size) * (1.0 + 1e-9))
     return f, k
 
 
@@ -178,39 +156,22 @@ class IntrinsicsSampler:
         self.rng = np.random.default_rng(cfg.seed)
 
     def draw(self) -> CameraSpec:
-        for _ in range(_MAX_RESAMPLE):
-            spec = self._draw_once()
-            if spec is not None and validate_spec(spec).ok:
-                return spec
-        raise NewtonDivergence("sampler failed to draw a valid spec")  # pragma: no cover
+        """Pick the kind's model string (one uniform draw for the mixtures),
+        then draw its spec with ``sample_spec_for_model``."""
+        kind, rng = self.cfg.kind, self.rng
+        if kind is DatasetKind.OPP:
+            name = "pinhole"
+        elif kind is DatasetKind.OPR:
+            name = "radial:1"
+        elif kind is DatasetKind.OPD:
+            name = "radial:1" if rng.uniform() < 0.5 else "eucm"
+        else:
+            u = rng.uniform()
+            name = "pinhole" if u < 0.34 else ("radial:1" if u < 0.67 else "eucm")
+        return sample_spec_for_model(parse_model(name), self.cfg.size, rng)
 
     def draw_many(self, n: int) -> list[CameraSpec]:
         return [self.draw() for _ in range(n)]
-
-    def _draw_once(self) -> CameraSpec | None:
-        kind, size, rng = self.cfg.kind, self.cfg.size, self.rng
-        if kind is DatasetKind.OPP:
-            family = "pinhole"
-        elif kind is DatasetKind.OPR:
-            family = "radial"
-        elif kind is DatasetKind.OPD:
-            family = "radial" if rng.uniform() < 0.5 else "eucm"
-        else:
-            u = rng.uniform()
-            family = "pinhole" if u < 0.34 else ("radial" if u < 0.67 else "eucm")
-
-        if family == "pinhole":
-            fov = rng.uniform(20.0, 105.0)
-            return _spec_from_fov(ModelId(Family.PINHOLE, 0), (), fov, size, 0.0)
-        if family == "radial":
-            fov = rng.uniform(20.0, 105.0)
-            k_hat = _truncated_normal(rng, 0.07, 0.3)
-            f, k = _solve_radial1(k_hat, fov, size)
-            return _centered_square(ModelId(Family.BROWN_CONRADY, 1), f, (k,), size)
-        fov = rng.uniform(50.0, 180.0)
-        alpha = rng.uniform(0.5, 0.8)
-        beta = rng.uniform(0.5, 2.0)
-        return _spec_from_fov(ModelId(Family.EUCM, 2), (alpha, beta), fov, size, 1e-9)
 
 
 def sample_intrinsics(cfg: SamplerConfig) -> CameraSpec:
@@ -272,8 +233,14 @@ def sample_spec_for_model(
             fov = rng.uniform(50.0, 180.0)
             dist = (rng.uniform(0.5, 0.8), rng.uniform(0.5, 2.0))  # alpha, beta
 
-        spec = _spec_from_fov(model, dist, fov, size, 1e-4)
-        if spec is None or not validate_spec(spec).ok:
+        # the focal puts FoV/2 at the half height, raised to min_focal * (1 + 1e-4)
+        try:
+            f = focal_from_fov(model, dist, fov, size)
+        except FovOutOfRange:
+            continue
+        f = max(f, min_focal(model, dist, size, size) * (1.0 + 1e-4))
+        spec = _centered_square(model, f, dist, size)
+        if not validate_spec(spec).ok:
             continue
         if model.num_dist >= 2:
             if fam is Family.DIVISION:
@@ -361,7 +328,8 @@ def sample_edit(spec: CameraSpec, rng: np.random.Generator) -> CameraSpec:
 # LensFun entries -> extended unified model
 # ---------------------------------------------------------------------------
 
-_POLY_KINDS = ("poly3", "poly5", "ptlens")
+# distortion kinds and their coefficient names, in order, as the XML spells them
+_POLY_KINDS = {"poly3": ("k1",), "poly5": ("k1", "k2"), "ptlens": ("a", "b", "c")}
 _PROJECTIONS = ("equidistant", "equisolid", "orthographic", "stereographic")
 _FISHEYE_KINDS = tuple(f"fisheye_{p}" for p in _PROJECTIONS)
 
@@ -391,9 +359,9 @@ class LensfunEntry:
     fov_deg: float = 180.0  # rated angular extent of the image circle
 
     def __post_init__(self) -> None:
-        if self.model_kind not in _POLY_KINDS + _FISHEYE_KINDS:
+        if self.model_kind not in (*_POLY_KINDS, *_FISHEYE_KINDS):
             raise UnsupportedFamily(f"unsupported LensFun model kind {self.model_kind!r}")
-        expected = {"poly3": 1, "poly5": 2, "ptlens": 3}.get(self.model_kind, 0)
+        expected = len(_POLY_KINDS.get(self.model_kind, ()))
         if self.model_kind in _POLY_KINDS and len(self.coefficients) != expected:
             raise ValueError(
                 f"{self.model_kind} takes {expected} coefficients, "
@@ -425,28 +393,20 @@ class LensfunEntry:
         return cls(**kwargs)
 
 
-def _distort_radius(entry: LensfunEntry, ru: np.ndarray) -> np.ndarray:
+def _distortion(entry: LensfunEntry) -> np.polynomial.Polynomial:
+    """The entry's rd(ru) as a power series; ideal fisheye kinds are rd = ru."""
     k = entry.coefficients
     if entry.model_kind == "poly3":
-        return ru * (1.0 - k[0] + k[0] * ru * ru)
-    if entry.model_kind == "poly5":
-        return ru * (1.0 + k[0] * ru * ru + k[1] * ru**4)
-    if entry.model_kind == "ptlens":
+        series = (0.0, 1.0 - k[0], 0.0, k[0])
+    elif entry.model_kind == "poly5":
+        series = (0.0, 1.0, 0.0, k[0], 0.0, k[1])
+    elif entry.model_kind == "ptlens":
         a, b, c = k
-        return ru * (a * ru**3 + b * ru * ru + c * ru + 1.0 - a - b - c)
-    return ru  # ideal fisheye kinds carry no polynomial
-
-
-def _distort_radius_deriv(entry: LensfunEntry, ru: np.ndarray) -> np.ndarray:
-    k = entry.coefficients
-    if entry.model_kind == "poly3":
-        return 1.0 - k[0] + 3.0 * k[0] * ru * ru
-    if entry.model_kind == "poly5":
-        return 1.0 + 3.0 * k[0] * ru * ru + 5.0 * k[1] * ru**4
-    if entry.model_kind == "ptlens":
-        a, b, c = k
-        return 4.0 * a * ru**3 + 3.0 * b * ru * ru + 2.0 * c * ru + 1.0 - a - b - c
-    return np.ones_like(ru)
+        series = (0.0, 1.0 - a - b - c, c, b, a)
+    else:
+        series = (0.0, 1.0)
+    # numpy loads its polynomial package on this first attribute access
+    return np.polynomial.Polynomial(series)
 
 
 def _invert_fisheye(projection: str, r_over_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -493,16 +453,9 @@ def lensfun_to_eucm(
     gx, gy, rd = gx[keep], gy[keep], rd[keep]
 
     # undistort: solve distort(ru) = rd
-    ru = rd.copy()
-    done = np.zeros(ru.shape, dtype=bool)
-    for _ in range(50):
-        g = _distort_radius(entry, ru) - rd
-        gp = _distort_radius_deriv(entry, ru)
-        step = g / np.where(np.abs(gp) > 1e-300, gp, 1.0)
-        ru = np.maximum(ru - step, 0.0)
-        done |= np.abs(step) <= 1e-10
-        if done.all():
-            break
+    distort = _distortion(entry)
+    slope = distort.deriv()
+    ru, done = _newton(lambda x: (distort(x) - rd, slope(x)), rd, math.inf, 50)
     gx_u = gx * np.where(rd > 0, ru / rd, 1.0)
     gy_u = gy * np.where(rd > 0, ru / rd, 1.0)
 
@@ -526,8 +479,7 @@ def lensfun_to_eucm(
     spec = refine(spec0, corrs, free=np.array([0, 1, 4, 5])).spec
 
     q, ok_q = unproject_masked(spec, coords)
-    dots = np.clip(np.sum(q[ok_q] * rays[ok_q], axis=-1), -1.0, 1.0)
-    residual = float(np.degrees(np.mean(np.arccos(dots))))
+    residual = float(np.degrees(np.mean(_ray_angle(q[ok_q], rays[ok_q]))))
     alpha, beta = spec.dist
     f_mm = 0.5 * (spec.fx + spec.fy) * entry.focal_mm
     return float(alpha), float(beta), f_mm, residual
@@ -576,20 +528,10 @@ def parse_lensfun_xml(text: str) -> list[LensfunEntry]:
             kind = row.get("model", "")
             if kind not in _POLY_KINDS:
                 continue
-            if kind == "poly3":
-                coeffs = (float(row.get("k1", 0.0)),)
-            elif kind == "poly5":
-                coeffs = (float(row.get("k1", 0.0)), float(row.get("k2", 0.0)))
-            else:
-                coeffs = (
-                    float(row.get("a", 0.0)),
-                    float(row.get("b", 0.0)),
-                    float(row.get("c", 0.0)),
-                )
             out.append(
                 LensfunEntry(
                     model_kind=kind,
-                    coefficients=coeffs,
+                    coefficients=tuple(float(row.get(c, 0.0)) for c in _POLY_KINDS[kind]),
                     focal_mm=float(row.get("real-focal") or row.get("focal") or 0.0),
                     sensor_width_mm=w_mm,
                     sensor_height_mm=h_mm,

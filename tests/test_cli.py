@@ -297,6 +297,44 @@ CALIB_ERRORS = sorted(
 )
 
 
+def _eval_missing_dir(tmp: Path) -> list[str]:
+    (tmp / "gt").mkdir()
+    return ["eval", str(tmp / "missing"), str(tmp / "gt"), "-o", str(tmp / "rep")]
+
+
+def _eval_no_common_name(tmp: Path) -> list[str]:
+    spec = centered_spec("pinhole", 60.0, 32)
+    for side, name in (("est", "0000"), ("gt", "0001")):
+        (tmp / side).mkdir()
+        write_spec(tmp / side / f"{name}.json", spec)
+    return ["eval", str(tmp / "est"), str(tmp / "gt"), "-o", str(tmp / "rep")]
+
+
+def _convert_invalid_spec(tmp: Path) -> list[str]:
+    # below its injectivity clamp, so validate_spec rejects it
+    spec = centered_spec("radial:1", 60.0, 64, dist=(-0.1,))
+    f_min = rc.min_focal(spec.model, spec.dist, 64, 64)
+    write_spec(tmp / "spec.json", spec.replace(fx=0.6 * f_min, fy=0.6 * f_min))
+    return ["convert", str(tmp / "spec.json"), "--to", "kb:2"]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "make_argv, kind",
+        [
+            (_eval_missing_dir, "FileNotFound"),
+            (_eval_no_common_name, "EmptyInput"),
+            (_convert_invalid_spec, "InvalidInput"),
+        ],
+        ids=["eval-missing-dir", "eval-no-common-name", "convert-invalid-spec"],
+    )
+    def test_exit_2_with_error_object(self, make_argv, kind, tmp_path, capsys):
+        code = run(*make_argv(tmp_path))
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2
+        assert error["kind"] == kind and error["message"]
+
+
 class TestExitCodesAndWorkers:
     @pytest.mark.parametrize("error", CALIB_ERRORS, ids=lambda e: e.__name__)
     def test_every_calib_error_has_one_exit_code(self, error, monkeypatch, capsys):

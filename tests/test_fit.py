@@ -213,6 +213,18 @@ class TestRefine:
         assert res.warning is not None
         assert res.spec.fx == pytest.approx(spec.fx * 1.1)
 
+    def test_warning_written_to_result_json(self):
+        # the refine of test_underdetermined_returns_start_with_warning; only
+        # RANSAC fits carry an inlier ratio
+        spec = centered_spec("kb:4", 100.0, 64, dist=(0.05, -0.01, 0.001, -0.0001))
+        few = rc.Correspondences.from_spec(spec, 40)
+        res = rc.refine(spec.replace(fx=spec.fx * 1.1, fy=spec.fy * 1.1), few)
+        data = res.to_dict()
+        assert data["warning"] == res.warning
+        assert data["warning"] == "singular normal matrix; refinement stopped early"
+        assert "inlier_ratio" not in data
+        assert "warning" not in rc.refine(spec, rc.Correspondences.from_spec(spec, 8)).to_dict()
+
 
 class TestJacobians:
     @pytest.mark.parametrize(

@@ -131,6 +131,17 @@ class TestFieldFromSpec:
         f2 = rc.field_from_spec(doubled, stride=2)
         np.testing.assert_allclose(f1.theta, f2.theta, atol=1e-14)
 
+    def test_zero_stride_rejected(self):
+        with pytest.raises(ValueError):
+            rc.field_from_spec(centered_spec("pinhole", 60.0, 32), stride=0)
+
+    def test_spec_below_min_focal_rejected(self):
+        # at 0.6x its injectivity clamp the image corners lie past the fold
+        spec = centered_spec("radial:1", 60.0, 64, dist=(-0.1,))
+        f_min = rc.min_focal(spec.model, spec.dist, 64, 64)
+        with pytest.raises(rc.NonInvertiblePixel):
+            rc.field_from_spec(spec.replace(fx=0.6 * f_min, fy=0.6 * f_min))
+
 
 class TestRaysFromField:
     def test_zero_field(self):

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import raycalib as rc
-from raycalib.synth import load_lensfun_entry, parse_lensfun_xml
+from raycalib.synth import (
+    _distortion,
+    _truncated_normal,
+    load_lensfun_entry,
+    parse_lensfun_xml,
+)
 
 from conftest import ALL_MODEL_STRINGS
 
@@ -77,6 +83,26 @@ class TestIntrinsicsSampler:
             k_hat = spec.dist[0] * spec.height / spec.fx
             assert -0.3 - 1e-9 <= k_hat <= 0.3 + 1e-9
 
+    def test_opr_draws_hit_their_fov_and_khat(self):
+        # a mirror of the stream gives each draw's (FoV, khat); every camera
+        # whose focal was not raised to min_focal meets both
+        n_checked = 0
+        for seed in range(5):
+            sampler = rc.IntrinsicsSampler(rc.SamplerConfig(rc.DatasetKind.OPR, 64, seed))
+            mirror = np.random.default_rng(seed)
+            for _ in range(40):
+                spec = sampler.draw()
+                fov = mirror.uniform(20.0, 105.0)
+                k_hat = _truncated_normal(mirror, 0.07, 0.3)
+                assert sampler.rng.bit_generator.state == mirror.bit_generator.state
+                if spec.fx <= rc.min_focal(spec.model, spec.dist, 64, 64) * (1 + 1e-4):
+                    continue
+                _, vfov = rc.fov_agnostic(spec)
+                assert vfov == pytest.approx(fov, abs=1e-9)
+                assert spec.dist[0] * spec.height / spec.fx == pytest.approx(k_hat, abs=1e-12)
+                n_checked += 1
+        assert n_checked >= 150
+
     def test_all_sampled_specs_validate(self):
         for kind in rc.DatasetKind:
             sampler = rc.IntrinsicsSampler(rc.SamplerConfig(kind, 64, 17))
@@ -120,6 +146,10 @@ class TestAddNoise:
         a = rc.add_noise(f, 0.7, seed=9)
         b = rc.add_noise(f, 0.7, seed=9)
         np.testing.assert_array_equal(a.theta, b.theta)
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ValueError):
+            rc.add_noise(rc.FovField(theta=np.zeros((4, 4, 2))), -0.1, seed=0)
 
     def test_cells_stay_below_pi(self, rng):
         theta = rng.uniform(3.0, 3.13, (64, 64, 2)) / math.sqrt(2)
@@ -182,6 +212,76 @@ class TestLensfun:
         assert alpha == pytest.approx(0.60, abs=0.06)
         assert beta == pytest.approx(1.19, abs=0.05)
         assert residual < 0.2
+
+    @pytest.mark.parametrize(
+        "kind, coeffs, rd, slope",
+        [
+            ("poly3", (0.05,),
+             lambda r, k1: r * (1 - k1 + k1 * r * r),
+             lambda r, k1: 1 - k1 + 3 * k1 * r * r),
+            ("poly5", (0.04, -0.006),
+             lambda r, k1, k2: r * (1 + k1 * r * r + k2 * r**4),
+             lambda r, k1, k2: 1 + 3 * k1 * r * r + 5 * k2 * r**4),
+            ("ptlens", (0.01, -0.03, 0.02),
+             lambda r, a, b, c: r * (a * r**3 + b * r * r + c * r + 1 - a - b - c),
+             lambda r, a, b, c: 4 * a * r**3 + 3 * b * r * r + 2 * c * r + 1 - a - b - c),
+        ],
+        ids=["poly3", "poly5", "ptlens"],
+    )
+    def test_distortion_matches_docstring(self, kind, coeffs, rd, slope):
+        # distinct coefficients, so a swapped pair shows at the 1e-14 level
+        entry = rc.LensfunEntry(kind, coeffs, 10.0, 36.0, 24.0)
+        poly = _distortion(entry)
+        r = np.linspace(0.0, 2.0, 50)
+        np.testing.assert_allclose(poly(r), rd(r, *coeffs), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(poly.deriv()(r), slope(r, *coeffs), rtol=1e-14, atol=0)
+
+    def test_orthographic_entries_map_to_valid_parameters(self):
+        for kind, coeffs in (("poly3", (0.01,)), ("fisheye_orthographic", ())):
+            entry = rc.LensfunEntry(
+                kind, coeffs, 8.0, 36.0, 24.0, projection="orthographic"
+            )
+            alpha, beta, focal_mm, residual = rc.lensfun_to_eucm(entry, grid_stride=4)
+            assert 0.0 <= alpha <= 1.0 and beta > 0.0
+            assert focal_mm == pytest.approx(8.0, rel=0.02)
+            assert residual < 0.2
+
+    def test_wrong_coefficient_count_rejected(self):
+        with pytest.raises(ValueError):
+            rc.LensfunEntry("poly5", (0.01,), 8.0, 36.0, 24.0)
+
+    def test_json_fov_deg_drops_cells(self, tmp_path):
+        # an 8 mm equidistant lens on 36 x 24 mm sees out to 155 degrees at
+        # the corners; a rated FoV leaves the cells beyond it out of the fit
+        entry = {"model_kind": "fisheye_equidistant", "focal_mm": 8.0,
+                 "sensor_width_mm": 36.0, "sensor_height_mm": 24.0}
+        results = []
+        for fov in (None, 120.0, 0.5):
+            path = tmp_path / f"entry_{fov}.json"
+            path.write_text(json.dumps(entry if fov is None else {**entry, "fov_deg": fov}))
+            loaded = load_lensfun_entry(path)
+            assert loaded.fov_deg == (180.0 if fov is None else fov)
+            if fov == 0.5:
+                with pytest.raises(rc.DegenerateGeometry):
+                    rc.lensfun_to_eucm(loaded, grid_stride=4)
+            else:
+                results.append(rc.lensfun_to_eucm(loaded, grid_stride=4))
+        assert results[0] != results[1]
+
+    def test_xml_file_loading(self, tmp_path):
+        rectilinear = """<lens><type>rectilinear</type><cropfactor>1.0</cropfactor></lens>"""
+        fisheye = """<lens><type>fisheye</type><cropfactor>1.0</cropfactor><calibration>
+            <distortion model="poly3" focal="8" k1="-0.01"/>
+            <distortion model="poly5" focal="8" k1="0.01" k2="0.001"/>
+          </calibration></lens>"""
+        path = tmp_path / "lenses.xml"
+        path.write_text(f"<lensdatabase>{rectilinear}{fisheye}</lensdatabase>")
+        entry = load_lensfun_entry(path)
+        assert (entry.model_kind, entry.projection) == ("poly3", "equidistant")
+        assert entry.coefficients == (-0.01,) and entry.focal_mm == 8.0
+        path.write_text(f"<lensdatabase>{rectilinear}</lensdatabase>")
+        with pytest.raises(rc.UnsupportedFamily):
+            load_lensfun_entry(path)
 
     def test_unsupported_kind_rejected(self):
         with pytest.raises(rc.UnsupportedFamily):
