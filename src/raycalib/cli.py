@@ -35,9 +35,9 @@ from . import __version__
 from .errors import CalibError, DimensionMismatch, EmptyInput, FovOutOfRange, UnsupportedFamily
 from .fileio import dump_json, read_field, read_spec, write_field, write_json, write_spec
 from .fit import calibrate, calibrate_ransac, convert_model
-from .fov import FovField, field_from_spec
+from .fov import FovField, field_from_spec, log_map
 from .metrics import angular_error, auc, evaluate
-from .models import parse_model, validate_spec
+from .models import CameraSpec, parse_model, pixel_centers, unproject_masked, validate_spec
 from .synth import (
     DatasetKind,
     IntrinsicsSampler,
@@ -152,6 +152,19 @@ def _spec_files(root: Path) -> dict[str, Path]:
     return {p.stem: p for p in sorted(base.glob("*.json")) if p.name != "manifest.json"}
 
 
+def _theta_difference(gt: CameraSpec, est: CameraSpec, stride: int) -> FovField:
+    """gt minus est tangent vectors at the pixel centers, NaN at every cell
+    that either camera cannot unproject."""
+    px = pixel_centers(gt.width, gt.height, stride)
+    flat = px.reshape(-1, 2)
+    p, ok_gt = unproject_masked(gt, flat)
+    q, ok_est = unproject_masked(est, flat)
+    ok = ok_gt & ok_est
+    diff = np.full(flat.shape, np.nan)
+    diff[ok] = log_map(p[ok]) - log_map(q[ok])
+    return FovField(theta=diff.reshape(px.shape), stride=stride)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     est_dir, gt_dir = Path(args.est_dir), Path(args.gt_dir)
     if not est_dir.is_dir():
@@ -176,11 +189,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         try:
             report = evaluate(gt, est, grid_stride=args.stride)
             if args.dump_per_pixel:
-                gt_field = field_from_spec(gt, stride=args.stride)
-                est_field = field_from_spec(est, stride=args.stride)
                 write_field(
-                    out / "perpixel" / f"{name}.aff1",
-                    FovField(theta=gt_field.theta - est_field.theta, stride=gt_field.stride),
+                    out / "perpixel" / f"{name}.aff1", _theta_difference(gt, est, args.stride)
                 )
         except CalibError as exc:  # one pair that cannot be scored fails alone
             return name, exc

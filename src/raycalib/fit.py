@@ -14,15 +14,20 @@ unknowns:
    (gamma, alpha) with gamma = alpha^2 beta, enforcing the parameter bounds
    with a simplified active set (solve unconstrained, clamp violated bounds,
    re-solve the free unknowns);
-4. five Gauss-Newton iterations on the mean squared tangent-plane residual
-   between the target rays and the unprojections of the current intrinsics.
-   The Jacobian is built per cell from the derivatives of the unnormalized
-   ray with respect to (mx, my, dist), reusing the state of the residual
-   pass, and reduced block by block with a tall-skinny QR, so no n x P
-   matrix is ever formed.  Each step is halved up to four times if the cost
-   would increase, so the recorded per-iteration costs never increase; a
-   step rejected at every length leaves the intrinsics unchanged, so the
-   refinement stops there, exactly where further iterations would repeat it.
+4. up to five Gauss-Newton iterations on the mean squared tangent-plane
+   residual between the target rays and the unprojections of the current
+   intrinsics.  The Jacobian is built per cell from the derivatives of the
+   unnormalized ray with respect to (mx, my, dist), reusing the state of the
+   residual pass, and reduced block by block with a tall-skinny QR, so no
+   n x P matrix is ever formed.  The factor R of [J | -e] gives the share of
+   |e|^2 the linearized step removes, |R[:k, k]|^2 of |R[:k, k]|^2 +
+   R[k, k]^2; below _GN_RTOL = 1e-14, under the roundoff of the cost sum,
+   refinement stops without a trial pass (relative-reduction test, Nocedal &
+   Wright, Numerical Optimization, 10.3).  Each step is halved up to four
+   times if the cost would increase, so the recorded per-iteration costs
+   never increase; a step rejected at every length leaves the intrinsics
+   unchanged, so the refinement stops there too, exactly where further
+   iterations would repeat it.
 
 All linear stages use orthogonal factorizations, never explicit normal
 equations: SVD-backed lstsq for the closed-form stages, and for each
@@ -54,6 +59,7 @@ from .models import (
 EUCM_PROXY_ORDER = 3  # kb order used to estimate the extended model's focal
 
 _RCOND = 1e-12
+_GN_RTOL = 1e-14  # stop once a step is predicted to remove less of the cost
 _GN_ITERATIONS = 5
 _GN_MAX_HALVINGS = 4
 _QR_BLOCK = 8192  # cells per QR block: 16,384 residual rows, about 1 MiB per block
@@ -111,9 +117,10 @@ class CalibrationResult:
 
     ``gn_costs[0]`` is the mean squared tangent residual (radians^2) of the
     algebraic solution; each later entry is the cost after one Gauss-Newton
-    iteration, so the sequence is non-increasing.  ``dropped`` counts the
-    correspondences the refined spec cannot unproject and, for a fit of a
-    field, the field's non-finite cells.
+    iteration, so the sequence is non-increasing, and after refinement stops
+    the last cost repeats.  ``dropped`` counts the correspondences the
+    refined spec cannot unproject and, for a fit of a field, the field's
+    non-finite cells.
     """
 
     spec: CameraSpec
@@ -570,21 +577,23 @@ def _gn_step(R: np.ndarray, k: int) -> np.ndarray | None:
 def refine(
     spec0: CameraSpec, corrs: Correspondences, free: np.ndarray | None = None
 ) -> CalibrationResult:
-    """Polish intrinsics with five Gauss-Newton iterations on tangent residuals.
+    """Polish intrinsics with up to five Gauss-Newton iterations on tangent residuals.
 
     Minimizes the mean squared tangent-plane distance between the target rays
     and the unprojections of the current intrinsics, over the parameters
     (fx, fy, cx, cy, *dist) indexed by ``free`` (default: all of them).  Steps
     that would increase the cost are halved up to four times and rejected if
     still worse, so ``gn_costs`` never increases.  Refinement stops at a
-    cost at roundoff level, a singular step or a rejected step (the
-    parameters did not move, so every later iteration would repeat it); the
-    remaining ``gn_costs`` entries repeat the last cost.
+    cost at roundoff level, a singular step, a step predicted to remove at
+    most _GN_RTOL of the cost (no trial cost could tell it from roundoff) or
+    a rejected step (the parameters did not move, so every later iteration
+    would repeat it); the remaining ``gn_costs`` entries repeat the last cost.
     """
     pixels, targets = corrs.pixels, corrs.rays
     b1, b2 = _tangent_basis(targets)
     kappa = _params_of(spec0)
     free_idx = np.arange(len(kappa)) if free is None else np.asarray(free, dtype=int)
+    k = len(free_idx)
 
     e, cells = _residuals(spec0, pixels, targets, b1, b2)
     cost = _mean_cost(e, cells.ok)
@@ -596,12 +605,17 @@ def refine(
             break
         R = _reduced_system(_spec_of(spec0, kappa), cells, e, (b1, b2, targets), free_idx)
         try:
-            delta = _gn_step(R, len(free_idx))
+            delta = _gn_step(R, k)
         except np.linalg.LinAlgError:
             delta = None
         if delta is None:
             warning = "singular normal matrix; refinement stopped early"
             break
+        if R.shape[0] > k:
+            # the step removes |R[:k, k]|^2 of |e|^2 = |R[:k, k]|^2 + R[k, k]^2
+            pred = float(R[:k, k] @ R[:k, k])
+            if pred <= _GN_RTOL * (pred + float(R[k, k]) ** 2):
+                break
 
         step = 1.0
         for _ in range(_GN_MAX_HALVINGS + 1):

@@ -19,9 +19,9 @@ m = ((u - cx)/fx, (v - cy)/fy) and r = |m|; its forward map inverts that
 relation with a Newton solve.  Brown-Conrady and Kannala-Brandt
 unprojections invert the odd polynomial x + sum_n k_n x^(2n+1) = r, for
 x = rho = R/Z and x = theta respectively.  One clipped Newton loop
-(``_newton``: step tolerance 1e-10, at most 20 iterations) serves these
-radial/kb unprojections, the division projection and the LensFun
-undistortion in ``synth``.
+(``_newton``: step tolerance 1e-10, at most 20 iterations, then bisection of
+the bracketed cells it left open) serves these radial/kb unprojections, the
+division projection and the LensFun undistortion in ``synth``.
 
 Pixel coordinates live in the continuous domain [0, W] x [0, H]; sampled
 grids use pixel centers (i + 0.5, j + 0.5).
@@ -244,23 +244,39 @@ def _division_fold_radius(ks: tuple[float, ...]) -> float:
 
 
 def _newton(
-    fun, x0: np.ndarray, hi: float, max_iter: int = NEWTON_MAX_ITER
+    fun, target: np.ndarray, x0: np.ndarray, hi: float, max_iter: int = NEWTON_MAX_ITER
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cellwise Newton iteration on h(x) = 0, clipped into [0, hi].
+    """Cellwise Newton iteration on h(x) = g(x) - target = 0, clipped into [0, hi].
 
-    ``fun(x)`` returns (h, h').  A cell is converged once a step is at most
-    NEWTON_TOL; the loop ends when every cell is, or after ``max_iter``
-    steps.  Returns (x, converged).
+    ``fun(x)`` returns (g, g') elementwise.  A cell is converged once a step
+    is at most NEWTON_TOL; the loop ends when every cell is, or after
+    ``max_iter`` steps.  With a finite ``hi``, each cell still open whose
+    root is bracketed, h(0) <= 0 <= h(hi), is then bisected to NEWTON_TOL
+    (``rtsafe``'s fallback, Press et al., Numerical Recipes, 9.4); only those
+    cells are evaluated.  Returns (x, converged).
     """
     x = x0
     done = np.zeros(x.shape, dtype=bool)
     for _ in range(max_iter):
-        h, hp = fun(x)
-        step = h / np.where(np.abs(hp) > 1e-300, hp, 1.0)
+        g, gp = fun(x)
+        step = (g - target) / np.where(np.abs(gp) > 1e-300, gp, 1.0)
         x = np.clip(x - step, 0.0, hi)
         done |= np.abs(step) <= NEWTON_TOL
         if done.all():
-            break
+            return x, done
+    if not math.isfinite(hi):
+        return x, done
+    open_ = ~done
+    t = np.broadcast_to(target, x.shape)[open_]
+    lo, up = np.zeros(t.shape), np.full(t.shape, hi)
+    bracket = (fun(lo)[0] <= t) & (fun(up)[0] >= t)
+    for _ in range(math.ceil(math.log2(hi / NEWTON_TOL))):
+        mid = 0.5 * (lo + up)
+        below = fun(mid)[0] <= t
+        lo, up = np.where(below, mid, lo), np.where(below, up, mid)
+    x = np.array(x, dtype=np.float64)  # a writable copy, also of a 0-d result
+    x[open_] = np.where(bracket, 0.5 * (lo + up), x[open_])
+    done[open_] = bracket
     return x, done
 
 
@@ -376,11 +392,11 @@ def _division_forward_radius(
         psi = _even_poly(ks, r2)
         # d/dr atan2(r, psi) = (psi - r psi') / (r^2 + psi^2), positive on the
         # monotone domain
-        hp = (psi - 2.0 * r2 * _even_poly_deriv(ks, r2)) / (r2 + psi * psi)
-        return np.arctan2(r, psi) - theta, hp
+        gp = (psi - 2.0 * r2 * _even_poly_deriv(ks, r2)) / (r2 + psi * psi)
+        return np.arctan2(r, psi), gp
 
     r0 = np.clip(np.where(Z > 0.2, R / np.where(Z > 0.2, Z, 1.0), theta), 0.0, hi)
-    r, converged = _newton(fun, r0, hi)
+    r, converged = _newton(fun, theta, r0, hi)
     return r, converged & np.isfinite(r)
 
 
@@ -467,9 +483,9 @@ def _odd_poly_solve(
     hi = min(_stationary_radius(dist), cap)
 
     def fun(x):
-        return _odd_poly_theta(dist, x) - r, _odd_poly_theta_deriv(dist, x)
+        return _odd_poly_theta(dist, x), _odd_poly_theta_deriv(dist, x)
 
-    return _newton(fun, np.minimum(r, 0.999 * hi), hi)
+    return _newton(fun, r, np.minimum(r, 0.999 * hi), hi)
 
 
 def _unproject_cells(

@@ -244,8 +244,8 @@ def sample_spec_for_model(
             continue
         if model.num_dist >= 2:
             if fam is Family.DIVISION:
-                # probe the forward Newton solve across the image: profiles
-                # that flatten mid-image fail to invert and are rejected
+                # probe the forward solve across the image: a profile it
+                # cannot invert at some angle inside it is rejected
                 thetas = np.linspace(1e-6, theta_max(spec) - 1e-9, 512)
                 if not np.all(np.isfinite(_radial_profile_theta(spec, thetas))):
                     continue
@@ -361,6 +361,10 @@ class LensfunEntry:
     def __post_init__(self) -> None:
         if self.model_kind not in (*_POLY_KINDS, *_FISHEYE_KINDS):
             raise UnsupportedFamily(f"unsupported LensFun model kind {self.model_kind!r}")
+        for name in ("focal_mm", "sensor_width_mm", "sensor_height_mm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         expected = len(_POLY_KINDS.get(self.model_kind, ()))
         if self.model_kind in _POLY_KINDS and len(self.coefficients) != expected:
             raise ValueError(
@@ -455,7 +459,7 @@ def lensfun_to_eucm(
     # undistort: solve distort(ru) = rd
     distort = _distortion(entry)
     slope = distort.deriv()
-    ru, done = _newton(lambda x: (distort(x) - rd, slope(x)), rd, math.inf, 50)
+    ru, done = _newton(lambda x: (distort(x), slope(x)), rd, rd, math.inf, 50)
     gx_u = gx * np.where(rd > 0, ru / rd, 1.0)
     gy_u = gy * np.where(rd > 0, ru / rd, 1.0)
 
@@ -491,6 +495,8 @@ def parse_lensfun_xml(text: str) -> list[LensfunEntry]:
     Only the fields needed for the supported model kinds are read: the lens
     ``<type>`` (fisheye geometries), ``<cropfactor>`` (for the sensor size,
     relative to full frame 36 x 24 mm) and ``<distortion>`` calibration rows.
+    Rows of an unsupported model, or with neither ``focal`` nor
+    ``real-focal``, are skipped.
     """
     root = ET.fromstring(text)
     lenses = root.iter("lens") if root.tag != "lens" else [root]
@@ -526,13 +532,14 @@ def parse_lensfun_xml(text: str) -> list[LensfunEntry]:
             continue
         for row in rows:
             kind = row.get("model", "")
-            if kind not in _POLY_KINDS:
+            focal = row.get("real-focal") or row.get("focal")
+            if kind not in _POLY_KINDS or not focal:
                 continue
             out.append(
                 LensfunEntry(
                     model_kind=kind,
                     coefficients=tuple(float(row.get(c, 0.0)) for c in _POLY_KINDS[kind]),
-                    focal_mm=float(row.get("real-focal") or row.get("focal") or 0.0),
+                    focal_mm=float(focal),
                     sensor_width_mm=w_mm,
                     sensor_height_mm=h_mm,
                     projection=projection,

@@ -13,6 +13,7 @@ import raycalib as rc
 import raycalib.cli
 from raycalib.cli import main
 from raycalib.fileio import read_field, read_spec, write_spec
+from raycalib.models import pixel_centers
 
 from conftest import centered_spec
 
@@ -234,6 +235,25 @@ class TestEvalCommand:
         field = read_field(dumped[0])
         assert np.max(np.abs(field.theta)) < 1e-6
 
+    def test_dump_per_pixel_nan_where_a_camera_cannot_unproject(self, tmp_path):
+        # radial:1 with k1 = -0.28 folds at normalized radius 0.727: past the
+        # image corners (0.85) but not the edge midpoints (0.6)
+        gt = rc.CameraSpec(rc.parse_model("pinhole"), 40.0, 40.0, 24.0, 24.0, (), 48, 48)
+        est = gt.replace(model=rc.parse_model("radial:1"), dist=(-0.28,))
+        for root, spec in (("gt", gt), ("est", est)):
+            (tmp_path / root).mkdir()
+            write_spec(tmp_path / root / "0000.json", spec)
+        rep = tmp_path / "rep"
+        assert run("eval", str(tmp_path / "est"), str(tmp_path / "gt"), "-o", str(rep),
+                   "--stride", "2", "--dump-per-pixel") == 0
+        report = json.loads((rep / "report.json").read_text())
+        assert report["failed"] == {} and report["per_image"]["0000"]["dropped_ae"] > 0
+        px = pixel_centers(48, 48, 2)
+        ok = rc.unproject_masked(est, px)[1] & rc.unproject_masked(gt, px)[1]
+        assert 0 < np.count_nonzero(~ok) < ok.size
+        theta = read_field(rep / "perpixel" / "0000.aff1").theta
+        np.testing.assert_array_equal(np.isnan(theta), np.stack([~ok, ~ok], axis=-1))
+
 
 class TestConvertCommand:
     def test_identity(self, tmp_path, capsys):
@@ -288,6 +308,16 @@ class TestLensfunCommand:
         path.write_text("oops[")
         assert run("lensfun", str(path)) == 2
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "ParseError"
+
+    def test_zero_focal_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps({
+            "model_kind": "poly3", "coefficients": [0.01], "focal_mm": 0,
+            "sensor_width_mm": 36.0, "sensor_height_mm": 24.0,
+        }))
+        assert run("lensfun", str(path)) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "InvalidInput" and "focal_mm" in error["message"]
 
 
 CALIB_ERRORS = sorted(

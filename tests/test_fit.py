@@ -31,6 +31,21 @@ def grid_corrs(spec: rc.CameraSpec, stride: int = 8) -> rc.Correspondences:
     return rc.Correspondences.from_spec(spec, stride)
 
 
+def count_calls(monkeypatch, *names: str) -> list[list]:
+    """Wrap each named ``raycalib.fit`` function; one list of call arguments per name."""
+    calls = []
+    for name in names:
+        fn, seen = getattr(rc.fit, name), []
+
+        def wrapped(*args, fn=fn, seen=seen):
+            seen.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(f"raycalib.fit.{name}", wrapped)
+        calls.append(seen)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # stage 1: principal point and aspect
 # ---------------------------------------------------------------------------
@@ -205,6 +220,30 @@ class TestRefine:
         # here every trial length of the first step is rejected: the
         # parameters did not move, so refine builds no second step
         assert len(set(costs)) == 1 and len(steps) == 2
+
+    def test_refined_spec_stops_after_one_pass(self, rng, monkeypatch):
+        # at the spec of test_refined_spec_is_a_fixed_point the first step is
+        # predicted to remove less than _GN_RTOL of the cost, so refine pays
+        # no trial pass
+        spec = rc.sample_spec_for_model(rc.parse_model("kb:3"), 64, rng)
+        field = rc.add_noise(rc.field_from_spec(spec), 0.3, seed=7)
+        corrs = rc.Correspondences.from_field(field)
+        first = rc.calibrate(field, spec.model)
+        passes, systems = count_calls(monkeypatch, "_residuals", "_reduced_system")
+        again = rc.refine(first.spec, corrs)
+        assert len(passes) == 1 and len(systems) == 1
+        assert again.spec == first.spec and len(set(again.gn_costs)) == 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_noisy_fit_stops_at_noise_floor(self, seed, monkeypatch):
+        spec = rc.sample_spec_for_model(rc.parse_model("kb:2"), 96, np.random.default_rng(seed))
+        field = rc.add_noise(rc.field_from_spec(spec), 0.5, seed=seed)
+        passes, _ = count_calls(monkeypatch, "_residuals", "_reduced_system")
+        costs = rc.calibrate(field, spec.model).gn_costs
+        assert len(passes) <= 4
+        assert len(costs) == 6
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
+        assert costs[-1] == costs[-2]
 
     def test_underdetermined_returns_start_with_warning(self):
         spec = centered_spec("kb:4", 100.0, 64, dist=(0.05, -0.01, 0.001, -0.0001))

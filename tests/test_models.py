@@ -13,6 +13,8 @@ from raycalib.models import (
     _even_poly,
     _odd_poly_solve,
     _ray_angle,
+    _stationary_radius,
+    pixel_centers,
     radial_profile,
     theta_max,
 )
@@ -195,6 +197,22 @@ class TestUnproject:
         )
         with pytest.raises(rc.NonInvertiblePixel):
             rc.unproject(spec, np.array([240.0 + float(fold_px) + 2.0, 240.0]))
+
+    def test_kb_cells_newton_leaves_open_are_bisected(self):
+        # every radius lies below h(theta_fold) = 2.441, but Newton from
+        # min(r, 0.999 theta_fold), where h' is near 0, leaves 20 cells open
+        dist = (0.44933, -0.10482)
+        f = 21.596
+        spec = rc.CameraSpec(rc.parse_model("kb:2"), f, f, 32.0, 32.0, dist, 64, 64)
+        px = pixel_centers(64, 64, 2).reshape(-1, 2)
+        r = np.hypot(px[:, 0] - 32.0, px[:, 1] - 32.0) / f
+        theta, done = _odd_poly_solve(dist, r, math.pi - 1e-9)
+        assert done.all() and rc.unproject_masked(spec, px)[1].all()
+        fold = _stationary_radius(dist)
+        roots = [np.roots([dist[1], 0.0, dist[0], 0.0, 1.0, -ri]) for ri in r]
+        ref = [min(z.real for z in zs if abs(z.imag) < 1e-12 and 0.0 <= z.real <= fold)
+               for zs in roots]
+        np.testing.assert_allclose(theta, ref, rtol=0.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

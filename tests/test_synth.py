@@ -290,6 +290,26 @@ class TestLensfun:
                 sensor_width_mm=36.0, sensor_height_mm=24.0,
             )
 
+    @pytest.mark.parametrize("field", ["focal_mm", "sensor_width_mm", "sensor_height_mm"])
+    @pytest.mark.parametrize("value", [0.0, -8.0, math.nan, math.inf])
+    def test_nonpositive_or_nonfinite_size_rejected(self, field, value):
+        sizes = {"focal_mm": 8.0, "sensor_width_mm": 36.0, "sensor_height_mm": 24.0}
+        with pytest.raises(ValueError, match=field):
+            rc.LensfunEntry("poly3", (0.01,), **{**sizes, field: value})
+
+    def test_distortion_row_without_focal_skipped(self, tmp_path):
+        no_focal = '<distortion model="poly3" k1="0.01"/>'
+        good = '<distortion model="poly5" focal="10" k1="0.01" k2="-0.002"/>'
+        lens = "<lens><type>fisheye</type><calibration>{}</calibration></lens>"
+        assert parse_lensfun_xml(lens.format(no_focal)) == []
+        path = tmp_path / "lenses.xml"
+        path.write_text(lens.format(no_focal))
+        with pytest.raises(rc.UnsupportedFamily):
+            load_lensfun_entry(path)
+        # the row with a focal survives its neighbour
+        (entry,) = parse_lensfun_xml(lens.format(no_focal + good))
+        assert entry.model_kind == "poly5" and entry.focal_mm == 10.0
+
     def test_xml_parsing(self):
         text = """<lensdatabase>
           <lens>
