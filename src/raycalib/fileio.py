@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -41,18 +42,28 @@ def write_field(path: str | Path, field: FovField) -> None:
 
 
 def read_field(path: str | Path) -> FovField:
-    """Read a field from an AFF1 file, or from CSV if the magic is absent."""
+    """Read a field from an AFF1 file, or from CSV if the magic is absent.
+
+    Raises:
+        DimensionMismatch: if the AFF1 header is cut short or the payload
+            does not hold exactly width * height * 2 f32 values.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.read(4)
         if head != _AFF1_MAGIC:
             return _read_field_csv(path)
-        gw, gh = struct.unpack("<II", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    if data.size != gw * gh * 2:
+        size = fh.read(8)
+        payload = fh.read()
+    if len(size) != 8:
+        raise DimensionMismatch(f"{path}: AFF1 header ends after {4 + len(size)} of 12 bytes")
+    gw, gh = struct.unpack("<II", size)
+    if len(payload) != gw * gh * 8:
         raise DimensionMismatch(
-            f"{path}: expected {gw * gh * 2} values, found {data.size}"
+            f"{path}: expected {gw * gh * 2} values ({gw * gh * 8} bytes), "
+            f"found {len(payload)} bytes"
         )
+    data = np.frombuffer(payload, dtype="<f4")
     return FovField(theta=data.reshape(gh, gw, 2).astype(np.float64))
 
 
@@ -104,8 +115,21 @@ def write_json(path: str | Path, obj: dict) -> None:
     Path(path).write_text(dump_json(obj), encoding="utf-8")
 
 
-def read_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def parse_json_object(path: str | Path, text: str, build: Callable[[dict], Any]) -> Any:
+    """``build`` applied to the JSON object ``text`` read from ``path``.
+
+    Raises:
+        ValueError: naming ``path``, if the document is not a JSON object or
+            ``build`` meets a field of the wrong JSON type (a number where a
+            list belongs, a null).
+    """
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    try:
+        return build(data)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: a field has the wrong type: {exc}") from None
 
 
 def write_spec(path: str | Path, spec: CameraSpec) -> None:
@@ -113,4 +137,4 @@ def write_spec(path: str | Path, spec: CameraSpec) -> None:
 
 
 def read_spec(path: str | Path) -> CameraSpec:
-    return CameraSpec.from_dict(read_json(path))
+    return parse_json_object(path, Path(path).read_text(encoding="utf-8"), CameraSpec.from_dict)

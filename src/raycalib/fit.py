@@ -318,16 +318,11 @@ def fit_linear(
 
 
 
-def _fit_eucm_full(
-    corrs: Correspondences,
-    a: float,
-    c: tuple[float, float],
-    size: tuple[int, int],
-) -> tuple[CameraSpec, tuple[str, ...]]:
-    proxy, _ = _fit_linear_full(
-        ModelId(Family.KANNALA_BRANDT, EUCM_PROXY_ORDER), corrs, a, c, size
-    )
-    f = proxy.fx
+def _eucm_dist(
+    corrs: Correspondences, f: float, a: float, c: tuple[float, float]
+) -> tuple[tuple[float, float], tuple[str, ...]]:
+    """(alpha, beta) of the extended unified model at a known focal, solved
+    from the (gamma, alpha) rows with the active set, and the bounds it hit."""
     col_g, col_a, rhs = _eucm_rows(corrs, f, a, c)
 
     gamma, alpha = _lstsq(np.stack([col_g, col_a], axis=-1), rhs, "eucm (gamma, alpha) solve")
@@ -368,10 +363,20 @@ def _fit_eucm_full(
         beta = 1e-6
     else:
         beta = float(gamma) / float(alpha) ** 2
-    return (
-        _make_spec(ModelId(Family.EUCM, 2), f, a, c, (float(alpha), float(beta)), size),
-        tuple(bounds),
+    return (float(alpha), float(beta)), tuple(bounds)
+
+
+def _fit_eucm_full(
+    corrs: Correspondences,
+    a: float,
+    c: tuple[float, float],
+    size: tuple[int, int],
+) -> tuple[CameraSpec, tuple[str, ...]]:
+    proxy, _ = _fit_linear_full(
+        ModelId(Family.KANNALA_BRANDT, EUCM_PROXY_ORDER), corrs, a, c, size
     )
+    dist, bounds = _eucm_dist(corrs, proxy.fx, a, c)
+    return _make_spec(ModelId(Family.EUCM, 2), proxy.fx, a, c, dist, size), bounds
 
 
 
@@ -755,12 +760,7 @@ def convert_model(
     if dst_model.num_dist == 0:
         return _make_spec(dst_model, f, a, c, (), size)
     if dst_model.family is Family.EUCM:
-        col_g, col_a, rhs = _eucm_rows(corrs, f, a, c)
-        gamma, alpha = _lstsq(
-            np.stack([col_g, col_a], axis=-1), rhs, "fixed-focal eucm solve"
-        )
-        alpha = min(max(float(alpha), 1e-6), 1.0 - 1e-6)
-        dist = (alpha, float(gamma) / alpha**2)
+        dist, _ = _eucm_dist(corrs, f, a, c)
     else:
         # the focal column moves to the right-hand side
         focal_col, dist_cols, rhs, inverse, dist_of = _family_rows(dst_model, corrs, a, c)

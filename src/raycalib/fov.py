@@ -76,8 +76,11 @@ class FovField:
 
     ``theta`` has shape (grid_h, grid_w, 2), row-major with the top-left cell
     first.  Cell (j, i) corresponds to pixel center ((i + 0.5) * stride,
-    (j + 0.5) * stride); a stride of 1 (the default and the only value used by
-    the file formats) makes the grid per-pixel for a width x height image.
+    (j + 0.5) * stride); a stride of 1 (the default) makes the grid per-pixel
+    for a width x height image.  The file formats store no stride, so a field
+    read from a file has stride 1: a grid written at stride s (``eval
+    --dump-per-pixel`` writes at its ``--stride``) reads back as a
+    (W/s) x (H/s) field.
     """
 
     theta: np.ndarray

@@ -316,47 +316,27 @@ def _corner_norm_radius(spec: CameraSpec) -> float:
 
 @lru_cache(maxsize=4096)
 def theta_max(spec: CameraSpec) -> float:
-    """Largest polar angle whose projection stays within the image corner radius.
+    """Largest polar angle the camera images: the polar angle of the ray
+    unprojected at the image corner's normalized radius.
 
-    Computed numerically from the radial profile: the profile is scanned for
-    its monotone prefix and inverted at the corner radius by bisection.  If
-    the profile folds before reaching the corner, the fold angle is returned
-    instead.  A slack of 1e-9 rad keeps border pixels round-trippable.
+    If that radius does not unproject, because the camera folds or its
+    model's domain ends before the corner, the radius is bisected for the
+    last one that does; unprojection validity is monotone in the radius for
+    every family.  A slack of 1e-9 rad keeps border pixels round-trippable.
     """
-    fam = spec.model.family
-    r_corner = _corner_norm_radius(spec)
+    unit = spec.replace(fx=1.0, fy=1.0, cx=0.0, cy=0.0)  # pixels are normalized radii
 
-    if fam is Family.DIVISION:
-        # invert in radius space, where the profile is theta(r) = atan2(r, psi(r))
-        r_end = min(r_corner, _division_fold_radius(spec.dist))
-        psi = float(_even_poly(spec.dist, np.array(r_end * r_end)))
-        return math.atan2(r_end, psi) + _THETA_MAX_SLACK
+    def unprojects(r: float) -> bool:
+        return bool(unproject_masked(unit, np.array([r, 0.0]))[1])
 
-    if fam in (Family.PINHOLE, Family.BROWN_CONRADY):
-        dom_end = math.pi / 2 - 1e-9
-    else:
-        dom_end = math.pi - 1e-9
-
-    grid = np.linspace(1e-9, dom_end, 4097)
-    prof = _radial_profile_theta(spec, grid)
-    bad = ~np.isfinite(prof)
-    bad[1:] |= np.diff(prof) <= 0
-    if bad.any():
-        end = int(np.argmax(bad))
-        if end == 0:
-            return _THETA_MAX_SLACK
-        grid, prof = grid[:end], prof[:end]
-    if prof[-1] <= r_corner:
-        return float(grid[-1]) + _THETA_MAX_SLACK
-
-    lo, hi = 0.0, float(grid[np.argmax(prof > r_corner)])
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _radial_profile_theta(spec, np.array(mid)) > r_corner:
-            hi = mid
-        else:
-            lo = mid
-    return hi + _THETA_MAX_SLACK
+    r = _corner_norm_radius(spec)
+    if not unprojects(r):
+        lo, hi = 0.0, r
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if unprojects(mid) else (lo, mid)
+        r = lo
+    X, Y, Z = unproject_masked(unit, np.array([r, 0.0]))[0]
+    return math.atan2(math.hypot(X, Y), Z) + _THETA_MAX_SLACK
 
 
 # ---------------------------------------------------------------------------

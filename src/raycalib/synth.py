@@ -17,9 +17,10 @@ provided:
 
 Every kind draws its model string's spec with ``sample_spec_for_model``, the
 one per-model sampler.  The radial:1 coefficient is parameterized as
-khat = k * H / f, which couples k and f; the two are resolved jointly by a
-fixed-point iteration, so a radial:1 camera puts FoV/2 exactly at the half
-height with k = khat * f / H, unless its focal is raised to ``min_focal``.
+khat = k * H / f, which couples k and f; the two are resolved jointly in
+closed form (the root of a quadratic in k), so a radial:1 camera puts FoV/2
+exactly at the half height with k = khat * f / H, unless its focal is raised
+to ``min_focal``.
 Sampled focals are raised to min_focal * (1 + 1e-4) where they fall below
 it, so every sampled spec passes ``validate_spec``.
 
@@ -40,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateGeometry, FovOutOfRange, NewtonDivergence, UnsupportedFamily
+from .fileio import parse_json_object
 from .fit import Correspondences, fit_eucm, refine
 from .fov import FovField
 from .models import (
@@ -54,7 +56,6 @@ from .models import (
     _ray_angle,
     min_focal,
     parse_model,
-    theta_max,
     unproject_masked,
     validate_spec,
 )
@@ -130,22 +131,19 @@ def _centered_square(model: ModelId, f: float, dist: tuple[float, ...], size: in
 
 
 def _solve_radial1(k_hat: float, fov_deg: float, size: int) -> tuple[float, float]:
-    """Joint fixed point for the radial:1 focal and coefficient k = khat * f / H.
+    """Joint radial:1 focal and coefficient k = khat * f / H, in closed form.
 
-    Repeats k = khat * f / H, f = max(focal_from_fov(k), min_focal(k)) from
-    the k = 0 focal until f changes by at most 1e-12 relative (at most 50
-    times).  Unless the clamp is active, f puts FoV/2 exactly at H/2 for k.
+    With t = tan(FoV/2), putting FoV/2 at H/2 means f = H / (2 t (1 + k t^2));
+    with k = khat * f / H that is the quadratic 2 t^3 k^2 + 2 t k = khat, whose
+    root k = khat / (t (1 + sqrt(1 + 2 t khat))) gives the FoV focal.  The
+    clamp focal solves f = min_focal(k) for the same k: f = -27 khat H / 8,
+    negative for khat >= 0.  f is the larger of the two, so unless the clamp
+    wins, f puts FoV/2 exactly at H/2.
     """
-    model = ModelId(Family.BROWN_CONRADY, 1)
-    f = focal_from_fov(model, (0.0,), fov_deg, size)
-    for _ in range(50):
-        k = k_hat * f / size
-        f_prev, f = f, max(
-            focal_from_fov(model, (k,), fov_deg, size), min_focal(model, (k,), size, size)
-        )
-        if abs(f - f_prev) <= 1e-12 * f:
-            break
-    return f, k
+    t = math.tan(math.radians(fov_deg) / 2.0)
+    k = k_hat / (t * (1.0 + math.sqrt(1.0 + 2.0 * t * k_hat)))
+    f = max(size / (2.0 * t * (1.0 + k * t * t)), -27.0 * k_hat * size / 8.0)
+    return f, k_hat * f / size
 
 
 class IntrinsicsSampler:
@@ -242,15 +240,8 @@ def sample_spec_for_model(
         spec = _centered_square(model, f, dist, size)
         if not validate_spec(spec).ok:
             continue
-        if model.num_dist >= 2:
-            if fam is Family.DIVISION:
-                # probe the forward solve across the image: a profile it
-                # cannot invert at some angle inside it is rejected
-                thetas = np.linspace(1e-6, theta_max(spec) - 1e-9, 512)
-                if not np.all(np.isfinite(_radial_profile_theta(spec, thetas))):
-                    continue
-            elif _radial_slope_floor(spec) < 0.15:
-                continue
+        if model.num_dist >= 2 and _radial_slope_floor(spec) < 0.15:
+            continue
         corners = np.array(
             [[0.0, 0.0], [size, 0.0], [0.0, size], [size, size]], dtype=float
         )
@@ -550,8 +541,6 @@ def parse_lensfun_xml(text: str) -> list[LensfunEntry]:
 
 def load_lensfun_entry(path: str | Path) -> LensfunEntry:
     """Load one entry from minimal JSON or LensFun XML."""
-    import json
-
     text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("<"):
@@ -559,4 +548,4 @@ def load_lensfun_entry(path: str | Path) -> LensfunEntry:
         if not entries:
             raise UnsupportedFamily(f"{path}: no supported lens entry found")
         return entries[0]
-    return LensfunEntry.from_dict(json.loads(text))
+    return parse_json_object(path, text, LensfunEntry.from_dict)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +349,36 @@ def _convert_invalid_spec(tmp: Path) -> list[str]:
     return ["convert", str(tmp / "spec.json"), "--to", "kb:2"]
 
 
+def _fit_truncated_header(tmp: Path) -> list[str]:
+    (tmp / "field.aff1").write_bytes(b"AFF1\x01\x00")
+    return ["fit", str(tmp / "field.aff1"), "--model", "pinhole"]
+
+
+def _fit_ragged_payload(tmp: Path) -> list[str]:
+    # a 2 x 2 header and 15 payload bytes, not a whole number of f32 values
+    (tmp / "field.aff1").write_bytes(b"AFF1" + struct.pack("<II", 2, 2) + b"\0" * 15)
+    return ["fit", str(tmp / "field.aff1"), "--model", "pinhole"]
+
+
+def _convert_spec_not_an_object(tmp: Path) -> list[str]:
+    (tmp / "spec.json").write_text("[1, 2]")
+    return ["convert", str(tmp / "spec.json"), "--to", "kb:2"]
+
+
+def _convert_null_focal(tmp: Path) -> list[str]:
+    data = centered_spec("pinhole", 60.0, 32).to_dict()
+    (tmp / "spec.json").write_text(json.dumps({**data, "fx": None}))
+    return ["convert", str(tmp / "spec.json"), "--to", "kb:2"]
+
+
+def _lensfun_number_coefficients(tmp: Path) -> list[str]:
+    (tmp / "entry.json").write_text(json.dumps({
+        "model_kind": "poly3", "coefficients": 5, "focal_mm": 8.0,
+        "sensor_width_mm": 36.0, "sensor_height_mm": 24.0,
+    }))
+    return ["lensfun", str(tmp / "entry.json")]
+
+
 class TestInputErrors:
     @pytest.mark.parametrize(
         "make_argv, kind",
@@ -355,8 +386,15 @@ class TestInputErrors:
             (_eval_missing_dir, "FileNotFound"),
             (_eval_no_common_name, "EmptyInput"),
             (_convert_invalid_spec, "InvalidInput"),
+            (_fit_truncated_header, "DimensionMismatch"),
+            (_fit_ragged_payload, "DimensionMismatch"),
+            (_convert_spec_not_an_object, "InvalidInput"),
+            (_convert_null_focal, "InvalidInput"),
+            (_lensfun_number_coefficients, "InvalidInput"),
         ],
-        ids=["eval-missing-dir", "eval-no-common-name", "convert-invalid-spec"],
+        ids=["eval-missing-dir", "eval-no-common-name", "convert-invalid-spec",
+             "fit-truncated-header", "fit-ragged-payload", "convert-spec-not-an-object",
+             "convert-null-focal", "lensfun-number-coefficients"],
     )
     def test_exit_2_with_error_object(self, make_argv, kind, tmp_path, capsys):
         code = run(*make_argv(tmp_path))

@@ -217,8 +217,9 @@ class TestRefine:
         assert all(b <= a for a, b in zip(costs, costs[1:]))
         assert max_param_error(again.spec, first.spec) < 1e-9
         assert rc.refine(first.spec, corrs) == again
-        # here every trial length of the first step is rejected: the
-        # parameters did not move, so refine builds no second step
+        # here the first step is predicted to remove less than _GN_RTOL of
+        # the cost, so refine stops before any trial pass: the parameters
+        # do not move, and each of the two calls builds one step
         assert len(set(costs)) == 1 and len(steps) == 2
 
     def test_refined_spec_stops_after_one_pass(self, rng, monkeypatch):
@@ -479,6 +480,15 @@ class TestConvertModel:
         assert np.all(np.isfinite(got.dist))
         if got.model.family is rc.Family.UCM:
             assert got.dist[0] >= 0.0
+
+    def test_fixed_focal_eucm_keeps_the_fit_bounds(self):
+        # a pincushion source needs alpha < 0 at the held focal; the fit's
+        # active set puts alpha at its bound instead of dividing gamma by a
+        # clamped alpha^2
+        spec = centered_spec("radial:1", 70.0, 128, dist=(0.1,))
+        got = rc.convert_model(spec, rc.parse_model("eucm"), fix_focal=True, stride=4)
+        assert got.dist[0] < 1e-3 and got.dist[1] <= 1.0
+        assert rc.angular_error(spec, got, grid_stride=4) < 1.0
 
     @pytest.mark.parametrize(
         "name, fov, dist",

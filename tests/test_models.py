@@ -134,6 +134,27 @@ class TestProject:
         with pytest.raises(rc.RayOutsideDomain):
             rc.project(spec, np.array([math.sin(t), 0.0, math.cos(t)]))
 
+    @pytest.mark.parametrize(
+        "name, dist, f, fold",
+        [
+            ("kb:1", (-0.11021,), 22.02, 1.0 / math.sqrt(3 * 0.11021)),
+            ("kb:1", (-0.3,), 10.0, 1.0 / math.sqrt(3 * 0.3)),
+            ("radial:1", (-0.1,), 18.0, math.atan(1.0 / math.sqrt(3 * 0.1))),
+            ("radial:1", (-0.02,), 4.0, math.atan(1.0 / math.sqrt(3 * 0.02))),
+            ("ucm", (1.5,), 10.0, math.acos(-1.0 / 1.5)),
+            ("ucm", (3.0,), 5.0, math.acos(-1.0 / 3.0)),
+        ],
+    )
+    def test_theta_max_of_a_folded_camera_is_the_fold(self, name, dist, f, fold):
+        spec = rc.CameraSpec(rc.parse_model(name), f, f, 32.0, 32.0, dist, 64, 64)
+        _, corner_ok = rc.unproject_masked(spec, np.array([0.0, 0.0]))
+        assert not corner_ok  # the image corner lies beyond the fold
+        # kb and radial fold where the Newton bracket ends, exactly; the ucm
+        # domain ends where a square root's argument reaches 0, so the last
+        # radius that unprojects, one ulp short of it, is sqrt(ulp) short in angle
+        tol = 1e-9 if name != "ucm" else 1e-9 + 2.0 * math.sqrt(np.finfo(float).eps)
+        assert theta_max(spec) == pytest.approx(fold + 1e-9, rel=0.0, abs=tol)
+
 
 # ---------------------------------------------------------------------------
 # unprojection

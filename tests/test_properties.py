@@ -6,6 +6,8 @@ draws the same examples and writes nothing.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -63,3 +65,25 @@ def test_validate_spec_switches_at_min_focal(name, size, seed):
     below = rc.validate_spec(spec.replace(fx=0.999 * f_min, fy=0.999 * f_min))
     assert len(below.violations) == 1
     assert below.violations[0].startswith("focal below the injectivity clamp")
+
+
+@pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
+@PROPERTY
+@given(size=SIZES, seed=SEEDS)
+def test_theta_max_is_the_corner_polar_angle(name, size, seed):
+    spec = draw_spec(name, size, seed)
+    X, Y, Z = rc.unproject(spec, np.array([0.0, 0.0]))
+    assert theta_max(spec) == pytest.approx(
+        math.atan2(math.hypot(X, Y), Z) + 1e-9, rel=0.0, abs=1e-11
+    )
+
+
+@pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
+@PROPERTY
+@given(size=SIZES, seed=SEEDS)
+def test_log_exp_round_trip_of_the_unprojected_grid(name, size, seed):
+    spec = draw_spec(name, size, seed)
+    rays = rc.unproject(spec, pixel_centers(size, size))
+    np.testing.assert_allclose(rc.exp_map(rc.log_map(rays)), rays, rtol=0.0, atol=1e-12)
+    grid = rc.rays_from_field(rc.field_from_spec(spec))
+    np.testing.assert_allclose(grid.rays, rays, rtol=0.0, atol=1e-12)

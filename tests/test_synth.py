@@ -11,6 +11,7 @@ import pytest
 import raycalib as rc
 from raycalib.synth import (
     _distortion,
+    _solve_radial1,
     _truncated_normal,
     load_lensfun_entry,
     parse_lensfun_xml,
@@ -55,6 +56,16 @@ class TestFocalFromFov:
             _, vfov = rc.fov_agnostic(spec)
             f = rc.focal_from_fov(spec.model, spec.dist, vfov, spec.height)
             assert f == pytest.approx(spec.fx, rel=1e-11), name
+
+    @pytest.mark.parametrize("k_hat, fov, size", [(-0.3, 105.0, 480), (-0.25, 90.0, 64),
+                                                  (-0.2, 100.0, 128)])
+    def test_radial1_clamp_is_the_min_focal_fixed_point(self, k_hat, fov, size):
+        model = rc.parse_model("radial:1")
+        f, k = _solve_radial1(k_hat, fov, size)
+        assert k == k_hat * f / size
+        assert f > rc.focal_from_fov(model, (k,), fov, size)  # the clamp is active
+        assert f == pytest.approx(-27.0 * k_hat * size / 8.0, rel=1e-12)
+        assert f == pytest.approx(rc.min_focal(model, (k,), size, size), rel=1e-12)
 
 
 class TestIntrinsicsSampler:
