@@ -23,6 +23,7 @@ The environment variable ``RAYCALIB_THREADS`` caps the per-image worker pool.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -59,6 +60,16 @@ _INPUT_ERRORS = (
     FovOutOfRange,
     EmptyInput,
 )
+
+
+def _error_kind(exc: Exception) -> str:
+    """The ``kind`` reported for an input error or a library error."""
+    return {
+        FileNotFoundError: "FileNotFound",
+        IsADirectoryError: "FileNotFound",
+        json.JSONDecodeError: "ParseError",
+        KeyError: "ParseError",
+    }.get(type(exc), exc.kind if isinstance(exc, CalibError) else "InvalidInput")
 
 
 def _worker_count() -> int:
@@ -184,21 +195,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
         (out / "perpixel").mkdir(exist_ok=True)
 
     def score(name: str):
-        gt = read_spec(gt_files[name])
-        est = read_spec(est_files[name])
         try:
+            gt = read_spec(gt_files[name])
+            est = read_spec(est_files[name])
             report = evaluate(gt, est, grid_stride=args.stride)
             if args.dump_per_pixel:
                 write_field(
                     out / "perpixel" / f"{name}.aff1", _theta_difference(gt, est, args.stride)
                 )
-        except CalibError as exc:  # one pair that cannot be scored fails alone
+        except (*_INPUT_ERRORS, CalibError) as exc:  # a pair that cannot be scored fails alone
             return name, exc
         return name, report
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         scored = dict(pool.map(score, names))
-    failed = {n: r for n, r in scored.items() if isinstance(r, CalibError)}
+    failed = {n: r for n, r in scored.items() if isinstance(r, Exception)}
     if len(failed) == len(names):  # nothing scored: fail as one batch
         raise failed[names[0]]
     names = [n for n in names if n not in failed]
@@ -218,7 +229,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = {
         "n_pairs": len(names),
         "missing": missing,
-        "failed": {n: {"kind": exc.kind, "message": str(exc)} for n, exc in failed.items()},
+        "failed": {n: {"kind": _error_kind(exc), "message": str(exc)} for n, exc in failed.items()},
         "medians": medians,
         "auc": {
             "hfov": dict(zip(("1", "5", "10"), auc(hfov_errs))),
@@ -293,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RANSAC seed")
     p.add_argument("--stride", type=int, default=1, help="correspondence stride")
     p.add_argument("-o", "--output", help="result JSON path (default: stdout)")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("synth", help="generate a synthetic ground-truth dataset")
     p.add_argument("--kind", required=True, choices=[k.value for k in DatasetKind])
@@ -303,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-deg", type=float, default=0.0, help="tangent noise sigma")
     p.add_argument("--edit", action="store_true", help="apply random stretch and crop")
     p.add_argument("-o", "--output", required=True, help="output dataset directory")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("eval", help="score estimated specs against ground truth")
     p.add_argument("est_dir")
@@ -312,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edited", action="store_true", help="include ef/ec medians")
     p.add_argument("--dump-per-pixel", action="store_true", help="write theta-difference grids")
     p.add_argument("-o", "--output", required=True, help="output report directory")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("convert", help="re-express a spec in another camera model")
     p.add_argument("spec", help="intrinsics JSON file")
@@ -320,29 +328,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix-focal", action="store_true", help="hold f, a, c at source values")
     p.add_argument("--stride", type=int, default=4, help="conversion grid stride")
     p.add_argument("-o", "--output", help="output JSON path (default: stdout)")
-    p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("lensfun", help="map a LensFun entry to the extended unified model")
     p.add_argument("entry", help="entry JSON or LensFun XML file")
     p.add_argument("--grid-stride", type=int, default=4, help="sensor grid stride")
     p.add_argument("-o", "--output", help="output JSON path (default: stdout)")
-    p.set_defaults(func=cmd_lensfun)
     return parser
 
 
+# parsing never changes the parser, so one serves every call of ``main``
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name per call, not bound into the cached parser
+        return globals()[f"cmd_{args.command}"](args)
     except _INPUT_ERRORS as exc:
-        kind = {
-            FileNotFoundError: "FileNotFound",
-            IsADirectoryError: "FileNotFound",
-            json.JSONDecodeError: "ParseError",
-            KeyError: "ParseError",
-        }.get(type(exc), exc.kind if isinstance(exc, CalibError) else "InvalidInput")
-        sys.stdout.write(dump_json({"error": {"kind": kind, "message": str(exc)}}))
+        sys.stdout.write(dump_json({"error": {"kind": _error_kind(exc), "message": str(exc)}}))
         return 2
     except CalibError as exc:
         # every other library error is a numerical failure

@@ -87,9 +87,13 @@ def _read_field_csv(path: Path) -> FovField:
             if not line or line.lower().startswith("u,"):
                 continue
             parts = line.split(",")
-            if len(parts) != 4:
+            try:
+                values = [float(p) for p in parts]
+            except ValueError:  # a value that is not a number
+                values = []
+            if len(values) != 4:
                 raise DimensionMismatch(f"{path}: malformed CSV record {line!r}")
-            rows.append([float(p) for p in parts])
+            rows.append(values)
     if not rows:
         raise DimensionMismatch(f"{path}: empty field file")
     data = np.asarray(rows)

@@ -16,30 +16,39 @@ unknowns:
    re-solve the free unknowns);
 4. up to five Gauss-Newton iterations on the mean squared tangent-plane
    residual between the target rays and the unprojections of the current
-   intrinsics.  The Jacobian is built per cell from the derivatives of the
-   unnormalized ray with respect to (mx, my, dist), reusing the state of the
-   residual pass, and reduced block by block with a tall-skinny QR, so no
-   n x P matrix is ever formed.  The factor R of [J | -e] gives the share of
-   |e|^2 the linearized step removes, |R[:k, k]|^2 of |R[:k, k]|^2 +
-   R[k, k]^2; below _GN_RTOL = 1e-14, under the roundoff of the cost sum,
-   refinement stops without a trial pass (relative-reduction test, Nocedal &
-   Wright, Numerical Optimization, 10.3).  Each step is halved up to four
-   times if the cost would increase, so the recorded per-iteration costs
-   never increase; a step rejected at every length leaves the intrinsics
-   unchanged, so the refinement stops there too, exactly where further
-   iterations would repeat it.
+   intrinsics.  A residual pass (``_pass``) sweeps the cells once, block by
+   block: it unprojects, forms the residuals and their share of the cost,
+   and then the Jacobian columns, from the derivatives of the unnormalized
+   ray with respect to (mx, my, dist) and the block's own unprojection, and
+   the block's QR factor of [J | -e].  So a pass returns its cost together
+   with the factor R of its step, and an accepted trial pass brings the R of
+   the next step; the trial of the last iteration skips the Jacobian.  The
+   factor gives the share of |e|^2 the linearized step removes,
+   |R[:k, k]|^2 of |R[:k, k]|^2 + R[k, k]^2; below _GN_RTOL = 1e-14, under
+   the roundoff of the cost sum, refinement stops without a trial pass
+   (relative-reduction test, Nocedal & Wright, Numerical Optimization,
+   10.3).  Each step is halved up to four times if the cost would increase,
+   so the recorded per-iteration costs never increase; a step rejected at
+   every length leaves the intrinsics unchanged, so the refinement stops
+   there too, exactly where further iterations would repeat it.  The
+   radial/kb Newton solves of a trial pass start from the accepted pass's
+   solution, the only per-cell state kept between passes.
 
-All linear stages use orthogonal factorizations, never explicit normal
-equations: SVD-backed lstsq for the closed-form stages, and for each
-Gauss-Newton step the blocked QR of [J | -e] followed by an SVD of its small
-triangular factor, with lstsq's column equilibration and rank rule.
+All linear stages share one kernel and never form normal equations: rows
+are built block by block (``_QR_BLOCK`` cells), each block is reduced to the
+triangular factor of [A | b] and the stacked factors once more, a
+tall-skinny QR (Demmel et al., SIAM J. Sci. Comput. 2012); ``_solve`` then
+takes the unknowns from R with lstsq's column equilibration, SVD and rank
+rule.  Bound re-solves work on columns of R.  Beyond the correspondences
+and the tangent basis of the targets, a fit so holds one block of rows at a
+time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -51,7 +60,9 @@ from .models import (
     ModelId,
     _ray_angle,
     _ray_derivatives,
+    _RayCells,
     _unproject_cells,
+    pixel_axes,
     pixel_centers,
     unproject_masked,
 )
@@ -62,9 +73,16 @@ _RCOND = 1e-12
 _GN_RTOL = 1e-14  # stop once a step is predicted to remove less of the cost
 _GN_ITERATIONS = 5
 _GN_MAX_HALVINGS = 4
-_QR_BLOCK = 8192  # cells per QR block: 16,384 residual rows, about 1 MiB per block
+_QR_BLOCK = 8192  # cells per block: 16,384 residual rows, about 1 MiB per block
 _EPS_XY = 1e-9  # rows with |X| and |Y| both below this are dropped
 _EPS_Z = 1e-6  # pinhole / radial rows require Z above this
+# families whose linear rows solve for 1/f and whose unprojection is a Newton solve
+_INVERSE_FOCAL = (Family.BROWN_CONRADY, Family.KANNALA_BRANDT)
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """Slices of at most _QR_BLOCK cells covering range(n)."""
+    return (slice(lo, lo + _QR_BLOCK) for lo in range(0, n, _QR_BLOCK))
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +114,23 @@ class Correspondences:
 
     @classmethod
     def from_field(cls, fov_field: FovField, stride: int = 1) -> "Correspondences":
-        """Pixel centers and exp-mapped rays of a field's finite cells, optionally strided."""
-        theta = fov_field.theta[::stride, ::stride].reshape(-1, 2)
-        px = fov_field.pixel_grid()[::stride, ::stride].reshape(-1, 2)
-        ok = np.isfinite(theta).all(axis=-1)
-        return cls(px[ok], exp_map(theta[ok]))
+        """Pixel centers and exp-mapped rays of a field's finite cells, optionally
+        strided, in grid order; filled in blocks of grid rows."""
+        theta = fov_field.theta[::stride, ::stride]
+        u, v = pixel_axes(fov_field.width, fov_field.height, fov_field.stride)
+        u, v = u[::stride], v[::stride]
+        n = int(np.count_nonzero(np.isfinite(theta).all(axis=-1)))
+        pixels, rays = np.empty((n, 2)), np.empty((n, 3))
+        step = max(1, _QR_BLOCK // max(1, theta.shape[1]))  # grid rows per block
+        lo = 0
+        for j0 in range(0, theta.shape[0], step):
+            block = theta[j0 : j0 + step]
+            jj, ii = np.nonzero(np.isfinite(block).all(axis=-1))
+            hi = lo + len(jj)
+            pixels[lo:hi, 0], pixels[lo:hi, 1] = u[ii], v[j0 + jj]
+            rays[lo:hi] = exp_map(block[jj, ii])
+            lo = hi
+        return cls(pixels, rays)
 
     @classmethod
     def from_spec(cls, spec: CameraSpec, stride: int = 1) -> "Correspondences":
@@ -146,20 +176,61 @@ class CalibrationResult:
         return out
 
 
+# ---------------------------------------------------------------------------
+# the least-squares kernel
+# ---------------------------------------------------------------------------
 
-def _lstsq(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    if A.shape[0] < A.shape[1]:
-        raise DegenerateGeometry(
-            f"{what}: {A.shape[0]} rows cannot determine {A.shape[1]} unknowns"
-        )
+
+
+def _tsqr(blocks: Iterable[np.ndarray], width: int) -> tuple[np.ndarray, int]:
+    """Factor R (width, width) of the rows of every block stacked, and their count.
+
+    Each block is factored on its own (mode "r"), and the stacked block
+    factors once more: a tall-skinny QR, which never holds more than one
+    block of rows.  A leading block of zero rows keeps R square however few
+    rows there are; it changes no column norm or inner product of R.
+    """
+    factors, rows = [np.zeros((width, width))], 0
+    for A in blocks:
+        rows += len(A)
+        factors.append(np.linalg.qr(A, mode="r"))
+    return np.linalg.qr(np.vstack(factors), mode="r"), rows
+
+
+def _row_qr(
+    corrs: Correspondences, rows: Callable[[np.ndarray, np.ndarray], np.ndarray], width: int
+) -> tuple[np.ndarray, int]:
+    """``_tsqr`` of the rows [A | b] that ``rows(pixels, rays)`` builds per block."""
+    return _tsqr((rows(corrs.pixels[sl], corrs.rays[sl]) for sl in _blocks(len(corrs))), width)
+
+
+def _solve(R: np.ndarray, rows: int, what: str) -> np.ndarray:
+    """Least-squares solution of A x = b from the factor R of [A | b] (``rows`` rows).
+
+    As in lstsq, the columns are equilibrated and singular values at or below
+    _RCOND times the largest count as zero.  Because R = Q^T [A | b], the
+    residual norm is |R[k, k]| and the column norms of A are those of R.
+
+    Raises:
+        DegenerateGeometry: with fewer rows than unknowns, a zero or
+            non-finite column, a rank below the unknowns or a non-finite
+            solution.
+    """
+    k = R.shape[1] - 1
+    if rows < k:
+        raise DegenerateGeometry(f"{what}: {rows} rows cannot determine {k} unknowns")
     # equilibrate columns so power-basis systems are not rank-truncated
-    scale = np.linalg.norm(A, axis=0)
+    scale = np.linalg.norm(R[:, :k], axis=0)
     if np.any(scale <= 0.0) or not np.all(np.isfinite(scale)):
         raise DegenerateGeometry(f"{what}: zero or non-finite column")
-    sol, _, rank, _ = np.linalg.lstsq(A / scale, b, rcond=_RCOND)
-    if rank < A.shape[1]:
-        raise DegenerateGeometry(f"{what}: rank {rank} < {A.shape[1]} unknowns")
-    return sol / scale
+    U, s, Vt = np.linalg.svd(R[:k, :k] / scale)
+    rank = int(np.count_nonzero(s > _RCOND * s[0]))
+    if rank < k:
+        raise DegenerateGeometry(f"{what}: rank {rank} < {k} unknowns")
+    sol = Vt.T @ ((U.T @ R[:k, k]) / s) / scale
+    if not np.all(np.isfinite(sol)):
+        raise DegenerateGeometry(f"{what}: non-finite solution")
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +239,22 @@ def _lstsq(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
 
 
 
-def _fit_ppoint_full(corrs: Correspondences) -> tuple[float, float, float, float]:
-    X, Y = corrs.rays[:, 0], corrs.rays[:, 1]
-    u, v = corrs.pixels[:, 0], corrs.pixels[:, 1]
+def _ppoint_rows(pixels: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """Rows [u Y | -Y | X | v X] of one block's off-axis cells."""
+    X, Y = rays[:, 0], rays[:, 1]
     keep = (np.abs(X) >= _EPS_XY) | (np.abs(Y) >= _EPS_XY)
-    if np.count_nonzero(keep) < 3:
+    X, Y, u, v = X[keep], Y[keep], pixels[keep, 0], pixels[keep, 1]
+    return np.stack([u * Y, -Y, X, v * X], axis=-1)
+
+
+def _fit_ppoint_full(corrs: Correspondences) -> tuple[float, float, float, float]:
+    R, m = _row_qr(corrs, _ppoint_rows, 4)
+    if m < 3:
         raise DegenerateGeometry("need at least 3 off-axis correspondences")
-    X, Y, u, v = X[keep], Y[keep], u[keep], v[keep]
-    A = np.stack([u * Y, -Y, X], axis=-1)
-    b = v * X
-    sol = _lstsq(A, b, "principal point / aspect solve")
-    a, a_cx, cy = sol
+    a, a_cx, cy = _solve(R, m, "principal point / aspect solve")
     if a <= 0:
         raise DegenerateGeometry(f"recovered nonpositive aspect ratio {a:.6g}")
-    residual = float(np.sqrt(np.mean((A @ sol - b) ** 2)))
-    return float(a), float(a_cx / a), float(cy), residual
+    return float(a), float(a_cx / a), float(cy), abs(float(R[3, 3])) / math.sqrt(m)
 
 
 
@@ -198,28 +270,29 @@ def fit_ppoint_aspect(corrs: Correspondences) -> tuple[float, float, float]:
 
 
 
-def _identity_dist(ks: np.ndarray, f: float) -> tuple[float, ...]:
+def _dist_of(model: ModelId, ks: np.ndarray, f: float) -> tuple[float, ...]:
+    """The family's coefficients from the solved unknowns k' (k'_n = k_n f^(2n-1)
+    for the division model, k'_n = k_n otherwise)."""
+    if model.family is Family.DIVISION:
+        return tuple(k * f ** (2 * n - 1) for n, k in enumerate(ks, start=1))
     return tuple(ks)
 
 
-def _division_dist(ks: np.ndarray, f: float) -> tuple[float, ...]:
-    return tuple(k * f ** (2 * n - 1) for n, k in enumerate(ks, start=1))
+def _family_rows(
+    model: ModelId, pixels: np.ndarray, rays: np.ndarray, a: float, c: tuple[float, float]
+) -> np.ndarray:
+    """Linear rows [focal_col | dist_cols | rhs] of one block, once (a, c) are known.
 
-
-def _family_rows(model: ModelId, corrs: Correspondences, a: float, c: tuple[float, float]):
-    """Linear rows of a family once (a, c) are known.
-
-    Returns ``(focal_col, dist_cols, rhs, inverse, dist_of)``.  Each row reads
-    focal_col * f + sum_n dist_cols[n] * k'_n = rhs, with 1/f in place of f
-    when ``inverse`` (radial, kb).  ``dist_of(k', f)`` maps the solved
-    distortion unknowns to the family's coefficients.  Pinhole and radial
-    rows keep only rays with Z above _EPS_Z.  The extended unified model is
-    not linear in f and has its own rows (``_eucm_rows``).
+    Each row reads focal_col * f + sum_n dist_cols[n] * k'_n = rhs, with 1/f
+    in place of f for radial and kb (``_INVERSE_FOCAL``); ``_dist_of`` maps
+    the solved k' to the family's coefficients.  Pinhole and radial rows keep
+    only rays with Z above _EPS_Z.  The extended unified model is not linear
+    in f and has its own rows (``_eucm_rows``).
     """
     fam = model.family
-    X, Y, Z = corrs.rays[:, 0], corrs.rays[:, 1], corrs.rays[:, 2]
-    du = corrs.pixels[:, 0] - c[0]
-    dv = corrs.pixels[:, 1] - c[1]
+    X, Y, Z = rays[:, 0], rays[:, 1], rays[:, 2]
+    du = pixels[:, 0] - c[0]
+    dv = pixels[:, 1] - c[1]
     if fam in (Family.PINHOLE, Family.BROWN_CONRADY):
         keep = Z > _EPS_Z
         X, Y, Z, du, dv = X[keep], Y[keep], Z[keep], du[keep], dv[keep]
@@ -228,29 +301,32 @@ def _family_rows(model: ModelId, corrs: Correspondences, a: float, c: tuple[floa
     rc = np.hypot(du, dv)
     orders = range(1, model.num_dist + 1)
     if fam is Family.PINHOLE:
-        return Ra, [], rc * Z, False, _identity_dist
-    if fam is Family.BROWN_CONRADY:
+        cols = [Ra, rc * Z]
+    elif fam is Family.BROWN_CONRADY:
         rho2 = (R / Z) ** 2
-        return rc * Z, [-Ra * rho2**n for n in orders], Ra, True, _identity_dist
-    if fam is Family.KANNALA_BRANDT:
+        cols = [rc * Z, *(-Ra * rho2**n for n in orders), Ra]
+    elif fam is Family.KANNALA_BRANDT:
         theta = np.arctan2(R, Z)
-        cols = [-Ra * theta ** (2 * n + 1) for n in orders]
-        return R * rc, cols, Ra * theta, True, _identity_dist
-    if fam is Family.UCM:
+        cols = [R * rc, *(-Ra * theta ** (2 * n + 1) for n in orders), Ra * theta]
+    elif fam is Family.UCM:
         d = np.sqrt(X * X + Y * Y + Z * Z)
-        return Ra, [-rc * d], rc * Z, False, _identity_dist
-    rca2 = du * du + (dv / a) ** 2  # division
-    return Ra, [Ra * rca2**n for n in orders], rc * Z, False, _division_dist
+        cols = [Ra, -rc * d, rc * Z]
+    else:  # division
+        rca2 = du * du + (dv / a) ** 2
+        cols = [Ra, *(Ra * rca2**n for n in orders), rc * Z]
+    return np.stack(cols, axis=-1)
 
 
-def _eucm_rows(corrs: Correspondences, f: float, a: float, c: tuple[float, float]):
-    """(col_g, col_a, rhs) of the extended unified model at a known focal."""
-    X, Y, Z = corrs.rays[:, 0], corrs.rays[:, 1], corrs.rays[:, 2]
+def _eucm_rows(
+    pixels: np.ndarray, rays: np.ndarray, f: float, a: float, c: tuple[float, float]
+) -> np.ndarray:
+    """Rows [col_g | col_a | rhs] of the extended unified model at a known focal."""
+    X, Y, Z = rays[:, 0], rays[:, 1], rays[:, 2]
     R = np.hypot(X, Y)
-    mx = (corrs.pixels[:, 0] - c[0]) / f
-    my = (corrs.pixels[:, 1] - c[1]) / (a * f)
+    mx = (pixels[:, 0] - c[0]) / f
+    my = (pixels[:, 1] - c[1]) / (a * f)
     r = np.hypot(mx, my)
-    return r * r * R * R, 2.0 * r * Z * (r * Z - R), (R - r * Z) ** 2
+    return np.stack([r * r * R * R, 2.0 * r * Z * (r * Z - R), (R - r * Z) ** 2], axis=-1)
 
 
 
@@ -286,19 +362,21 @@ def _fit_linear_full(
 ) -> tuple[CameraSpec, tuple[str, ...]]:
     if model.family is Family.EUCM:
         return _fit_eucm_full(corrs, a, c, size)
-    focal_col, dist_cols, rhs, inverse, dist_of = _family_rows(model, corrs, a, c)
-    A = np.stack([focal_col, *dist_cols], axis=-1)
-    sol = _lstsq(A, rhs, f"{model.family.value} linear solve")
+    R, m = _row_qr(
+        corrs, lambda px, rays: _family_rows(model, px, rays, a, c), model.num_dist + 2
+    )
+    sol = _solve(R, m, f"{model.family.value} linear solve")
     f, ks = float(sol[0]), sol[1:]
-    if inverse:
+    if model.family in _INVERSE_FOCAL:
         if f <= 0:
             raise InvalidFocal(f"solved inverse focal {f:.6g} is not positive")
         f = 1.0 / f
     bounds: tuple[str, ...] = ()
     if model.family is Family.UCM and ks[0] < 0.0:
+        # the rows of [focal_col | rhs] alone have the factor of R's columns 0 and 2
         ks, bounds = (0.0,), ("xi>=0",)
-        f = float(_lstsq(focal_col[:, None], rhs, "ucm re-solve with xi=0")[0])
-    return _make_spec(model, f, a, c, dist_of(ks, f), size), bounds
+        f = float(_solve(np.linalg.qr(R[:, [0, 2]], mode="r"), m, "ucm re-solve with xi=0")[0])
+    return _make_spec(model, f, a, c, _dist_of(model, ks, f), size), bounds
 
 
 
@@ -322,10 +400,14 @@ def _eucm_dist(
     corrs: Correspondences, f: float, a: float, c: tuple[float, float]
 ) -> tuple[tuple[float, float], tuple[str, ...]]:
     """(alpha, beta) of the extended unified model at a known focal, solved
-    from the (gamma, alpha) rows with the active set, and the bounds it hit."""
-    col_g, col_a, rhs = _eucm_rows(corrs, f, a, c)
+    from the (gamma, alpha) rows with the active set, and the bounds it hit.
 
-    gamma, alpha = _lstsq(np.stack([col_g, col_a], axis=-1), rhs, "eucm (gamma, alpha) solve")
+    The re-solves work on the columns of the rows' factor R: R = Q^T [col_g |
+    col_a | rhs], so inner products of its columns are those of the rows.
+    """
+    R, m = _row_qr(corrs, lambda px, rays: _eucm_rows(px, rays, f, a, c), 3)
+    gamma, alpha = _solve(R, m, "eucm (gamma, alpha) solve")
+    col_g, col_a, rhs = R.T
     bounds: list[str] = []
 
     def resolve(col: np.ndarray, b: np.ndarray, what: str) -> float:
@@ -343,6 +425,9 @@ def _eucm_dist(
         bounds.append("alpha<=1")
         gamma = resolve(col_g, rhs - col_a, "eucm re-solve gamma at alpha=1")
 
+    # a gamma within the solve's resolution of zero has the sign of roundoff
+    if abs(gamma) <= _RCOND * float(np.linalg.norm(rhs)) / float(np.linalg.norm(col_g)):
+        gamma = 0.0
     if gamma <= 0.0 and alpha > 0.0:
         gamma = 0.0
         bounds.append("beta>0")
@@ -422,11 +507,24 @@ def _clamp_params(model: ModelId, kappa: np.ndarray) -> np.ndarray:
 
 
 def _tangent_basis(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the tangent plane at each unit vector p (n, 3)."""
-    ref = np.where(np.abs(p[:, 2:3]) < 0.9, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-    b1 = np.cross(ref, p)
-    b1 /= np.linalg.norm(b1, axis=-1, keepdims=True)
-    b2 = np.cross(p, b1)
+    """Orthonormal basis of the tangent plane at each unit vector p (n, 3),
+    as two (3, n) arrays of components.
+
+    b1 = ref x p / |ref x p| with ref = z, or x where |p_z| >= 0.9, and
+    b2 = p x b1, written block by block into the two outputs.
+    """
+    b1, b2 = np.empty((3, len(p))), np.empty((3, len(p)))
+    for sl in _blocks(len(p)):
+        x, y, z = p[sl].T
+        pole = np.abs(z) >= 0.9
+        # z x p = (-y, x, 0) and x x p = (0, -z, y)
+        c1, c2, c3 = np.where(pole, 0.0, -y), np.where(pole, -z, x), np.where(pole, y, 0.0)
+        norm = np.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
+        np.divide(c1, norm, out=b1[0, sl])
+        np.divide(c2, norm, out=b1[1, sl])
+        np.divide(c3, norm, out=b1[2, sl])
+        c1, c2, c3 = b1[:, sl]
+        b2[0, sl], b2[1, sl], b2[2, sl] = y * c3 - z * c2, z * c1 - x * c3, x * c2 - y * c1
     return b1, b2
 
 
@@ -452,72 +550,64 @@ def _dot(v, d) -> np.ndarray:
     return sum(terms[1:], terms[0])
 
 
-class _Cells(NamedTuple):
-    """Per-cell state of one residual pass; the Jacobian reuses it."""
+class _Block(NamedTuple):
+    """Residual state of one block of cells; its Jacobian reuses it."""
 
-    mx: np.ndarray
-    my: np.ndarray
-    r: np.ndarray
-    norm: np.ndarray  # |g| of the unnormalized ray
-    sol: np.ndarray | None  # Newton solution: rho (radial), theta (kb)
-    q: np.ndarray  # (n, 3) unit ray
+    e1: np.ndarray  # tangent residual along b1, 0 where invalid
+    e2: np.ndarray  # tangent residual along b2, 0 where invalid
+    ok: np.ndarray
+    ray: _RayCells
+    q: np.ndarray  # (3, m) unit rays
+    t: np.ndarray  # (3, m) target rays
     c: np.ndarray  # target . q
     w: np.ndarray  # arc factor of c
     b1q: np.ndarray
     b2q: np.ndarray
-    ok: np.ndarray
-
-    def rows(self, sl: slice) -> "_Cells":
-        """The state of the cells in ``sl``."""
-        return _Cells(*(x if x is None else x[sl] for x in self))
 
 
-def _residuals(
+def _residual_block(
     spec: CameraSpec,
     pixels: np.ndarray,
     targets: np.ndarray,
     b1: np.ndarray,
     b2: np.ndarray,
-) -> tuple[np.ndarray, _Cells]:
-    """Tangent residuals (n, 2) and their cell state: invalid rows come back
-    zeroed, with ``ok`` False."""
-    q, ok, (mx, my, r, norm, sol) = _unproject_cells(spec, pixels)
-    c = _dot(targets.T, q.T)
+    x0: np.ndarray | None = None,
+) -> _Block:
+    """Tangent residuals of some cells (targets (m, 3), basis (3, m) each) and
+    the state behind them; ``x0`` starts the radial/kb Newton solve."""
+    q, ok, ray = _unproject_cells(spec, pixels, x0)
+    # component rows, so that every product below runs over contiguous memory
+    q, t = np.ascontiguousarray(q.T), np.ascontiguousarray(targets.T)
+    c = _dot(t, q)
     w = _arc_factor(c)
-    b1q, b2q = _dot(b1.T, q.T), _dot(b2.T, q.T)
-    e = np.where(ok[:, None], np.stack([w * b1q, w * b2q], axis=-1), 0.0)
-    return e, _Cells(mx, my, r, norm, sol, q, c, w, b1q, b2q, ok)
-
-
-def _mean_cost(e: np.ndarray, ok: np.ndarray) -> float:
-    n = int(np.count_nonzero(ok))
-    if n == 0:
-        return math.inf
-    return float(np.sum(e * e) / n)
+    b1q, b2q = _dot(b1, q), _dot(b2, q)
+    e1 = np.where(ok, w * b1q, 0.0)
+    e2 = np.where(ok, w * b2q, 0.0)
+    return _Block(e1, e2, ok, ray, q, t, c, w, b1q, b2q)
 
 
 def _jacobian_columns(
-    spec: CameraSpec, cells: _Cells, b1: np.ndarray, b2: np.ndarray, targets: np.ndarray
+    spec: CameraSpec, blk: _Block, b1: np.ndarray, b2: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """d(e1, e2)/d(fx, fy, cx, cy, *dist): one pair of (n,) columns per parameter.
+    """d(e1, e2)/d(fx, fy, cx, cy, *dist): one pair of columns per parameter.
 
     The residual e_i = w(c) (b_i . q) of q = g / |g| and c = target . q has the
     gradient (w b_i - (b_i . q) h) / |g| with respect to g, where
     h = (w + c w') q - w' target; each ray derivative dg enters through it.
     The intrinsics enter g only through m = ((u - cx) / fx, (v - cy) / fy).
-    Rows the residual pass marked invalid are zero.
+    Rows the residual marked invalid are zero.
     """
-    w, c, norm, ok = cells.w, cells.c, cells.norm, cells.ok
+    w, c, ok = blk.w, blk.c, blk.ok
     dw = _arc_factor_deriv(c, w)
-    h = (w + c * dw) * cells.q.T - dw * targets.T
-    grads = [(w * b.T - bq * h) / norm for b, bq in ((b1, cells.b1q), (b2, cells.b2q))]
-    dgs = _ray_derivatives(spec, cells.mx, cells.my, cells.r, cells.sol)
+    h = (w + c * dw) * blk.q - dw * blk.t
+    grads = [(w * b - bq * h) / blk.ray.norm for b, bq in ((b1, blk.b1q), (b2, blk.b2q))]
+    dgs = _ray_derivatives(spec, blk.ray)
     cols = [tuple(_dot(gr, dg) for gr in grads) for dg in dgs]
     if not ok.all():
         cols = [(np.where(ok, j1, 0.0), np.where(ok, j2, 0.0)) for j1, j2 in cols]
     (x1, x2), (y1, y2) = cols[:2]
     fx, fy = spec.fx, spec.fy
-    sx, sy = -cells.mx / fx, -cells.my / fy
+    sx, sy = -blk.ray.mx / fx, -blk.ray.my / fy
     return [(x1 * sx, x2 * sx), (y1 * sy, y2 * sy),
             (x1 / -fx, x2 / -fx), (y1 / -fy, y2 / -fy), *cols[2:]]
 
@@ -529,54 +619,67 @@ def residual_jacobian(
 
     Every family is differentiated in closed form; the Newton-inverted ones
     (radial, kb) through implicit derivatives of the converged solve.
-    Shape (n, 2, 4 + num_dist).
+    Shape (n, 2, 4 + num_dist), filled block by block as in refinement.
     """
     b1, b2 = _tangent_basis(targets)
-    _, cells = _residuals(spec, pixels, targets, b1, b2)
-    cols = _jacobian_columns(spec, cells, b1, b2, targets)
-    return np.stack([np.stack(col, axis=-1) for col in cols], axis=-1)
+    J = np.empty((len(pixels), 2, 4 + spec.model.num_dist))
+    for sl in _blocks(len(pixels)):
+        blk = _residual_block(spec, pixels[sl], targets[sl], b1[:, sl], b2[:, sl])
+        for j, (j1, j2) in enumerate(_jacobian_columns(spec, blk, b1[:, sl], b2[:, sl])):
+            J[sl, 0, j], J[sl, 1, j] = j1, j2
+    return J
 
 
-def _reduced_system(
-    spec: CameraSpec,
-    cells: _Cells,
-    e: np.ndarray,
-    basis: tuple[np.ndarray, np.ndarray, np.ndarray],
-    free_idx: np.ndarray,
+def _step_rows(
+    spec: CameraSpec, blk: _Block, b1: np.ndarray, b2: np.ndarray, free_idx: np.ndarray
 ) -> np.ndarray:
-    """Triangular factor R of [J_free | -e], never building the whole matrix.
+    """Rows [J_free | -e] of one block: the e1 rows, then the e2 rows."""
+    cols = _jacobian_columns(spec, blk, b1, b2)
+    m, k = len(blk.ok), len(free_idx)
+    A = np.empty((2 * m, k + 1), order="F")
+    for j, idx in enumerate(free_idx):
+        A[:m, j], A[m:, j] = cols[idx]
+    A[:m, k], A[m:, k] = -blk.e1, -blk.e2
+    return A
 
-    Each block of _QR_BLOCK cells is factored on its own (mode "r"), and the
-    stacked block factors once more, tall-skinny-QR style.
+
+def _pass(
+    spec: CameraSpec,
+    corrs: Correspondences,
+    basis: tuple[np.ndarray, np.ndarray],
+    free_idx: np.ndarray,
+    want_r: bool = True,
+    x0: np.ndarray | None = None,
+) -> tuple[float, int, np.ndarray | None, np.ndarray | None]:
+    """One residual pass of refinement, block by block.
+
+    Returns the mean squared tangent residual over the valid cells (inf if
+    none), their count, the factor R of [J_free | -e] (None without
+    ``want_r``) and the Newton solution of radial/kb (None for the other
+    families), which ``x0`` passes back as the next pass's start.
     """
-    k = len(free_idx)
-    factors = [np.empty((0, k + 1))]
-    for lo in range(0, len(e), _QR_BLOCK):
-        sl = slice(lo, lo + _QR_BLOCK)
-        cols = _jacobian_columns(spec, cells.rows(sl), *(v[sl] for v in basis))
-        m = len(e[sl])
-        A = np.empty((2 * m, k + 1), order="F")
-        for j, idx in enumerate(free_idx):
-            A[:m, j], A[m:, j] = cols[idx]
-        A[:m, k], A[m:, k] = -e[sl, 0], -e[sl, 1]
-        factors.append(np.linalg.qr(A, mode="r"))
-    return np.linalg.qr(np.vstack(factors), mode="r")
+    n, k = len(corrs), len(free_idx)
+    b1, b2 = basis
+    sol = np.empty(n) if spec.model.family in _INVERSE_FOCAL else None
+    total, valid = 0.0, 0  # squared residuals and valid cells so far
 
+    def rows() -> Iterator[np.ndarray]:
+        nonlocal total, valid
+        for sl in _blocks(n):
+            blk = _residual_block(spec, corrs.pixels[sl], corrs.rays[sl], b1[:, sl], b2[:, sl],
+                                  None if x0 is None else x0[sl])
+            total += float(blk.e1 @ blk.e1 + blk.e2 @ blk.e2)
+            valid += int(np.count_nonzero(blk.ok))
+            if sol is not None:
+                sol[sl] = blk.ray.sol
+            if want_r:
+                A = _step_rows(spec, blk, b1[:, sl], b2[:, sl], free_idx)
+                del blk  # not needed while A is factored
+                yield A
 
-def _gn_step(R: np.ndarray, k: int) -> np.ndarray | None:
-    """Least-squares step from the factor R of [J | -e], or None if J is singular.
-
-    As in lstsq, the columns are equilibrated and singular values at or below
-    _RCOND times the largest count as zero.
-    """
-    scale = np.linalg.norm(R[:, :k], axis=0)
-    if np.any(scale <= 0.0) or not np.all(np.isfinite(scale)):
-        return None
-    U, s, Vt = np.linalg.svd(R[:k, :k] / scale, full_matrices=False)
-    if np.count_nonzero(s > _RCOND * s[0]) < k:
-        return None
-    delta = Vt.T @ ((U.T @ R[:k, k]) / s) / scale
-    return delta if np.all(np.isfinite(delta)) else None
+    R, _ = _tsqr(rows(), k + 1)
+    cost = total / valid if valid else math.inf
+    return cost, valid, R if want_r else None, sol
 
 
 def refine(
@@ -594,33 +697,27 @@ def refine(
     a rejected step (the parameters did not move, so every later iteration
     would repeat it); the remaining ``gn_costs`` entries repeat the last cost.
     """
-    pixels, targets = corrs.pixels, corrs.rays
-    b1, b2 = _tangent_basis(targets)
+    basis = _tangent_basis(corrs.rays)
     kappa = _params_of(spec0)
     free_idx = np.arange(len(kappa)) if free is None else np.asarray(free, dtype=int)
     k = len(free_idx)
 
-    e, cells = _residuals(spec0, pixels, targets, b1, b2)
-    cost = _mean_cost(e, cells.ok)
+    cost, valid, R, sol = _pass(spec0, corrs, basis, free_idx)
     costs = [cost]
     warning = None
 
-    for _ in range(_GN_ITERATIONS):
+    for it in range(_GN_ITERATIONS):
         if cost <= 1e-30:  # further iterations would only shuffle roundoff
             break
-        R = _reduced_system(_spec_of(spec0, kappa), cells, e, (b1, b2, targets), free_idx)
         try:
-            delta = _gn_step(R, k)
-        except np.linalg.LinAlgError:
-            delta = None
-        if delta is None:
+            delta = _solve(R, 2 * len(corrs), "Gauss-Newton step")
+        except DegenerateGeometry:
             warning = "singular normal matrix; refinement stopped early"
             break
-        if R.shape[0] > k:
-            # the step removes |R[:k, k]|^2 of |e|^2 = |R[:k, k]|^2 + R[k, k]^2
-            pred = float(R[:k, k] @ R[:k, k])
-            if pred <= _GN_RTOL * (pred + float(R[k, k]) ** 2):
-                break
+        # the step removes |R[:k, k]|^2 of |e|^2 = |R[:k, k]|^2 + R[k, k]^2
+        pred = float(R[:k, k] @ R[:k, k])
+        if pred <= _GN_RTOL * (pred + float(R[k, k]) ** 2):
+            break
 
         step = 1.0
         for _ in range(_GN_MAX_HALVINGS + 1):
@@ -628,10 +725,11 @@ def refine(
             cand[free_idx] += step * delta
             cand = _clamp_params(spec0.model, cand)
             if cand[0] > 0.0 and cand[1] > 0.0:
-                e_new, cells_new = _residuals(_spec_of(spec0, cand), pixels, targets, b1, b2)
-                cost_new = _mean_cost(e_new, cells_new.ok)
-                if cost_new <= cost:
-                    kappa, e, cells, cost = cand, e_new, cells_new, cost_new
+                # the last iteration's trial needs no next step
+                trial = _pass(_spec_of(spec0, cand), corrs, basis, free_idx,
+                              it < _GN_ITERATIONS - 1, sol)
+                if trial[0] <= cost:
+                    kappa, (cost, valid, R, sol) = cand, trial
                     break
             step *= 0.5
         else:
@@ -646,7 +744,7 @@ def refine(
         algebraic_spec=spec0,
         gn_costs=tuple(costs),
         warning=warning,
-        dropped=int(len(pixels) - np.count_nonzero(cells.ok)),
+        dropped=len(corrs) - valid,
     )
 
 
@@ -762,11 +860,17 @@ def convert_model(
     if dst_model.family is Family.EUCM:
         dist, _ = _eucm_dist(corrs, f, a, c)
     else:
-        # the focal column moves to the right-hand side
-        focal_col, dist_cols, rhs, inverse, dist_of = _family_rows(dst_model, corrs, a, c)
-        held = rhs - (focal_col / f if inverse else focal_col * f)
+        inverse = dst_model.family in _INVERSE_FOCAL
+
+        def held(px: np.ndarray, rays: np.ndarray) -> np.ndarray:
+            # the focal column moves to the right-hand side
+            rows = _family_rows(dst_model, px, rays, a, c)
+            rows[:, -1] -= rows[:, 0] / f if inverse else rows[:, 0] * f
+            return rows[:, 1:]
+
+        R, m = _row_qr(corrs, held, dst_model.num_dist + 1)
         what = f"fixed-focal {dst_model.family.value} solve"
-        dist = dist_of(_lstsq(np.stack(dist_cols, axis=-1), held, what), f)
+        dist = _dist_of(dst_model, _solve(R, m, what), f)
 
     # xi >= 0 and beta > 0, as the refinement enforces them
     spec0 = _make_spec(dst_model, f, a, c, dist, size)

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,15 +171,19 @@ class CameraSpec:
         )
 
 
-def pixel_centers(width: int, height: int, stride: int = 1) -> np.ndarray:
-    """(height // stride, width // stride, 2) grid of sampled pixel centers.
-
-    Cell (j, i) is the center ((i + 0.5) * stride, (j + 0.5) * stride) of its
-    stride x stride block.
-    """
+def pixel_axes(width: int, height: int, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The u coordinates of the grid columns and the v coordinates of its rows:
+    cell (j, i) is the center ((i + 0.5) * stride, (j + 0.5) * stride) of its
+    stride x stride block."""
     u = (np.arange(width // stride) + 0.5) * stride
     v = (np.arange(height // stride) + 0.5) * stride
-    uu, vv = np.meshgrid(u, v)
+    return u, v
+
+
+def pixel_centers(width: int, height: int, stride: int = 1) -> np.ndarray:
+    """(height // stride, width // stride, 2) grid of sampled pixel centers
+    (``pixel_axes``)."""
+    uu, vv = np.meshgrid(*pixel_axes(width, height, stride))
     return np.stack([uu, vv], axis=-1)
 
 
@@ -452,30 +457,42 @@ def project(spec: CameraSpec, rays: np.ndarray) -> np.ndarray:
 
 
 def _odd_poly_solve(
-    dist: tuple[float, ...], r: np.ndarray, cap: float
+    dist: tuple[float, ...], r: np.ndarray, cap: float, x0: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve x + sum k_n x^(2n+1) = r on [0, min(fold, cap)]: the undistorted
-    rho for radial (cap 1e9), the polar angle theta for kb (cap pi - 1e-9).
+    """Solve x + sum k_n x^(2n+1) = r on [0, hi = min(fold, cap)]: the
+    undistorted rho for radial (cap 1e9), the polar angle theta for kb (cap
+    pi - 1e-9).
 
-    Newton from min(r, 0.999 hi), clipped into the bracket.  Returns
-    (x, converged).
+    Newton from ``x0`` (default r), clipped into [0, 0.999 hi]; a nearby
+    solution, such as that of the same pixels under nearly the same
+    coefficients, saves iterations.  Returns (x, converged).
     """
     hi = min(_stationary_radius(dist), cap)
 
     def fun(x):
         return _odd_poly_theta(dist, x), _odd_poly_theta_deriv(dist, x)
 
-    return _newton(fun, r, np.minimum(r, 0.999 * hi), hi)
+    return _newton(fun, r, np.clip(r if x0 is None else x0, 0.0, 0.999 * hi), hi)
+
+
+class _RayCells(NamedTuple):
+    """Per-cell quantities behind an unprojection, which its derivatives reuse."""
+
+    mx: np.ndarray  # normalized coordinates ((u - cx) / fx, (v - cy) / fy)
+    my: np.ndarray
+    r: np.ndarray  # hypot(mx, my)
+    norm: np.ndarray  # |g| of the unnormalized ray g
+    sol: np.ndarray | None  # Newton solution: rho (radial), theta (kb)
+    s: np.ndarray | None  # rho (radial), sin(theta) (kb)
+    ds: np.ndarray | float | None  # ds/dsol: 1.0 (radial), cos(theta) (kb)
 
 
 def _unproject_cells(
-    spec: CameraSpec, pixels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple]:
+    spec: CameraSpec, pixels: np.ndarray, x0: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, _RayCells]:
     """Unit rays, their validity mask and the per-cell quantities behind them.
 
-    The third item is ``(mx, my, r, norm, sol)``: the normalized coordinates
-    and their radius, the norm of the unnormalized ray g, and the Newton
-    solution g came from (rho for radial, theta for kb, None otherwise).
+    ``x0`` is the start of the radial/kb Newton solve (``_odd_poly_solve``).
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     fam = spec.model.family
@@ -483,7 +500,7 @@ def _unproject_cells(
     my = (pixels[..., 1] - spec.cy) / spec.fy
     r = np.hypot(mx, my)
     valid = np.isfinite(r)
-    sol = None
+    sol = s = ds = None
 
     # g = (gx, gy, gz); a constant component stays a scalar
     if fam is Family.PINHOLE:
@@ -491,11 +508,11 @@ def _unproject_cells(
     elif fam in (Family.BROWN_CONRADY, Family.KANNALA_BRANDT):
         # g = (s mx / r, s my / r, gz) with s = rho, gz = 1 or s = sin, gz = cos
         kb = fam is Family.KANNALA_BRANDT
-        sol, done = _odd_poly_solve(spec.dist, r, math.pi - 1e-9 if kb else 1e9)
+        sol, done = _odd_poly_solve(spec.dist, r, math.pi - 1e-9 if kb else 1e9, x0)
         valid &= done
-        s = np.sin(sol) if kb else sol
+        s, ds = (np.sin(sol), np.cos(sol)) if kb else (sol, 1.0)
         sc = np.where(r > 1e-12, s / np.where(r > 1e-12, r, 1.0), 1.0)
-        g = (sc * mx, sc * my, np.cos(sol) if kb else 1.0)
+        g = (sc * mx, sc * my, ds)
     elif fam is Family.UCM:
         xi = spec.dist[0]
         r2 = r * r
@@ -522,35 +539,37 @@ def _unproject_cells(
     rays = np.empty(mx.shape + (3,))
     for i in range(3):
         np.divide(g[i], safe, out=rays[..., i])
-    return rays, valid, (mx, my, r, norm, sol)
+    return rays, valid, _RayCells(mx, my, r, norm, sol, s, ds)
 
 
-def _ray_derivatives(
-    spec: CameraSpec, mx: np.ndarray, my: np.ndarray, r: np.ndarray, sol: np.ndarray | None
-) -> list[tuple]:
+def _ray_derivatives(spec: CameraSpec, cells: _RayCells) -> list[tuple]:
     """dg/d(mx, my, *dist) of the unnormalized ray g of ``_unproject_cells``,
     one (x, y, z) triple per unknown; a component is an (n,) array or the
     constant 0.0 or 1.0."""
     fam = spec.model.family
+    mx, my, r = cells.mx, cells.my, cells.r
     if fam is Family.PINHOLE:
         return [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
     if fam in (Family.BROWN_CONRADY, Family.KANNALA_BRANDT):
         # sol solves sol + sum k_n sol^(2n+1) = r (rho for radial, theta for
         # kb), so dsol/dr = 1/h' and dsol/dk_n = -sol^(2n+1)/h'.  g is
-        # (s mx / r, s my / r, gz) with s = rho, gz = 1 or s = sin, gz = cos
+        # (s mx / r, s my / r, gz) with s = rho, gz = 1 or s = sin, gz = cos,
+        # and ds/dsol = gz
         kb = fam is Family.KANNALA_BRANDT
+        sol, s, ds = cells.sol, cells.s, cells.ds
         hp = _odd_poly_theta_deriv(spec.dist, sol)
         hp = np.where(np.abs(hp) > 1e-12, hp, 1e-12)
         tiny = r < 1e-9
         inv_r = np.where(tiny, 0.0, 1.0 / np.where(tiny, 1.0, r))
-        s, ds = (np.sin(sol), np.cos(sol)) if kb else (sol, 1.0)
         u = np.where(tiny, 1.0, s * inv_r)
         a = (ds / hp - u) * inv_r * inv_r  # (du/dr) / r
         dz = -s / hp * inv_r if kb else 0.0  # (dgz/dr) / r
         axy = a * mx * my
         out = [(u + a * mx * mx, axy, dz * mx), (axy, u + a * my * my, dz * my)]
-        for n in range(1, spec.model.num_dist + 1):
-            dsol = -(sol ** (2 * n + 1)) / hp
+        sol2, power = sol * sol, sol  # power = sol^(2n+1) by running products
+        for _ in range(spec.model.num_dist):
+            power = power * sol2
+            dsol = -power / hp
             du = ds * dsol * inv_r
             out.append((du * mx, du * my, -s * dsol if kb else 0.0))
         return out

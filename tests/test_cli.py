@@ -203,6 +203,26 @@ class TestEvalCommand:
         assert run("eval", str(tmp_path / "gt"), str(tmp_path / "gt"), "-o", str(rep)) == 0
         assert json.loads((rep / "report.json").read_text())["failed"] == {}
 
+    def test_malformed_spec_fails_alone(self, tmp_path, capsys):
+        # an estimate file holding [1] lands in "failed" next to a valid pair;
+        # with no valid pair left the batch fails as one, with exit 2
+        pin = centered_spec("pinhole", 60.0, 64)
+        for side in ("gt", "est"):
+            (tmp_path / side).mkdir()
+            for name in ("0000", "0001"):
+                write_spec(tmp_path / side / f"{name}.json", pin)
+        (tmp_path / "est" / "0000.json").write_text("[1]")
+        argv = ("eval", str(tmp_path / "est"), str(tmp_path / "gt"), "-o", str(tmp_path / "rep"))
+        assert run(*argv) == 0
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+        assert list(report["failed"]) == ["0000"]
+        assert report["failed"]["0000"]["kind"] == "InvalidInput"
+        assert "0000.json" in report["failed"]["0000"]["message"]
+        assert list(report["per_image"]) == ["0001"] and report["n_pairs"] == 1
+        (tmp_path / "est" / "0001.json").write_text("{")
+        assert run(*argv) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "InvalidInput"
+
     def test_auc_monotone_on_noisy_set(self, tmp_path):
         gt = tmp_path / "gt"
         run("synth", "--kind", "opp", "--n", "4", "--size", "48", "--seed", "8", "-o", str(gt))
@@ -403,6 +423,15 @@ class TestInputErrors:
         assert error["kind"] == kind and error["message"]
 
 
+    def test_non_numeric_csv_value_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "field.csv"
+        path.write_text("u,v,theta_x,theta_y\n0.5,0.5,abc,0.1\n")
+        assert run("fit", str(path), "--model", "pinhole") == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "DimensionMismatch"
+        assert str(path) in error["message"] and "0.5,0.5,abc,0.1" in error["message"]
+
+
 class TestExitCodesAndWorkers:
     @pytest.mark.parametrize("error", CALIB_ERRORS, ids=lambda e: e.__name__)
     def test_every_calib_error_has_one_exit_code(self, error, monkeypatch, capsys):
@@ -430,6 +459,35 @@ class TestExitCodesAndWorkers:
         out = json.loads(capsys.readouterr().out)
         assert code == 3
         assert out["error"]["kind"] in ("NoConsensus", "DegenerateGeometry")
+
+    def test_reused_parser_gives_fresh_outputs(self, tmp_path):
+        # main builds its parser once: a RANSAC fit, an eval and a plain fit
+        # with other flags, in one process, write what each writes after a
+        # fresh parse
+        ds = tmp_path / "ds"
+        assert run("synth", "--kind", "opp", "--n", "2", "--size", "32", "--seed", "2",
+                   "-o", str(ds)) == 0
+        field = str(ds / "fields" / "0000.aff1")
+        model = str(read_spec(ds / "specs" / "0000.json").model)
+        calls = [
+            ("fit", field, "--model", model, "--ransac", "--iters", "5", "--seed", "3",
+             "-o", "{out}/ransac.json"),
+            ("eval", str(ds), str(ds), "--stride", "8", "--edited", "-o", "{out}/rep"),
+            ("fit", field, "--model", model, "--stride", "2", "-o", "{out}/plain.json"),
+        ]
+
+        def outputs(out: Path, fresh: bool) -> dict:
+            out.mkdir()
+            for argv in calls:
+                if fresh:
+                    raycalib.cli._parser.cache_clear()
+                assert run(*(a.format(out=out) for a in argv)) == 0
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        reused = outputs(tmp_path / "reused", fresh=False)
+        assert raycalib.cli._parser.cache_info().currsize == 1
+        assert reused == outputs(tmp_path / "fresh", fresh=True)
+        assert "inlier_ratio" not in json.loads(reused[Path("plain.json")])
 
     def test_worker_pool_cap_keeps_outputs_identical(self, tmp_path, monkeypatch):
         args = ("synth", "--kind", "opg", "--n", "5", "--size", "48", "--seed", "21")
