@@ -122,8 +122,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.output)
-    (out / "specs").mkdir(parents=True, exist_ok=True)
-    (out / "fields").mkdir(parents=True, exist_ok=True)
     cfg = SamplerConfig(kind=DatasetKind(args.kind), size=args.size, seed=args.seed)
     sampler = IntrinsicsSampler(cfg)
 
@@ -133,6 +131,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if args.edit:
             spec = sample_edit(spec, sampler.rng)
         specs.append(spec)
+    (out / "specs").mkdir(parents=True, exist_ok=True)
+    (out / "fields").mkdir(parents=True, exist_ok=True)
 
     def build(i: int) -> None:
         spec = specs[i]

@@ -5,9 +5,10 @@ then width * height * 2 little-endian f32 values (theta_x, theta_y) in
 row-major order with the top-left cell first.
 
 The CSV variant is one ``u,v,theta_x,theta_y`` record per grid cell, with an
-optional header line; u and v are pixel centers, so a dense field has
-u = i + 0.5, v = j + 0.5.  Every cell needs a record; its theta values may be
-non-finite (``nan``, ``inf``), as in AFF1.
+optional header line; u and v are the cell's centre on the cell grid,
+u = i + 0.5 and v = j + 0.5, whatever the stride the field was sampled at
+(like AFF1, CSV stores no stride).  Every cell needs exactly one record; its
+theta values may be non-finite (``nan``, ``inf``), as in AFF1.
 
 Intrinsics are stored as JSON objects
 ``{"model": ..., "width": ..., "height": ..., "fx": ..., "fy": ...,
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .fov import FovField
-from .models import CameraSpec
+from .models import CameraSpec, pixel_centers
 
 _AFF1_MAGIC = b"AFF1"
 
@@ -68,8 +69,10 @@ def read_field(path: str | Path) -> FovField:
 
 
 def write_field_csv(path: str | Path, field: FovField) -> None:
+    """Write a field as CSV, one record per cell at its cell-grid centre
+    (i + 0.5, j + 0.5); like AFF1, the file stores no stride."""
     gh, gw = field.theta.shape[:2]
-    grid = field.pixel_grid()
+    grid = pixel_centers(gw, gh)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("u,v,theta_x,theta_y\n")
         for j in range(gh):
@@ -80,7 +83,14 @@ def write_field_csv(path: str | Path, field: FovField) -> None:
 
 
 def _read_field_csv(path: Path) -> FovField:
-    rows = []
+    """Read a CSV field.
+
+    Raises:
+        DimensionMismatch: naming the file, if a record is malformed, is not
+            at a cell centre (u - 0.5 and v - 0.5 whole and >= 0) or repeats
+            a cell, or if the records do not cover a full grid.
+    """
+    records, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -93,20 +103,30 @@ def _read_field_csv(path: Path) -> FovField:
                 values = []
             if len(values) != 4:
                 raise DimensionMismatch(f"{path}: malformed CSV record {line!r}")
+            records.append(line)
             rows.append(values)
     if not rows:
         raise DimensionMismatch(f"{path}: empty field file")
     data = np.asarray(rows)
-    gw = int(round(np.max(data[:, 0]) + 0.5))
-    gh = int(round(np.max(data[:, 1]) + 0.5))
-    theta = np.full((gh, gw, 2), np.nan)
-    covered = np.zeros((gh, gw), dtype=bool)  # a cell's theta may itself be NaN
-    cols = np.round(data[:, 0] - 0.5).astype(int)
-    lines = np.round(data[:, 1] - 0.5).astype(int)
-    theta[lines, cols] = data[:, 2:]
-    covered[lines, cols] = True
-    if not covered.all():
+    cells = data[:, :2] - 0.5
+    off = ~(np.isfinite(cells) & (cells >= 0.0) & (cells == np.floor(cells))).all(axis=1)
+    if off.any():
+        raise DimensionMismatch(
+            f"{path}: CSV record {records[int(np.argmax(off))]!r} is not at a cell "
+            "centre (i + 0.5, j + 0.5)"
+        )
+    gw, gh = (int(m) + 1 for m in cells.max(axis=0))
+    if gw * gh > len(rows):  # a cell of the gw x gh grid has no record
         raise DimensionMismatch(f"{path}: CSV field does not cover a full grid")
+    cols, lines = cells.astype(np.int64).T
+    first = np.zeros(len(rows), dtype=bool)
+    first[np.unique(lines * gw + cols, return_index=True)[1]] = True
+    if not first.all():  # else the distinct records fill all gw * gh cells
+        raise DimensionMismatch(
+            f"{path}: CSV record {records[int(np.argmin(first))]!r} repeats a cell"
+        )
+    theta = np.empty((gh, gw, 2))
+    theta[lines, cols] = data[:, 2:]
     return FovField(theta=theta)
 
 
@@ -125,15 +145,16 @@ def parse_json_object(path: str | Path, text: str, build: Callable[[dict], Any])
     Raises:
         ValueError: naming ``path``, if the document is not a JSON object or
             ``build`` meets a field of the wrong JSON type (a number where a
-            list belongs, a null).
+            list belongs, a null) or a value it rejects (``"fx": "abc"``, an
+            unknown model string).
     """
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
     try:
         return build(data)
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"{path}: a field has the wrong type: {exc}") from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{path}: a field has the wrong type or value: {exc}") from None
 
 
 def write_spec(path: str | Path, spec: CameraSpec) -> None:

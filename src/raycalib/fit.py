@@ -116,6 +116,8 @@ class Correspondences:
     def from_field(cls, fov_field: FovField, stride: int = 1) -> "Correspondences":
         """Pixel centers and exp-mapped rays of a field's finite cells, optionally
         strided, in grid order; filled in blocks of grid rows."""
+        if stride < 1:
+            raise ValueError("stride must be >= 1")
         theta = fov_field.theta[::stride, ::stride]
         u, v = pixel_axes(fov_field.width, fov_field.height, fov_field.stride)
         u, v = u[::stride], v[::stride]

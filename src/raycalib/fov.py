@@ -143,10 +143,9 @@ def field_from_spec(spec: CameraSpec, stride: int = 1) -> FovField:
     pitch.
 
     Raises:
+        ValueError: if ``stride`` is below 1.
         NonInvertiblePixel: if any sampled pixel cannot be unprojected.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     px = pixel_centers(spec.width, spec.height, stride)
     rays, ok = unproject_masked(spec, px.reshape(-1, 2))
     if not ok.all():

@@ -23,6 +23,11 @@ x = rho = R/Z and x = theta respectively.  One clipped Newton loop
 the bracketed cells it left open) serves these radial/kb unprojections, the
 division projection and the LensFun undistortion in ``synth``.
 
+Unprojection ends at a closed-form normalized radius per family
+(``_domain_radius``; Usenko et al., Double Sphere, 3DV 2018, tabulate these
+domains).  Only radial and eucm clamp the focal to keep the image inside it
+(``min_focal``); the samplers redraw the other families' cameras instead.
+
 Pixel coordinates live in the continuous domain [0, W] x [0, H]; sampled
 grids use pixel centers (i + 0.5, j + 0.5).
 """
@@ -45,6 +50,8 @@ NEWTON_MAX_ITER = 20
 # slack added to the valid-cone bound so that rays unprojected from pixels
 # exactly on the image border re-project without tripping the domain check
 _THETA_MAX_SLACK = 1e-9
+
+_KB_THETA_CAP = math.pi - 1e-9  # largest kb polar angle, short of the antipode
 
 
 class Family(Enum):
@@ -138,10 +145,6 @@ class CameraSpec:
         """Pixel aspect ratio a = fy / fx."""
         return self.fy / self.fx
 
-    @property
-    def principal_point(self) -> tuple[float, float]:
-        return (self.cx, self.cy)
-
     def replace(self, **changes) -> "CameraSpec":
         return replace(self, **changes)
 
@@ -174,7 +177,13 @@ class CameraSpec:
 def pixel_axes(width: int, height: int, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The u coordinates of the grid columns and the v coordinates of its rows:
     cell (j, i) is the center ((i + 0.5) * stride, (j + 0.5) * stride) of its
-    stride x stride block."""
+    stride x stride block.
+
+    Raises:
+        ValueError: if ``stride`` is below 1.
+    """
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
     u = (np.arange(width // stride) + 0.5) * stride
     v = (np.arange(height // stride) + 0.5) * stride
     return u, v
@@ -311,36 +320,23 @@ def radial_profile(spec: CameraSpec, theta: np.ndarray) -> np.ndarray:
 
 def _corner_norm_radius(spec: CameraSpec) -> float:
     """Max normalized radius |m| over the four image corners."""
-    a = spec.aspect
-    us = np.array([0.0, spec.width, 0.0, spec.width])
-    vs = np.array([0.0, 0.0, spec.height, spec.height])
-    mx = (us - spec.cx) / spec.fx
-    my = (vs - spec.cy) / (a * spec.fx)
-    return float(np.max(np.hypot(mx, my)))
+    mx = (np.array([0.0, spec.width]) - spec.cx) / spec.fx
+    my = (np.array([0.0, spec.height]) - spec.cy) / (spec.aspect * spec.fx)
+    return float(np.max(np.hypot(mx[:, None], my)))
 
 
-@lru_cache(maxsize=4096)
 def theta_max(spec: CameraSpec) -> float:
     """Largest polar angle the camera images: the polar angle of the ray
-    unprojected at the image corner's normalized radius.
+    unprojected at the image corner's normalized radius, or at the model's
+    domain end (``_domain_radius``) if that comes first.
 
-    If that radius does not unproject, because the camera folds or its
-    model's domain ends before the corner, the radius is bisected for the
-    last one that does; unprojection validity is monotone in the radius for
-    every family.  A slack of 1e-9 rad keeps border pixels round-trippable.
+    The ray's validity flag is ignored: at the ucm and eucm domain ends
+    roundoff can leave a square root's argument 1 ulp below 0 and flag an
+    exact ray.  A slack of 1e-9 rad keeps border pixels round-trippable.
     """
     unit = spec.replace(fx=1.0, fy=1.0, cx=0.0, cy=0.0)  # pixels are normalized radii
-
-    def unprojects(r: float) -> bool:
-        return bool(unproject_masked(unit, np.array([r, 0.0]))[1])
-
-    r = _corner_norm_radius(spec)
-    if not unprojects(r):
-        lo, hi = 0.0, r
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            lo, hi = (mid, hi) if unprojects(mid) else (lo, mid)
-        r = lo
-    X, Y, Z = unproject_masked(unit, np.array([r, 0.0]))[0]
+    r = min(_corner_norm_radius(spec), _domain_radius(spec.model, spec.dist))
+    X, Y, Z = _unproject_cells(unit, np.array([r, 0.0]))[0]
     return math.atan2(math.hypot(X, Y), Z) + _THETA_MAX_SLACK
 
 
@@ -461,7 +457,7 @@ def _odd_poly_solve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve x + sum k_n x^(2n+1) = r on [0, hi = min(fold, cap)]: the
     undistorted rho for radial (cap 1e9), the polar angle theta for kb (cap
-    pi - 1e-9).
+    ``_KB_THETA_CAP``).
 
     Newton from ``x0`` (default r), clipped into [0, 0.999 hi]; a nearby
     solution, such as that of the same pixels under nearly the same
@@ -508,7 +504,7 @@ def _unproject_cells(
     elif fam in (Family.BROWN_CONRADY, Family.KANNALA_BRANDT):
         # g = (s mx / r, s my / r, gz) with s = rho, gz = 1 or s = sin, gz = cos
         kb = fam is Family.KANNALA_BRANDT
-        sol, done = _odd_poly_solve(spec.dist, r, math.pi - 1e-9 if kb else 1e9, x0)
+        sol, done = _odd_poly_solve(spec.dist, r, _KB_THETA_CAP if kb else 1e9, x0)
         valid &= done
         s, ds = (np.sin(sol), np.cos(sol)) if kb else (sol, 1.0)
         sc = np.where(r > 1e-12, s / np.where(r > 1e-12, r, 1.0), 1.0)
@@ -646,7 +642,7 @@ def _fold_radius(model: ModelId, dist: tuple[float, ...]) -> float:
 
     Brown-Conrady folds at the first stationary point of rho * psi(rho); the
     extended unified model folds at the normalized radius 1/sqrt(beta(2a-1))
-    when alpha > 0.5.  The other families have no fold constraint.
+    when alpha > 0.5.  Only these two families clamp the focal to it.
     """
     if model.family is Family.BROWN_CONRADY:
         rho_max = _stationary_radius(dist)
@@ -658,11 +654,30 @@ def _fold_radius(model: ModelId, dist: tuple[float, ...]) -> float:
     return math.inf
 
 
+def _domain_radius(model: ModelId, dist: tuple[float, ...]) -> float:
+    """Normalized image radius at which unprojection ends, or inf: the fold
+    of radial, eucm (``_fold_radius``), kb (capped at ``_KB_THETA_CAP``) and
+    division, and the end of the ucm square root 1 + (1 - xi^2) r^2 >= 0."""
+    fam = model.family
+    if fam is Family.KANNALA_BRANDT:
+        theta = min(_stationary_radius(dist), _KB_THETA_CAP)
+        return float(_odd_poly_theta(dist, np.array(theta)))
+    if fam is Family.DIVISION:
+        return _division_fold_radius(dist)
+    if fam is Family.UCM and dist[0] > 1.0:
+        return 1.0 / math.sqrt(dist[0] * dist[0] - 1.0)
+    return _fold_radius(model, dist)
+
+
 def min_focal(
     model: ModelId, dist: tuple[float, ...] | list[float], width: int, height: int
 ) -> float:
     """Smallest focal length keeping the projection injective over the image:
-    the half diagonal over the fold radius, 0 for families that do not fold."""
+    the half diagonal over the fold radius, 0 for families that do not fold.
+    Only radial and eucm have this clamp: kb, division and ucm end at
+    ``_domain_radius``, and the samplers redraw a camera whose corner lies
+    past it, where a clamp would raise its focal and change the seeded streams.
+    """
     return 0.5 * math.hypot(width, height) / _fold_radius(model, tuple(float(k) for k in dist))
 
 
@@ -681,7 +696,9 @@ class ValidityReport:
 
 
 def validate_spec(spec: CameraSpec) -> ValidityReport:
-    """Check parameter bounds and the injectivity clamp for a spec."""
+    """Check parameter bounds and the injectivity clamp for a spec.  The clamp
+    is radial's and eucm's only (``min_focal``): a kb, division or ucm camera
+    with its corner past ``_domain_radius`` passes and images up to that end."""
     bad: list[str] = []
     if not (spec.fx > 0.0 and math.isfinite(spec.fx)):
         bad.append(f"fx must be positive, got {spec.fx}")

@@ -22,7 +22,8 @@ closed form (the root of a quadratic in k), so a radial:1 camera puts FoV/2
 exactly at the half height with k = khat * f / H, unless its focal is raised
 to ``min_focal``.
 Sampled focals are raised to min_focal * (1 + 1e-4) where they fall below
-it, so every sampled spec passes ``validate_spec``.
+it, so every sampled spec passes ``validate_spec``; a draw whose image
+corner lies past its model's domain end (``_domain_radius``) is drawn again.
 
 LensFun lens entries (polynomial distortion on top of an ideal fisheye
 projection) are mapped to the extended unified model by undistorting a
@@ -49,6 +50,7 @@ from .models import (
     Family,
     ModelId,
     _corner_norm_radius,
+    _domain_radius,
     _newton,
     _odd_poly_theta,
     _odd_poly_theta_deriv,
@@ -118,16 +120,7 @@ def _truncated_normal(rng: np.random.Generator, sigma: float, bound: float) -> f
 
 
 def _centered_square(model: ModelId, f: float, dist: tuple[float, ...], size: int) -> CameraSpec:
-    return CameraSpec(
-        model=model,
-        fx=f,
-        fy=f,
-        cx=size / 2.0,
-        cy=size / 2.0,
-        dist=dist,
-        width=size,
-        height=size,
-    )
+    return CameraSpec(model, f, f, size / 2.0, size / 2.0, dist, size, size)
 
 
 def _solve_radial1(k_hat: float, fov_deg: float, size: int) -> tuple[float, float]:
@@ -200,6 +193,8 @@ def _radial_slope_floor(spec: CameraSpec) -> float:
 def sample_spec_for_model(
     model: ModelId, size: int, rng: np.random.Generator
 ) -> CameraSpec:
+    if size < 1:
+        raise ValueError(f"image size must be >= 1, got {size}")
     fam = model.family
     for _ in range(_MAX_RESAMPLE):
         if fam is Family.PINHOLE:
@@ -242,11 +237,7 @@ def sample_spec_for_model(
             continue
         if model.num_dist >= 2 and _radial_slope_floor(spec) < 0.15:
             continue
-        corners = np.array(
-            [[0.0, 0.0], [size, 0.0], [0.0, size], [size, size]], dtype=float
-        )
-        _, ok = unproject_masked(spec, corners)
-        if ok.all():
+        if _corner_norm_radius(spec) <= _domain_radius(model, dist):
             return spec
     raise NewtonDivergence(f"could not sample a valid {model} spec")
 
@@ -434,6 +425,8 @@ def lensfun_to_eucm(
     fitted generalized focal scaled back to millimetres; the residual is the
     mean angle between the fitted model's unprojections and the ideal rays.
     """
+    if grid_stride < 1:
+        raise ValueError(f"grid stride must be >= 1, got {grid_stride}")
     w, h = entry.sensor_width_mm, entry.sensor_height_mm
     n_u = max(4, int(256 / grid_stride))
     n_v = max(4, int(round(n_u * h / w)))

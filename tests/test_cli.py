@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
@@ -13,7 +14,7 @@ import pytest
 import raycalib as rc
 import raycalib.cli
 from raycalib.cli import main
-from raycalib.fileio import read_field, read_spec, write_spec
+from raycalib.fileio import read_field, read_spec, write_field, write_spec
 from raycalib.models import pixel_centers
 
 from conftest import centered_spec
@@ -399,6 +400,49 @@ def _lensfun_number_coefficients(tmp: Path) -> list[str]:
     return ["lensfun", str(tmp / "entry.json")]
 
 
+def _fit_stride(stride: str, tmp: Path) -> list[str]:
+    write_field(tmp / "field.aff1", rc.field_from_spec(centered_spec("pinhole", 60.0, 16)))
+    return ["fit", str(tmp / "field.aff1"), "--model", "pinhole", "--stride", stride]
+
+
+def _eval_stride_0(tmp: Path) -> list[str]:
+    for side in ("est", "gt"):
+        (tmp / side).mkdir()
+        write_spec(tmp / side / "0000.json", centered_spec("pinhole", 60.0, 32))
+    return ["eval", str(tmp / "est"), str(tmp / "gt"), "--stride", "0", "-o", str(tmp / "rep")]
+
+
+def _convert_stride_0(tmp: Path) -> list[str]:
+    write_spec(tmp / "spec.json", centered_spec("pinhole", 60.0, 32))
+    return ["convert", str(tmp / "spec.json"), "--to", "kb:2", "--stride", "0"]
+
+
+def _synth_size(size: str, tmp: Path) -> list[str]:
+    return ["synth", "--kind", "opr", "--n", "1", "--size", size, "--seed", "1",
+            "-o", str(tmp / "ds")]
+
+
+def _lensfun_entry(tmp: Path, **fields) -> Path:
+    entry = {"model_kind": "poly3", "coefficients": [0.01], "focal_mm": 8.0,
+             "sensor_width_mm": 36.0, "sensor_height_mm": 24.0, **fields}
+    (tmp / "entry.json").write_text(json.dumps(entry))
+    return tmp / "entry.json"
+
+
+def _lensfun_grid_stride(stride: str, tmp: Path) -> list[str]:
+    return ["lensfun", str(_lensfun_entry(tmp)), "--grid-stride", stride]
+
+
+def _convert_string_focal(tmp: Path) -> list[str]:
+    data = centered_spec("pinhole", 60.0, 32).to_dict()
+    (tmp / "spec.json").write_text(json.dumps({**data, "fx": "abc"}))
+    return ["convert", str(tmp / "spec.json"), "--to", "kb:2"]
+
+
+def _lensfun_string_coefficient(tmp: Path) -> list[str]:
+    return ["lensfun", str(_lensfun_entry(tmp, coefficients=["q"]))]
+
+
 class TestInputErrors:
     @pytest.mark.parametrize(
         "make_argv, kind",
@@ -411,10 +455,23 @@ class TestInputErrors:
             (_convert_spec_not_an_object, "InvalidInput"),
             (_convert_null_focal, "InvalidInput"),
             (_lensfun_number_coefficients, "InvalidInput"),
+            (functools.partial(_fit_stride, "0"), "InvalidInput"),
+            (functools.partial(_fit_stride, "-1"), "InvalidInput"),
+            (_eval_stride_0, "InvalidInput"),
+            (_convert_stride_0, "InvalidInput"),
+            (functools.partial(_synth_size, "0"), "InvalidInput"),
+            (functools.partial(_synth_size, "-5"), "InvalidInput"),
+            (functools.partial(_lensfun_grid_stride, "0"), "InvalidInput"),
+            (functools.partial(_lensfun_grid_stride, "-4"), "InvalidInput"),
+            (_convert_string_focal, "InvalidInput"),
+            (_lensfun_string_coefficient, "InvalidInput"),
         ],
         ids=["eval-missing-dir", "eval-no-common-name", "convert-invalid-spec",
              "fit-truncated-header", "fit-ragged-payload", "convert-spec-not-an-object",
-             "convert-null-focal", "lensfun-number-coefficients"],
+             "convert-null-focal", "lensfun-number-coefficients", "fit-stride-0",
+             "fit-stride-negative", "eval-stride-0", "convert-stride-0", "synth-size-0",
+             "synth-size-negative", "lensfun-grid-stride-0", "lensfun-grid-stride-negative",
+             "convert-string-focal", "lensfun-string-coefficient"],
     )
     def test_exit_2_with_error_object(self, make_argv, kind, tmp_path, capsys):
         code = run(*make_argv(tmp_path))
@@ -430,6 +487,28 @@ class TestInputErrors:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["kind"] == "DimensionMismatch"
         assert str(path) in error["message"] and "0.5,0.5,abc,0.1" in error["message"]
+
+    @pytest.mark.parametrize(
+        "make_argv", [_convert_string_focal, _lensfun_string_coefficient],
+        ids=["convert", "lensfun"],
+    )
+    def test_bad_json_value_names_the_file(self, make_argv, tmp_path, capsys):
+        argv = make_argv(tmp_path)
+        assert run(*argv) == 2
+        assert argv[1] in json.loads(capsys.readouterr().out)["error"]["message"]
+
+    def test_eval_failure_names_the_bad_side(self, tmp_path):
+        spec = centered_spec("pinhole", 60.0, 32)
+        for side in ("est", "gt"):
+            (tmp_path / side).mkdir()
+            for name in ("0000", "0001"):
+                write_spec(tmp_path / side / f"{name}.json", spec)
+        bad = tmp_path / "gt" / "0001.json"
+        bad.write_text(json.dumps({**spec.to_dict(), "dist": ["x"]}))
+        assert run("eval", str(tmp_path / "est"), str(tmp_path / "gt"), "-o",
+                   str(tmp_path / "rep")) == 0
+        failed = json.loads((tmp_path / "rep" / "report.json").read_text())["failed"]
+        assert list(failed) == ["0001"] and str(bad) in failed["0001"]["message"]
 
 
 class TestExitCodesAndWorkers:

@@ -240,6 +240,43 @@ class TestFieldFiles:
         with pytest.raises(rc.DimensionMismatch):
             read_field(path)
 
+    @pytest.mark.parametrize(
+        "edit, record",
+        [
+            (lambda lines: lines[:1] + ["-0.5,0.5,0.1,0.1"] + lines[2:], "-0.5,0.5,0.1,0.1"),
+            (lambda lines: lines[:1] + ["1.2,0.5,0.1,0.1"] + lines[2:], "1.2,0.5,0.1,0.1"),
+            (lambda lines: lines[:1] + ["inf,0.5,0.1,0.1"] + lines[2:], "inf,0.5,0.1,0.1"),
+            (lambda lines: lines[:1] + ["1e300,0.5,0.1,0.1"] + lines[2:], None),
+            (lambda lines: lines + ["2.5,1.5,0.1,0.1"], "2.5,1.5,0.1,0.1"),
+            (lambda lines: lines[:1] + lines[2:] + ["1.5,0.5,0.1,0.1"], "1.5,0.5,0.1,0.1"),
+        ],
+        ids=["negative-u", "fractional-u", "infinite-u", "huge-u", "repeated-cell",
+             "repeated-instead-of-another"],
+    )
+    def test_csv_records_off_the_cell_grid_rejected(self, tmp_path, rng, edit, record):
+        # the first record is cell (0, 0) and the second cell (1, 0); every
+        # defect is named with the file and, where one record is at fault, it
+        path = tmp_path / "field.csv"
+        write_field_csv(path, rc.FovField(theta=rng.uniform(-1.0, 1.0, (4, 5, 2))))
+        path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
+        with pytest.raises(rc.DimensionMismatch) as err:
+            read_field(path)
+        assert str(path) in str(err.value)
+        assert record is None or repr(record) in str(err.value)
+
+    def test_strided_field_reads_back_as_its_cell_grid(self, tmp_path, rng):
+        # neither format stores the stride: both read back as the (W/s) x (H/s)
+        # cell grid, stride 1
+        field = rc.FovField(theta=rng.uniform(-1.0, 1.0, (3, 4, 2)), stride=2)
+        write_field(tmp_path / "field.aff1", field)
+        write_field_csv(tmp_path / "field.csv", field)
+        aff1, csv = read_field(tmp_path / "field.aff1"), read_field(tmp_path / "field.csv")
+        assert aff1.stride == csv.stride == 1 and csv.theta.shape == (3, 4, 2)
+        np.testing.assert_allclose(csv.theta, field.theta, atol=1e-12)
+        np.testing.assert_allclose(csv.theta, aff1.theta, atol=2e-7)
+        first = (tmp_path / "field.csv").read_text().splitlines()[1]
+        assert first.startswith("0.5,0.5,")
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "bad.aff1"
         path.write_bytes(b"AFF1" + (3).to_bytes(4, "little") + (3).to_bytes(4, "little") + b"\0" * 8)

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import raycalib as rc
+import raycalib.models
 from raycalib.models import (
+    _corner_norm_radius,
     _division_fold_radius,
+    _domain_radius,
     _even_poly,
     _odd_poly_solve,
     _ray_angle,
@@ -322,6 +325,81 @@ class TestMinFocal:
         assert rc.min_focal(rc.parse_model("kb:2"), (0.1, 0.0), 480, 480) == 0.0
         assert rc.min_focal(rc.parse_model("ucm"), (0.9,), 480, 480) == 0.0
         assert rc.min_focal(rc.parse_model("division:1"), (-0.2,), 480, 480) == 0.0
+
+
+def square_spec(name: str, dist: tuple, f: float, size: int = 64) -> rc.CameraSpec:
+    return rc.CameraSpec(rc.parse_model(name), f, f, size / 2, size / 2, dist, size, size)
+
+
+# cameras whose 64 x 64 image corner lies past the end of their domain
+FOLDED = [
+    ("kb:1", (-0.11021,), 22.02),
+    ("kb:1", (-0.3,), 10.0),
+    ("radial:1", (-0.1,), 18.0),
+    ("radial:1", (-0.02,), 4.0),
+    ("ucm", (1.5,), 10.0),
+    ("ucm", (3.0,), 5.0),
+]
+
+
+class TestDomainRadius:
+    @pytest.mark.parametrize(
+        "name, dist",
+        [
+            ("radial:1", (-0.1,)),
+            ("radial:2", (0.05, -0.2)),
+            ("kb:1", (-0.3,)),
+            ("kb:2", (0.05, 0.01)),  # monotone: ends at the polar angle cap
+            ("ucm", (1.5,)),
+            ("eucm", (0.7, 1.2)),
+            ("division:1", (0.3,)),
+            ("division:2", (0.1, 0.05)),
+        ],
+    )
+    def test_unprojection_ends_at_the_domain_radius(self, name, dist):
+        model = rc.parse_model(name)
+        r = _domain_radius(model, dist)
+        unit = rc.CameraSpec(model, 1.0, 1.0, 0.0, 0.0, dist, 1, 1)
+        _, ok = rc.unproject_masked(unit, np.array([[(1 - 1e-6) * r, 0.0], [(1 + 1e-6) * r, 0.0]]))
+        assert ok.tolist() == [True, False]
+
+    @pytest.mark.parametrize(
+        "name, dist",
+        [("pinhole", ()), ("radial:1", (0.1,)), ("ucm", (0.9,)), ("ucm", (1.0,)),
+         ("eucm", (0.4, 1.0)), ("division:1", (-0.2,))],
+    )
+    def test_unbounded_domains(self, name, dist):
+        assert _domain_radius(rc.parse_model(name), dist) == math.inf
+
+    @pytest.mark.parametrize(
+        "name, dist, f, scale",
+        [(*case, 1.0) for case in FOLDED]
+        + [(name, None, None, scale) for name in ALL_MODEL_STRINGS for scale in (1.0, 0.2)],
+    )
+    def test_theta_max_makes_one_unprojection(self, name, dist, f, scale, monkeypatch):
+        if dist is None:  # a drawn camera, at its own focal or a fifth of it
+            spec = rc.sample_spec_for_model(rc.parse_model(name), 64, np.random.default_rng(5))
+            dist, f = spec.dist, spec.fx * scale
+        calls = []
+        unproject_cells = raycalib.models._unproject_cells
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return unproject_cells(*args, **kwargs)
+
+        monkeypatch.setattr(raycalib.models, "_unproject_cells", counted)
+        theta_max(square_spec(name, dist, f))
+        assert len(calls) == 1
+
+    def test_folded_kb_passes_validate_spec_beyond_its_domain(self):
+        # validate_spec clamps only radial and eucm; this kb camera images up
+        # to its fold, and the sampler, which keeps every corner inside the
+        # domain, never returns it
+        spec = square_spec(*FOLDED[0])
+        assert rc.validate_spec(spec).ok
+        assert _corner_norm_radius(spec) > _domain_radius(spec.model, spec.dist)
+        fold = 1.0 / math.sqrt(3 * 0.11021)
+        assert theta_max(spec) == pytest.approx(fold + 1e-9, rel=0.0, abs=1e-9)
 
 
 class TestValidateSpec:

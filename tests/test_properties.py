@@ -14,9 +14,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import raycalib as rc
-from raycalib.models import pixel_centers, radial_profile, theta_max
+from raycalib.fit import _params_of, _tangent_basis, residual_jacobian
+from raycalib.models import (
+    _corner_norm_radius,
+    _domain_radius,
+    pixel_centers,
+    radial_profile,
+    theta_max,
+)
 
-from conftest import ALL_MODEL_STRINGS
+from conftest import ALL_MODEL_STRINGS, max_param_error, residual_jacobian_numeric
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=12)
 SIZES = st.integers(48, 96)
@@ -87,3 +94,52 @@ def test_log_exp_round_trip_of_the_unprojected_grid(name, size, seed):
     np.testing.assert_allclose(rc.exp_map(rc.log_map(rays)), rays, rtol=0.0, atol=1e-12)
     grid = rc.rays_from_field(rc.field_from_spec(spec))
     np.testing.assert_allclose(grid.rays, rays, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
+@PROPERTY
+@given(size=SIZES, seed=SEEDS)
+def test_drawn_corner_lies_inside_the_domain(name, size, seed):
+    spec = draw_spec(name, size, seed)
+    assert _corner_norm_radius(spec) <= _domain_radius(spec.model, spec.dist)
+
+
+@pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
+@PROPERTY
+@given(size=SIZES, seed=SEEDS)
+def test_residual_jacobian_matches_central_differences(name, size, seed):
+    spec = draw_spec(name, size, seed)
+    px = pixel_centers(size, size, stride=4).reshape(-1, 2)
+    targets = rc.unproject(spec, px)
+    Ja = residual_jacobian(spec, px, targets)
+    b1, b2 = _tangent_basis(targets)
+    kappa = _params_of(spec)
+    # each column's step moves the residuals by about 1e-6 rad.  One relative
+    # step for all leaves a column as flat as radial:4's k4 (2e-6 rad per
+    # unit) to the difference quotient's roundoff and a steep kb:3 column to
+    # its truncation error, each above 1e-5 on some draws
+    scale = np.maximum(np.abs(Ja).max(axis=(0, 1)), 1e-12)
+    Jn = sum(
+        residual_jacobian_numeric(
+            spec, px, targets, b1, b2, kappa, [j],
+            rel_step=1e-6 / (scale[j] * max(1.0, abs(kappa[j]))),
+        )
+        for j in range(len(kappa))
+    )
+    # criterion 4's rule: relative agreement on entries within two decades
+    # of their column's largest, and a bounded column-scaled deviation
+    colscale = np.maximum(np.abs(Jn).max(axis=(0, 1)), 1e-12)
+    sig = np.abs(Jn) > 1e-2 * colscale
+    assert (np.abs(Ja - Jn)[sig] / np.abs(Jn)[sig]).max() <= 1e-5
+    assert (np.abs(Ja - Jn).max(axis=(0, 1)) / colscale).max() <= 1e-5
+
+
+@pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
+@PROPERTY
+@given(size=SIZES, seed=SEEDS)
+def test_calibrate_recovers_the_drawn_spec(name, size, seed):
+    # eucm included: refinement corrects its inexact kb:3 proxy focal on a
+    # clean field
+    spec = draw_spec(name, size, seed)
+    got = rc.calibrate(rc.field_from_spec(spec), spec.model).spec
+    assert max_param_error(got, spec) <= 1e-6
