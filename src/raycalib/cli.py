@@ -38,7 +38,14 @@ from .fileio import dump_json, read_field, read_spec, write_field, write_json, w
 from .fit import calibrate, calibrate_ransac, convert_model
 from .fov import FovField, field_from_spec, log_map
 from .metrics import angular_error, auc, evaluate
-from .models import CameraSpec, parse_model, pixel_centers, unproject_masked, validate_spec
+from .models import (
+    CameraSpec,
+    _grid_blocks,
+    parse_model,
+    pixel_axes,
+    unproject_masked,
+    validate_spec,
+)
 from .synth import (
     DatasetKind,
     IntrinsicsSampler,
@@ -165,15 +172,15 @@ def _spec_files(root: Path) -> dict[str, Path]:
 
 def _theta_difference(gt: CameraSpec, est: CameraSpec, stride: int) -> FovField:
     """gt minus est tangent vectors at the pixel centers, NaN at every cell
-    that either camera cannot unproject."""
-    px = pixel_centers(gt.width, gt.height, stride)
-    flat = px.reshape(-1, 2)
-    p, ok_gt = unproject_masked(gt, flat)
-    q, ok_est = unproject_masked(est, flat)
-    ok = ok_gt & ok_est
-    diff = np.full(flat.shape, np.nan)
-    diff[ok] = log_map(p[ok]) - log_map(q[ok])
-    return FovField(theta=diff.reshape(px.shape), stride=stride)
+    that either camera cannot unproject; filled block by block."""
+    u, v = pixel_axes(gt.width, gt.height, stride)
+    diff = np.full((len(v) * len(u), 2), np.nan)
+    for sl, px in _grid_blocks(u, v):
+        p, ok_gt = unproject_masked(gt, px)
+        q, ok_est = unproject_masked(est, px)
+        ok = ok_gt & ok_est
+        diff[sl][ok] = log_map(p[ok]) - log_map(q[ok])
+    return FovField(theta=diff.reshape(len(v), len(u), 2), stride=stride)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -189,10 +196,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not names:
         raise EmptyInput("no spec files with matching names")
 
+    # directories are made by the first pair that scores, so a batch that
+    # fails as one leaves nothing behind
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.dump_per_pixel:
-        (out / "perpixel").mkdir(exist_ok=True)
 
     def score(name: str):
         try:
@@ -200,9 +206,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             est = read_spec(est_files[name])
             report = evaluate(gt, est, grid_stride=args.stride)
             if args.dump_per_pixel:
-                write_field(
-                    out / "perpixel" / f"{name}.aff1", _theta_difference(gt, est, args.stride)
-                )
+                diff = _theta_difference(gt, est, args.stride)
+                (out / "perpixel").mkdir(parents=True, exist_ok=True)
+                write_field(out / "perpixel" / f"{name}.aff1", diff)
         except (*_INPUT_ERRORS, CalibError) as exc:  # a pair that cannot be scored fails alone
             return name, exc
         return name, report
@@ -213,6 +219,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if len(failed) == len(names):  # nothing scored: fail as one batch
         raise failed[names[0]]
     names = [n for n in names if n not in failed]
+    out.mkdir(parents=True, exist_ok=True)
 
     per_image = {name: scored[name].to_dict() for name in names}
     hfov_errs = [scored[n].hfov_err for n in names]

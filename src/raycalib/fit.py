@@ -55,16 +55,17 @@ import numpy as np
 from .errors import BoundInfeasible, DegenerateGeometry, InvalidFocal, NoConsensus
 from .fov import FovField, exp_map
 from .models import (
+    _BLOCK as _QR_BLOCK,
     CameraSpec,
     Family,
     ModelId,
+    _blocks,
+    _grid_blocks,
     _ray_angle,
     _ray_derivatives,
     _RayCells,
     _unproject_cells,
     pixel_axes,
-    pixel_centers,
-    unproject_masked,
 )
 
 EUCM_PROXY_ORDER = 3  # kb order used to estimate the extended model's focal
@@ -73,16 +74,10 @@ _RCOND = 1e-12
 _GN_RTOL = 1e-14  # stop once a step is predicted to remove less of the cost
 _GN_ITERATIONS = 5
 _GN_MAX_HALVINGS = 4
-_QR_BLOCK = 8192  # cells per block: 16,384 residual rows, about 1 MiB per block
 _EPS_XY = 1e-9  # rows with |X| and |Y| both below this are dropped
 _EPS_Z = 1e-6  # pinhole / radial rows require Z above this
 # families whose linear rows solve for 1/f and whose unprojection is a Newton solve
 _INVERSE_FOCAL = (Family.BROWN_CONRADY, Family.KANNALA_BRANDT)
-
-
-def _blocks(n: int) -> Iterator[slice]:
-    """Slices of at most _QR_BLOCK cells covering range(n)."""
-    return (slice(lo, lo + _QR_BLOCK) for lo in range(0, n, _QR_BLOCK))
 
 
 # ---------------------------------------------------------------------------
@@ -113,34 +108,48 @@ class Correspondences:
         return Correspondences(self.pixels[idx], self.rays[idx])
 
     @classmethod
+    def _from_grid(
+        cls,
+        u: np.ndarray,
+        v: np.ndarray,
+        rays_of: Callable[[slice, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    ) -> "Correspondences":
+        """The cells of the grid of columns u and rows v that ``rays_of(cells,
+        pixels)`` keeps, in grid order, filled block by block (``_grid_blocks``);
+        ``rays_of`` returns the mask of the block's kept cells and their rays."""
+        pixels, rays = np.empty((len(u) * len(v), 2)), np.empty((len(u) * len(v), 3))
+        n = 0
+        for sl, px in _grid_blocks(u, v):
+            keep, kept = rays_of(sl, px)
+            pixels[n : n + len(kept)], rays[n : n + len(kept)] = px[keep], kept
+            n += len(kept)
+        return cls(pixels[:n], rays[:n])
+
+    @classmethod
     def from_field(cls, fov_field: FovField, stride: int = 1) -> "Correspondences":
         """Pixel centers and exp-mapped rays of a field's finite cells, optionally
-        strided, in grid order; filled in blocks of grid rows."""
+        strided, in grid order."""
         if stride < 1:
             raise ValueError("stride must be >= 1")
-        theta = fov_field.theta[::stride, ::stride]
+        theta = fov_field.theta[::stride, ::stride].reshape(-1, 2)  # a view at stride 1
         u, v = pixel_axes(fov_field.width, fov_field.height, fov_field.stride)
-        u, v = u[::stride], v[::stride]
-        n = int(np.count_nonzero(np.isfinite(theta).all(axis=-1)))
-        pixels, rays = np.empty((n, 2)), np.empty((n, 3))
-        step = max(1, _QR_BLOCK // max(1, theta.shape[1]))  # grid rows per block
-        lo = 0
-        for j0 in range(0, theta.shape[0], step):
-            block = theta[j0 : j0 + step]
-            jj, ii = np.nonzero(np.isfinite(block).all(axis=-1))
-            hi = lo + len(jj)
-            pixels[lo:hi, 0], pixels[lo:hi, 1] = u[ii], v[j0 + jj]
-            rays[lo:hi] = exp_map(block[jj, ii])
-            lo = hi
-        return cls(pixels, rays)
+
+        def finite(sl: slice, px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            block = theta[sl]
+            keep = np.isfinite(block).all(axis=-1)
+            return keep, exp_map(block[keep])
+
+        return cls._from_grid(u[::stride], v[::stride], finite)
 
     @classmethod
     def from_spec(cls, spec: CameraSpec, stride: int = 1) -> "Correspondences":
         """Unprojection grid of a camera, dropping non-invertible cells."""
-        px = pixel_centers(spec.width, spec.height, stride).reshape(-1, 2)
-        rays, ok = unproject_masked(spec, px)
-        return cls(px[ok], rays[ok])
 
+        def invertible(sl: slice, px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            rays, ok, _ = _unproject_cells(spec, px)
+            return ok, rays[ok]
+
+        return cls._from_grid(*pixel_axes(spec.width, spec.height, stride), invertible)
 
 
 @dataclass(frozen=True)
@@ -779,9 +788,13 @@ def calibrate(fov_field: FovField, model: ModelId, stride: int = 1) -> Calibrati
 
 
 def _angular_residuals(spec: CameraSpec, corrs: Correspondences) -> np.ndarray:
-    """Angle (rad) between each target ray and the spec's unprojection; inf if invalid."""
-    q, ok = unproject_masked(spec, corrs.pixels)
-    return np.where(ok, _ray_angle(q, corrs.rays), np.inf)
+    """Angle (rad) between each target ray and the spec's unprojection; inf if
+    invalid.  Scored block by block."""
+    ang = np.empty(len(corrs))
+    for sl in _blocks(len(corrs)):
+        q, ok, _ = _unproject_cells(spec, corrs.pixels[sl])
+        ang[sl] = np.where(ok, _ray_angle(q, corrs.rays[sl]), np.inf)
+    return ang
 
 
 def calibrate_ransac(

@@ -25,7 +25,14 @@ from .errors import (
     NonInvertiblePixel,
     ThetaOutOfDomain,
 )
-from .models import CameraSpec, pixel_centers, unproject_masked
+from .models import (
+    CameraSpec,
+    _blocks,
+    _grid_blocks,
+    pixel_axes,
+    pixel_centers,
+    unproject_masked,
+)
 
 _SERIES_CUTOVER = 1e-6
 
@@ -140,24 +147,33 @@ def field_from_spec(spec: CameraSpec, stride: int = 1) -> FovField:
 
     With ``stride`` > 1 every block of stride x stride pixels contributes one
     cell at its center, so the grid covers the same image extent at a coarser
-    pitch.
+    pitch.  The grid is unprojected and log-mapped block by block
+    (``_grid_blocks``) into the field.
 
     Raises:
         ValueError: if ``stride`` is below 1.
         NonInvertiblePixel: if any sampled pixel cannot be unprojected.
     """
-    px = pixel_centers(spec.width, spec.height, stride)
-    rays, ok = unproject_masked(spec, px.reshape(-1, 2))
-    if not ok.all():
-        n_bad = int(ok.size - np.count_nonzero(ok))
+    u, v = pixel_axes(spec.width, spec.height, stride)
+    theta = np.empty((len(v) * len(u), 2))
+    n_bad = 0
+    for sl, px in _grid_blocks(u, v):
+        rays, ok = unproject_masked(spec, px)
+        n_bad += ok.size - int(np.count_nonzero(ok))
+        if not n_bad:  # past a bad cell only the count is wanted
+            theta[sl] = log_map(rays)
+    if n_bad:
         raise NonInvertiblePixel(f"{n_bad} grid pixels not invertible for {spec.model}")
-    theta = log_map(rays).reshape(px.shape)
-    return FovField(theta=theta, stride=stride)
+    return FovField(theta=theta.reshape(len(v), len(u), 2), stride=stride)
 
 
 def rays_from_field(field: FovField) -> RayGrid:
-    """Elementwise exp map of a field's tangent vectors."""
-    return RayGrid(rays=exp_map(field.theta), stride=field.stride)
+    """Elementwise exp map of a field's tangent vectors, block by block."""
+    theta = field.theta.reshape(-1, 2)
+    rays = np.empty((len(theta), 3))
+    for sl in _blocks(len(theta)):
+        rays[sl] = exp_map(theta[sl])
+    return RayGrid(rays=rays.reshape(field.theta.shape[:-1] + (3,)), stride=field.stride)
 
 
 def field_l1(a: FovField, b: FovField) -> float:

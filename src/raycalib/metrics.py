@@ -19,7 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BorderUnprojectionFailed, DimensionMismatch, EmptyInput
-from .models import CameraSpec, _ray_angle, pixel_centers, project_masked, unproject_masked
+from .models import (
+    CameraSpec,
+    _grid_blocks,
+    _project_cells,
+    _ray_angle,
+    _unproject_cells,
+    pixel_axes,
+    theta_max,
+    unproject_masked,
+)
 
 DEFAULT_AUC_THRESHOLDS = (1.0, 5.0, 10.0)
 
@@ -65,6 +74,47 @@ def _check_same_size(gt: CameraSpec, est: CameraSpec) -> None:
         )
 
 
+def _grid_errors(
+    gt: CameraSpec, est: CameraSpec, grid_stride: int, angles: bool = True, reproj: bool = True
+) -> list[tuple[float, int]]:
+    """Mean and dropped-cell count of each error asked for, in this order: the
+    angle (degrees) between the two unprojections, and the pixel distance of
+    the ground-truth ray re-projected through ``est``.
+
+    The grid is scored block by block (``_grid_blocks``), with one
+    ground-truth unprojection per block for both errors; the per-cell errors
+    are collected into one array each, so each mean sums them in grid order.
+
+    Raises:
+        EmptyInput: if no cell has an error asked for.
+    """
+    _check_same_size(gt, est)
+    u, v = pixel_axes(gt.width, gt.height, grid_stride)
+    n = len(u) * len(v)
+    ang, ok_a = (np.empty(n), np.empty(n, dtype=bool)) if angles else (None, None)
+    dist, ok_r = (np.empty(n), np.empty(n, dtype=bool)) if reproj else (None, None)
+    tmax = theta_max(est) if reproj else None
+    for sl, px in _grid_blocks(u, v):
+        p, ok_g, _ = _unproject_cells(gt, px)
+        if angles:
+            q, ok_e, _ = _unproject_cells(est, px)
+            ang[sl], ok_a[sl] = np.degrees(_ray_angle(p, q)), ok_g & ok_e
+        if reproj:
+            pu, pv, ok_e = _project_cells(est, p, tmax)
+            du, dv = pu - px[:, 0], pv - px[:, 1]
+            dist[sl], ok_r[sl] = np.sqrt(du * du + dv * dv), ok_g & ok_e
+    out = []
+    for err, ok, empty in (
+        (ang, ok_a, "no grid cell is unprojectable under both cameras"),
+        (dist, ok_r, "no grid cell survives the reprojection round trip"),
+    ):
+        if err is not None:
+            if not ok.any():
+                raise EmptyInput(empty)
+            out.append((float(np.mean(err[ok])), int(ok.size - np.count_nonzero(ok))))
+    return out
+
+
 def angular_error(
     gt: CameraSpec, est: CameraSpec, grid_stride: int = 1
 ) -> float:
@@ -80,15 +130,7 @@ def angular_error_counted(
     gt: CameraSpec, est: CameraSpec, grid_stride: int = 1
 ) -> tuple[float, int]:
     """As ``angular_error`` but also reporting the dropped-cell count."""
-    _check_same_size(gt, est)
-    px = pixel_centers(gt.width, gt.height, grid_stride).reshape(-1, 2)
-    p, ok_g = unproject_masked(gt, px)
-    q, ok_e = unproject_masked(est, px)
-    ok = ok_g & ok_e
-    if not ok.any():
-        raise EmptyInput("no grid cell is unprojectable under both cameras")
-    ang = np.degrees(_ray_angle(p[ok], q[ok]))
-    return float(np.mean(ang)), int(ok.size - np.count_nonzero(ok))
+    return _grid_errors(gt, est, grid_stride, reproj=False)[0]
 
 
 def reproj_error(gt: CameraSpec, est: CameraSpec, grid_stride: int = 1) -> float:
@@ -105,15 +147,7 @@ def reproj_error_counted(
     gt: CameraSpec, est: CameraSpec, grid_stride: int = 1
 ) -> tuple[float, int]:
     """As ``reproj_error`` but also reporting the dropped-cell count."""
-    _check_same_size(gt, est)
-    px = pixel_centers(gt.width, gt.height, grid_stride).reshape(-1, 2)
-    rays, ok_g = unproject_masked(gt, px)
-    reproj, ok_e = project_masked(est, rays)
-    ok = ok_g & ok_e
-    if not ok.any():
-        raise EmptyInput("no grid cell survives the reprojection round trip")
-    err = np.linalg.norm(reproj[ok] - px[ok], axis=-1)
-    return float(np.mean(err)), int(ok.size - np.count_nonzero(ok))
+    return _grid_errors(gt, est, grid_stride, angles=False)[0]
 
 
 def fov_agnostic(spec: CameraSpec) -> tuple[float, float]:
@@ -182,8 +216,7 @@ def evaluate(
     gt: CameraSpec, est: CameraSpec, grid_stride: int = 1
 ) -> EvalReport:
     """Full per-image report combining all metrics."""
-    ae, ndrop_ae = angular_error_counted(gt, est, grid_stride)
-    re, ndrop_re = reproj_error_counted(gt, est, grid_stride)
+    (ae, ndrop_ae), (re, ndrop_re) = _grid_errors(gt, est, grid_stride)
     h_gt, v_gt = fov_agnostic(gt)
     h_est, v_est = fov_agnostic(est)
     ef, ec = edited_errors(gt, est)

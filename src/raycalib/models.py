@@ -30,6 +30,12 @@ domains).  Only radial and eucm clamp the focal to keep the image inside it
 
 Pixel coordinates live in the continuous domain [0, W] x [0, H]; sampled
 grids use pixel centers (i + 0.5, j + 0.5).
+
+Dense per-cell work is cut into blocks of ``_BLOCK`` cells here, once for
+the package (``_blocks``; ``_grid_blocks`` for pixel grids): unprojection,
+projection, field generation, the metrics, RANSAC scoring and the fit.
+Since the radial/kb Newton loop runs until every cell of its block has
+converged, a cell's unprojection can differ by roundoff with its block.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -52,6 +58,10 @@ NEWTON_MAX_ITER = 20
 _THETA_MAX_SLACK = 1e-9
 
 _KB_THETA_CAP = math.pi - 1e-9  # largest kb polar angle, short of the antipode
+
+# cells per block of dense per-cell work: one float per cell of a block is
+# 64 KiB, and a least-squares block of 16,384 rows is about 1 MiB
+_BLOCK = 8192
 
 
 class Family(Enum):
@@ -194,6 +204,23 @@ def pixel_centers(width: int, height: int, stride: int = 1) -> np.ndarray:
     (``pixel_axes``)."""
     uu, vv = np.meshgrid(*pixel_axes(width, height, stride))
     return np.stack([uu, vv], axis=-1)
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """Slices of at most _BLOCK cells covering range(n)."""
+    return (slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
+
+
+def _grid_blocks(u: np.ndarray, v: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """(cells, pixels) of each block of the row-major grid of columns u and
+    rows v (``pixel_axes``): the block's slice of the flattened grid and its
+    (m, 2) pixel centers, built from the grid rows the block touches."""
+    w = len(u)
+    for sl in _blocks(w * len(v)):
+        j0 = sl.start // w
+        px = np.empty((-(-sl.stop // w) - j0, w, 2))
+        px[..., 0], px[..., 1] = u, v[j0 : j0 + len(px), None]
+        yield sl, px.reshape(-1, 2)[sl.start - j0 * w : sl.stop - j0 * w]
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +440,19 @@ def _projection_scale(spec: CameraSpec, X, Y, Z) -> tuple[np.ndarray, np.ndarray
     return scale, ok, theta
 
 
+def _project_cells(
+    spec: CameraSpec, rays: np.ndarray, tmax: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pixel coordinates u and v of some (m, 3) unit rays and the mask of
+    those inside the valid cone ``tmax`` (``theta_max``) whose projection
+    succeeded."""
+    X, Y = rays[:, 0], rays[:, 1]
+    scale, ok, theta = _projection_scale(spec, X, Y, rays[:, 2])
+    u = spec.fx * scale * X + spec.cx
+    v = spec.fx * spec.aspect * scale * Y + spec.cy
+    return u, v, (theta <= tmax) & ok & np.isfinite(u) & np.isfinite(v)
+
+
 def project_masked(spec: CameraSpec, rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project unit rays, returning (pixels, valid_mask) without raising.
 
@@ -422,15 +462,15 @@ def project_masked(spec: CameraSpec, rays: np.ndarray) -> tuple[np.ndarray, np.n
     Returns:
         pixels (..., 2) and a boolean mask flagging rays inside the model's
         valid cone whose projection succeeded.  Pixel values for invalid rays
-        are unspecified.
+        are unspecified.  The rays are projected block by block (``_blocks``).
     """
     rays = np.asarray(rays, dtype=np.float64)
-    X, Y = rays[..., 0], rays[..., 1]
-    scale, ok, theta = _projection_scale(spec, X, Y, rays[..., 2])
-    u = spec.fx * scale * X + spec.cx
-    v = spec.fx * spec.aspect * scale * Y + spec.cy
-    valid = (theta <= theta_max(spec)) & ok & np.isfinite(u) & np.isfinite(v)
-    return np.stack([u, v], axis=-1), valid
+    flat = rays.reshape(-1, 3)
+    tmax = theta_max(spec)
+    px, valid = np.empty((len(flat), 2)), np.empty(len(flat), dtype=bool)
+    for sl in _blocks(len(flat)):
+        px[sl, 0], px[sl, 1], valid[sl] = _project_cells(spec, flat[sl], tmax)
+    return px.reshape(rays.shape[:-1] + (2,)), valid.reshape(rays.shape[:-1])
 
 
 def project(spec: CameraSpec, rays: np.ndarray) -> np.ndarray:
@@ -613,9 +653,14 @@ def _ray_angle(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def unproject_masked(
     spec: CameraSpec, pixels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unproject pixels, returning (unit rays, valid_mask) without raising."""
-    rays, ok, _ = _unproject_cells(spec, pixels)
-    return rays, ok
+    """Unproject pixels (..., 2), returning (unit rays (..., 3), valid_mask)
+    without raising.  The pixels are unprojected block by block (``_blocks``)."""
+    pixels = np.asarray(pixels, dtype=np.float64)
+    flat = pixels.reshape(-1, 2)
+    rays, ok = np.empty((len(flat), 3)), np.empty(len(flat), dtype=bool)
+    for sl in _blocks(len(flat)):
+        rays[sl], ok[sl], _ = _unproject_cells(spec, flat[sl])
+    return rays.reshape(pixels.shape[:-1] + (3,)), ok.reshape(pixels.shape[:-1])
 
 
 def unproject(spec: CameraSpec, pixels: np.ndarray) -> np.ndarray:

@@ -276,6 +276,13 @@ class TestEvalCommand:
         theta = read_field(rep / "perpixel" / "0000.aff1").theta
         np.testing.assert_array_equal(np.isnan(theta), np.stack([~ok, ~ok], axis=-1))
 
+    @pytest.mark.parametrize("dump", [(), ("--dump-per-pixel",)], ids=["report", "perpixel"])
+    def test_batch_failure_leaves_no_report_directory(self, dump, tmp_path, capsys):
+        # every pair fails, so the batch fails as one and writes nothing
+        assert run(*_eval_stride_0(tmp_path), *dump) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "InvalidInput"
+        assert not (tmp_path / "rep").exists()
+
 
 class TestConvertCommand:
     def test_identity(self, tmp_path, capsys):
