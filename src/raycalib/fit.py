@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import BoundInfeasible, DegenerateGeometry, InvalidFocal, NoConsensus
 from .fov import FovField, exp_map
-from .models import (
+from .models import (  # _QR_BLOCK: the kernel's block, under the name tests import
     _BLOCK as _QR_BLOCK,
     CameraSpec,
     Family,
