@@ -18,30 +18,37 @@ unknowns:
    residual between the target rays and the unprojections of the current
    intrinsics.  A residual pass (``_pass``) sweeps the cells once, block by
    block: it unprojects, forms the residuals and their share of the cost,
-   and then the Jacobian columns, from the derivatives of the unnormalized
-   ray with respect to (mx, my, dist) and the block's own unprojection, and
-   the block's QR factor of [J | -e].  So a pass returns its cost together
-   with the factor R of its step, and an accepted trial pass brings the R of
-   the next step; the trial of the last iteration skips the Jacobian.  The
-   factor gives the share of |e|^2 the linearized step removes,
-   |R[:k, k]|^2 of |R[:k, k]|^2 + R[k, k]^2; below _GN_RTOL = 1e-14, under
-   the roundoff of the cost sum, refinement stops without a trial pass
-   (relative-reduction test, Nocedal & Wright, Numerical Optimization,
-   10.3).  Each step is halved up to four times if the cost would increase,
-   so the recorded per-iteration costs never increase; a step rejected at
-   every length leaves the intrinsics unchanged, so the refinement stops
-   there too, exactly where further iterations would repeat it.  The
-   radial/kb Newton solves of a trial pass start from the accepted pass's
-   solution, the only per-cell state kept between passes.
+   and then the Jacobian columns and the block's QR factor of [J | -e].  So
+   a pass returns its cost together with the factor R of its step, and an
+   accepted trial pass brings the R of the next step; the trial of the last
+   iteration skips the Jacobian.  The factor gives the share of |e|^2 the
+   linearized step removes, |R[:k, k]|^2 of |R[:k, k]|^2 + R[k, k]^2; below
+   _GN_RTOL = 1e-14, under the roundoff of the cost sum, refinement stops
+   without a trial pass (relative-reduction test, Nocedal & Wright,
+   Numerical Optimization, 10.3).  Each step is halved up to four times if
+   the cost would increase, so the recorded per-iteration costs never
+   increase; a step rejected at every length leaves the intrinsics
+   unchanged, so the refinement stops there too, exactly where further
+   iterations would repeat it.  The radial/kb Newton solves of a trial pass
+   start from the accepted pass's solution, the only per-cell state kept
+   between passes.
+
+One column writer (``_write_jacobian``) fills the Jacobian for refinement
+and ``residual_jacobian``: it contracts the residuals' gradient with respect
+to the unnormalized ray g, built once per block, with dg/dmx, dg/dmy and the
+one direction d that every distortion coefficient moves g along
+(dg/dk_n = scale_n d, ``models._ray_derivatives``).  A pass reads its cells
+component-major, as views of the arrays a fit holds.
 
 All linear stages share one kernel and never form normal equations: rows
-are built block by block (``_QR_BLOCK`` cells), each block is reduced to the
-triangular factor of [A | b] and the stacked factors once more, a
-tall-skinny QR (Demmel et al., SIAM J. Sci. Comput. 2012); ``_solve`` then
-takes the unknowns from R with lstsq's column equilibration, SVD and rank
-rule.  Bound re-solves work on columns of R.  Beyond the correspondences
-and the tangent basis of the targets, a fit so holds one block of rows at a
-time.
+are built block by block (``_QR_BLOCK`` cells) as F-ordered arrays, each
+block is reduced to the triangular factor of [A | b] and the stacked factors
+once more, a tall-skinny QR (Demmel et al., SIAM J. Sci. Comput. 2012);
+refinement hands the e1 rows and the e2 rows of a block over as two leaves,
+which factor faster than the block at once.  ``_solve`` then takes the
+unknowns from R with lstsq's column equilibration, SVD and rank rule.
+Bound re-solves work on columns of R.  Beyond the correspondences and the
+tangent basis of the targets, a fit so holds one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -88,7 +95,11 @@ _INVERSE_FOCAL = (Family.BROWN_CONRADY, Family.KANNALA_BRANDT)
 
 @dataclass(frozen=True)
 class Correspondences:
-    """Paired pixel coordinates (n, 2) and unit rays (n, 3)."""
+    """Paired pixel coordinates (n, 2) and unit rays (n, 3).
+
+    Both are held F-ordered, so that ``pixels.T`` (2, n) and ``rays.T``
+    (3, n) are views with contiguous rows, which the per-cell work reads.
+    """
 
     pixels: np.ndarray
     rays: np.ndarray
@@ -98,14 +109,14 @@ class Correspondences:
         rays = np.asarray(self.rays, dtype=np.float64).reshape(-1, 3)
         if len(px) != len(rays):
             raise ValueError("pixels and rays must have equal length")
-        object.__setattr__(self, "pixels", px)
-        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "pixels", np.asfortranarray(px))
+        object.__setattr__(self, "rays", np.asfortranarray(rays))
 
     def __len__(self) -> int:
         return len(self.pixels)
 
     def subset(self, idx: np.ndarray) -> "Correspondences":
-        return Correspondences(self.pixels[idx], self.rays[idx])
+        return Correspondences(self.pixels.T[:, idx].T, self.rays.T[:, idx].T)
 
     @classmethod
     def _from_grid(
@@ -117,13 +128,15 @@ class Correspondences:
         """The cells of the grid of columns u and rows v that ``rays_of(cells,
         pixels)`` keeps, in grid order, filled block by block (``_grid_blocks``);
         ``rays_of`` returns the mask of the block's kept cells and their rays."""
-        pixels, rays = np.empty((len(u) * len(v), 2)), np.empty((len(u) * len(v), 3))
+        pixels, rays = np.empty((2, len(u) * len(v))), np.empty((3, len(u) * len(v)))
         n = 0
         for sl, px in _grid_blocks(u, v):
             keep, kept = rays_of(sl, px)
-            pixels[n : n + len(kept)], rays[n : n + len(kept)] = px[keep], kept
+            # compress copies the kept rows many times faster than px[keep]
+            pixels[:, n : n + len(kept)] = np.compress(keep, px, axis=0).T
+            rays[:, n : n + len(kept)] = kept.T
             n += len(kept)
-        return cls(pixels[:n], rays[:n])
+        return cls(pixels[:, :n].T, rays[:, :n].T)
 
     @classmethod
     def from_field(cls, fov_field: FovField, stride: int = 1) -> "Correspondences":
@@ -136,8 +149,8 @@ class Correspondences:
 
         def finite(sl: slice, px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             block = theta[sl]
-            keep = np.isfinite(block).all(axis=-1)
-            return keep, exp_map(block[keep])
+            keep = np.isfinite(block[:, 0]) & np.isfinite(block[:, 1])
+            return keep, exp_map(np.compress(keep, block, axis=0))
 
         return cls._from_grid(u[::stride], v[::stride], finite)
 
@@ -147,7 +160,7 @@ class Correspondences:
 
         def invertible(sl: slice, px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             rays, ok, _ = _unproject_cells(spec, px)
-            return ok, rays[ok]
+            return ok, np.compress(ok, rays, axis=0)
 
         return cls._from_grid(*pixel_axes(spec.width, spec.height, stride), invertible)
 
@@ -254,8 +267,8 @@ def _ppoint_rows(pixels: np.ndarray, rays: np.ndarray) -> np.ndarray:
     """Rows [u Y | -Y | X | v X] of one block's off-axis cells."""
     X, Y = rays[:, 0], rays[:, 1]
     keep = (np.abs(X) >= _EPS_XY) | (np.abs(Y) >= _EPS_XY)
-    X, Y, u, v = X[keep], Y[keep], pixels[keep, 0], pixels[keep, 1]
-    return np.stack([u * Y, -Y, X, v * X], axis=-1)
+    X, Y, u, v = X[keep], Y[keep], pixels[:, 0][keep], pixels[:, 1][keep]
+    return np.stack([u * Y, -Y, X, v * X]).T
 
 
 def _fit_ppoint_full(corrs: Correspondences) -> tuple[float, float, float, float]:
@@ -325,7 +338,7 @@ def _family_rows(
     else:  # division
         rca2 = du * du + (dv / a) ** 2
         cols = [Ra, *(Ra * rca2**n for n in orders), rc * Z]
-    return np.stack(cols, axis=-1)
+    return np.stack(cols).T
 
 
 def _eucm_rows(
@@ -337,7 +350,7 @@ def _eucm_rows(
     mx = (pixels[:, 0] - c[0]) / f
     my = (pixels[:, 1] - c[1]) / (a * f)
     r = np.hypot(mx, my)
-    return np.stack([r * r * R * R, 2.0 * r * Z * (r * Z - R), (R - r * Z) ** 2], axis=-1)
+    return np.stack([r * r * R * R, 2.0 * r * Z * (r * Z - R), (R - r * Z) ** 2]).T
 
 
 
@@ -517,14 +530,16 @@ def _clamp_params(model: ModelId, kappa: np.ndarray) -> np.ndarray:
     return kappa
 
 
-def _tangent_basis(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tangent_basis(p: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the tangent plane at each unit vector p (n, 3),
-    as two (3, n) arrays of components.
+    as one (2, 3, n) array: b1, b2 = _tangent_basis(p), each as rows of
+    components.
 
     b1 = ref x p / |ref x p| with ref = z, or x where |p_z| >= 0.9, and
-    b2 = p x b1, written block by block into the two outputs.
+    b2 = p x b1, written block by block into the output.
     """
-    b1, b2 = np.empty((3, len(p))), np.empty((3, len(p)))
+    basis = np.empty((2, 3, len(p)))
+    b1, b2 = basis
     for sl in _blocks(len(p)):
         x, y, z = p[sl].T
         pole = np.abs(z) >= 0.9
@@ -536,7 +551,7 @@ def _tangent_basis(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.divide(c3, norm, out=b1[2, sl])
         c1, c2, c3 = b1[:, sl]
         b2[0, sl], b2[1, sl], b2[2, sl] = y * c3 - z * c2, z * c1 - x * c3, x * c2 - y * c1
-    return b1, b2
+    return basis
 
 
 def _arc_factor(c: np.ndarray) -> np.ndarray:
@@ -555,10 +570,15 @@ def _arc_factor_deriv(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.where(small, -1.0 / 3.0, (c * w - 1.0) / np.where(small, 1.0, s2))
 
 
-def _dot(v, d) -> np.ndarray:
-    """sum_i v[i] * d[i] over three components; a d[i] may be the constant 0.0 or 1.0."""
-    terms = [vi * di if np.ndim(di) else vi for vi, di in zip(v, d) if np.ndim(di) or di]
-    return sum(terms[1:], terms[0])
+def _contract(a: np.ndarray, v) -> np.ndarray:
+    """sum_i a[..., i, :] * v[i] of a (..., 3, m) and a 3-vector v per cell,
+    whose components may be the constants 0.0 and 1.0 (``_ray_derivatives``)."""
+    terms = [a[..., i, :] * vi if np.ndim(vi) else a[..., i, :] for i, vi in enumerate(v)
+             if np.ndim(vi) or vi]
+    acc = terms[0] + terms[1] if len(terms) > 1 else terms[0]
+    for term in terms[2:]:
+        acc += term  # in place: acc is a new array here
+    return acc
 
 
 class _Block(NamedTuple):
@@ -587,40 +607,55 @@ def _residual_block(
     """Tangent residuals of some cells (targets (m, 3), basis (3, m) each) and
     the state behind them; ``x0`` starts the radial/kb Newton solve."""
     q, ok, ray = _unproject_cells(spec, pixels, x0)
-    # component rows, so that every product below runs over contiguous memory
-    q, t = np.ascontiguousarray(q.T), np.ascontiguousarray(targets.T)
-    c = _dot(t, q)
+    # component rows: views of the component-major rays and correspondences
+    q, t = q.T, targets.T
+    c = _contract(t, q)
     w = _arc_factor(c)
-    b1q, b2q = _dot(b1, q), _dot(b2, q)
+    b1q, b2q = _contract(b1, q), _contract(b2, q)
     e1 = np.where(ok, w * b1q, 0.0)
     e2 = np.where(ok, w * b2q, 0.0)
     return _Block(e1, e2, ok, ray, q, t, c, w, b1q, b2q)
 
 
-def _jacobian_columns(
-    spec: CameraSpec, blk: _Block, b1: np.ndarray, b2: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """d(e1, e2)/d(fx, fy, cx, cy, *dist): one pair of columns per parameter.
+def _write_jacobian(
+    spec: CameraSpec,
+    blk: _Block,
+    b1: np.ndarray,
+    b2: np.ndarray,
+    free_idx: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Write d(e1, e2)/d(fx, fy, cx, cy, *dist)[free_idx] of one block: the
+    column pair of parameter free_idx[i] into out[i], a (2, m) view.
 
     The residual e_i = w(c) (b_i . q) of q = g / |g| and c = target . q has the
-    gradient (w b_i - (b_i . q) h) / |g| with respect to g, where
-    h = (w + c w') q - w' target; each ray derivative dg enters through it.
-    The intrinsics enter g only through m = ((u - cx) / fx, (v - cy) / fy).
-    Rows the residual marked invalid are zero.
+    gradient G_i = (w b_i - (b_i . q) h) / |g| with respect to g, where
+    h = (w + c w') q - w' target.  G is built once, as (2, 3, m), and taken
+    against three ray derivatives: dg/dmx, dg/dmy and the direction d of
+    dg/dk_n = scale_n d (``_ray_derivatives``).  The intrinsics enter g only
+    through m = ((u - cx) / fx, (v - cy) / fy), so every column is one of the
+    three contractions times a per-cell or constant factor.  Rows the
+    residual marked invalid are zero.
     """
-    w, c, ok = blk.w, blk.c, blk.ok
-    dw = _arc_factor_deriv(c, w)
-    h = (w + c * dw) * blk.q - dw * blk.t
-    grads = [(w * b - bq * h) / blk.ray.norm for b, bq in ((b1, blk.b1q), (b2, blk.b2q))]
-    dgs = _ray_derivatives(spec, blk.ray)
-    cols = [tuple(_dot(gr, dg) for gr in grads) for dg in dgs]
-    if not ok.all():
-        cols = [(np.where(ok, j1, 0.0), np.where(ok, j2, 0.0)) for j1, j2 in cols]
-    (x1, x2), (y1, y2) = cols[:2]
+    dw = _arc_factor_deriv(blk.c, blk.w)
+    inv = 1.0 / blk.ray.norm
+    h = (blk.w + blk.c * dw) * blk.q
+    h -= dw * blk.t
+    wn = blk.w * inv
+    G = np.empty((2, 3, len(blk.ok)))
+    for Gi, b, bq in zip(G, (b1, b2), (blk.b1q, blk.b2q)):
+        np.multiply(wn, b, out=Gi)
+        Gi -= (bq * inv) * h
+    dgx, dgy, d, scales = _ray_derivatives(spec, blk.ray)
+    jx, jy = _contract(G, dgx), _contract(G, dgy)
+    jd = [] if d is None else [_contract(G, d)] * len(scales)
+    sources = [jx, jy, jx, jy, *jd]
     fx, fy = spec.fx, spec.fy
-    sx, sy = -blk.ray.mx / fx, -blk.ray.my / fy
-    return [(x1 * sx, x2 * sx), (y1 * sy, y2 * sy),
-            (x1 / -fx, x2 / -fx), (y1 / -fy, y2 / -fy), *cols[2:]]
+    factors = [-blk.ray.mx / fx, -blk.ray.my / fy, -1.0 / fx, -1.0 / fy, *scales]
+    for col, j in zip(out, free_idx):
+        np.multiply(sources[j], factors[j], out=col)
+    if not blk.ok.all():
+        out[..., ~blk.ok] = 0.0
 
 
 def residual_jacobian(
@@ -630,34 +665,23 @@ def residual_jacobian(
 
     Every family is differentiated in closed form; the Newton-inverted ones
     (radial, kb) through implicit derivatives of the converged solve.
-    Shape (n, 2, 4 + num_dist), filled block by block as in refinement.
+    Shape (n, 2, 4 + num_dist), filled block by block by refinement's
+    column writer.
     """
-    b1, b2 = _tangent_basis(targets)
+    basis = _tangent_basis(targets)
     J = np.empty((len(pixels), 2, 4 + spec.model.num_dist))
+    every = np.arange(J.shape[-1])
     for sl in _blocks(len(pixels)):
-        blk = _residual_block(spec, pixels[sl], targets[sl], b1[:, sl], b2[:, sl])
-        for j, (j1, j2) in enumerate(_jacobian_columns(spec, blk, b1[:, sl], b2[:, sl])):
-            J[sl, 0, j], J[sl, 1, j] = j1, j2
+        b1, b2 = basis[:, :, sl]
+        blk = _residual_block(spec, pixels[sl], targets[sl], b1, b2)
+        _write_jacobian(spec, blk, b1, b2, every, J[sl].transpose(2, 1, 0))
     return J
-
-
-def _step_rows(
-    spec: CameraSpec, blk: _Block, b1: np.ndarray, b2: np.ndarray, free_idx: np.ndarray
-) -> np.ndarray:
-    """Rows [J_free | -e] of one block: the e1 rows, then the e2 rows."""
-    cols = _jacobian_columns(spec, blk, b1, b2)
-    m, k = len(blk.ok), len(free_idx)
-    A = np.empty((2 * m, k + 1), order="F")
-    for j, idx in enumerate(free_idx):
-        A[:m, j], A[m:, j] = cols[idx]
-    A[:m, k], A[m:, k] = -blk.e1, -blk.e2
-    return A
 
 
 def _pass(
     spec: CameraSpec,
     corrs: Correspondences,
-    basis: tuple[np.ndarray, np.ndarray],
+    basis: np.ndarray,
     free_idx: np.ndarray,
     want_r: bool = True,
     x0: np.ndarray | None = None,
@@ -667,7 +691,9 @@ def _pass(
     Returns the mean squared tangent residual over the valid cells (inf if
     none), their count, the factor R of [J_free | -e] (None without
     ``want_r``) and the Newton solution of radial/kb (None for the other
-    families), which ``x0`` passes back as the next pass's start.
+    families), which ``x0`` passes back as the next pass's start.  Each
+    block's rows are written column by column into one buffer, whose e1
+    half and e2 half are two F-ordered leaves of ``_tsqr``.
     """
     n, k = len(corrs), len(free_idx)
     b1, b2 = basis
@@ -684,9 +710,15 @@ def _pass(
             if sol is not None:
                 sol[sl] = blk.ray.sol
             if want_r:
-                A = _step_rows(spec, blk, b1[:, sl], b2[:, sl], free_idx)
-                del blk  # not needed while A is factored
-                yield A
+                # halves[i].T is the leaf of e_i; cols[j] is column j of both, (2, m)
+                halves = np.empty((2, k + 1, len(blk.ok)))
+                cols = halves.transpose(1, 0, 2)
+                _write_jacobian(spec, blk, b1[:, sl], b2[:, sl], free_idx, cols[:k])
+                np.negative(blk.e1, out=cols[k, 0])
+                np.negative(blk.e2, out=cols[k, 1])
+                del blk  # not needed while the leaves are factored
+                yield halves[0].T
+                yield halves[1].T
 
     R, _ = _tsqr(rows(), k + 1)
     cost = total / valid if valid else math.inf

@@ -9,8 +9,9 @@ optical axis z1 = [0, 0, 1].  The maps between rays and tangent vectors are
 
 so |theta| equals the polar angle of the ray exactly.  Both maps switch to
 their series limit below t = 1e-6, where the ratio t/sin(t) is 1 to double
-precision.  The antipode (Z = -1) is excluded from the log map and |theta|
-must stay below pi for the exp map.
+precision.  The log map is defined for every ray but the antipode, where the
+direction of theta is undefined (X = Y = 0 with Z < 0), and |theta| must
+stay below pi for the exp map.
 """
 
 from __future__ import annotations
@@ -40,14 +41,17 @@ _SERIES_CUTOVER = 1e-6
 def log_map(rays: np.ndarray) -> np.ndarray:
     """Map unit rays (..., 3) to tangent-plane 2-vectors (..., 2).
 
+    A ray next to the antipode keeps its direction: kb unprojection reaches
+    polar angles up to pi - 1e-9.
+
     Raises:
-        AntipodalRay: if any ray has Z = -1 within 1e-12.
+        AntipodalRay: if any ray has X = Y = 0 with Z < 0.
     """
     rays = np.asarray(rays, dtype=np.float64)
     z = rays[..., 2]
-    if np.any(z <= -1.0 + 1e-12):
-        raise AntipodalRay("log map undefined at [0, 0, -1]")
     sin_theta = np.hypot(rays[..., 0], rays[..., 1])
+    if np.any((sin_theta == 0.0) & (z < 0.0)):
+        raise AntipodalRay("log map undefined at [0, 0, -1]")
     # atan2 keeps full precision near the axis, where arccos(z) loses
     # ~eps/theta absolute accuracy; both equal the polar angle
     theta = np.arctan2(sin_theta, z)
@@ -70,11 +74,14 @@ def exp_map(theta2: np.ndarray) -> np.ndarray:
         raise ThetaOutOfDomain("|theta| must be < pi")
     small = t < _SERIES_CUTOVER
     sinc = np.where(small, 1.0, np.sin(t) / np.where(small, 1.0, np.maximum(t, 1e-300)))
-    rays = np.concatenate(
-        [theta2 * sinc[..., None], np.cos(t)[..., None]], axis=-1
-    )
-    # the small-angle branch is off unit norm by O(t^4); renormalize once
-    return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
+    rays = np.empty(t.shape + (3,))
+    np.multiply(theta2, sinc[..., None], out=rays[..., :2])
+    np.cos(t, out=rays[..., 2])
+    # the small-angle branch is off unit norm by O(t^4); renormalize once,
+    # summing the squares in np.linalg.norm's order
+    x, y, z = rays[..., 0], rays[..., 1], rays[..., 2]
+    rays /= np.sqrt(x * x + y * y + z * z)[..., None]
+    return rays
 
 
 @dataclass(frozen=True)

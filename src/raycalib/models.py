@@ -506,7 +506,13 @@ def _odd_poly_solve(
     hi = min(_stationary_radius(dist), cap)
 
     def fun(x):
-        return _odd_poly_theta(dist, x), _odd_poly_theta_deriv(dist, x)
+        # h and h' in one Horner loop sharing x^2, from k_N x^2 and (2N+1) k_N:
+        # the bits of _odd_poly_theta and _odd_poly_theta_deriv
+        x2 = x * x
+        acc, acc_p = dist[-1] * x2, (2 * len(dist) + 1) * dist[-1]
+        for n in range(len(dist) - 1, 0, -1):
+            acc, acc_p = (acc + dist[n - 1]) * x2, acc_p * x2 + (2 * n + 1) * dist[n - 1]
+        return x * (1.0 + acc), 1.0 + acc_p * x2
 
     return _newton(fun, r, np.clip(r if x0 is None else x0, 0.0, 0.999 * hi), hi)
 
@@ -526,7 +532,9 @@ class _RayCells(NamedTuple):
 def _unproject_cells(
     spec: CameraSpec, pixels: np.ndarray, x0: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, _RayCells]:
-    """Unit rays, their validity mask and the per-cell quantities behind them.
+    """Unit rays (..., 3), their validity mask and the per-cell quantities
+    behind them.  The rays are held component-major: ``rays.T`` is a view
+    whose component rows are contiguous.
 
     ``x0`` is the start of the radial/kb Newton solve (``_odd_poly_solve``).
     """
@@ -572,25 +580,29 @@ def _unproject_cells(
     norm = np.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
     valid &= (norm > 1e-12) & (norm < math.inf)
     safe = np.where(norm > 1e-12, norm, 1.0)
-    rays = np.empty(mx.shape + (3,))
+    rays = np.empty((3,) + mx.shape)
     for i in range(3):
-        np.divide(g[i], safe, out=rays[..., i])
-    return rays, valid, _RayCells(mx, my, r, norm, sol, s, ds)
+        np.divide(g[i], safe, out=rays[i, ...])
+    return np.moveaxis(rays, 0, -1), valid, _RayCells(mx, my, r, norm, sol, s, ds)
 
 
-def _ray_derivatives(spec: CameraSpec, cells: _RayCells) -> list[tuple]:
-    """dg/d(mx, my, *dist) of the unnormalized ray g of ``_unproject_cells``,
-    one (x, y, z) triple per unknown; a component is an (n,) array or the
-    constant 0.0 or 1.0."""
+def _ray_derivatives(
+    spec: CameraSpec, cells: _RayCells
+) -> tuple[tuple, tuple, tuple | None, list]:
+    """dg/dmx and dg/dmy of the unnormalized ray g of ``_unproject_cells``,
+    and its distortion part as one direction d and one scale per coefficient:
+    dg/dk_n = scales[n - 1] * d, so the coefficients share one direction.  A
+    vector is an (x, y, z) triple whose components are (n,) arrays or the
+    constants 0.0 and 1.0; pinhole has no distortion part (d None)."""
     fam = spec.model.family
     mx, my, r = cells.mx, cells.my, cells.r
     if fam is Family.PINHOLE:
-        return [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+        return (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), None, []
     if fam in (Family.BROWN_CONRADY, Family.KANNALA_BRANDT):
         # sol solves sol + sum k_n sol^(2n+1) = r (rho for radial, theta for
         # kb), so dsol/dr = 1/h' and dsol/dk_n = -sol^(2n+1)/h'.  g is
         # (s mx / r, s my / r, gz) with s = rho, gz = 1 or s = sin, gz = cos,
-        # and ds/dsol = gz
+        # and ds/dsol = gz, so dg/dsol = (ds mx / r, ds my / r, -s or 0)
         kb = fam is Family.KANNALA_BRANDT
         sol, s, ds = cells.sol, cells.s, cells.ds
         hp = _odd_poly_theta_deriv(spec.dist, sol)
@@ -601,14 +613,13 @@ def _ray_derivatives(spec: CameraSpec, cells: _RayCells) -> list[tuple]:
         a = (ds / hp - u) * inv_r * inv_r  # (du/dr) / r
         dz = -s / hp * inv_r if kb else 0.0  # (dgz/dr) / r
         axy = a * mx * my
-        out = [(u + a * mx * mx, axy, dz * mx), (axy, u + a * my * my, dz * my)]
-        sol2, power = sol * sol, sol  # power = sol^(2n+1) by running products
+        scales, sol2, power = [], sol * sol, sol  # power = sol^(2n+1) by running products
         for _ in range(spec.model.num_dist):
             power = power * sol2
-            dsol = -power / hp
-            du = ds * dsol * inv_r
-            out.append((du * mx, du * my, -s * dsol if kb else 0.0))
-        return out
+            scales.append(-power / hp)
+        ds_r = ds * inv_r
+        return ((u + a * mx * mx, axy, dz * mx), (axy, u + a * my * my, dz * my),
+                (ds_r * mx, ds_r * my, -s if kb else 0.0), scales)
     r2 = r * r
     if fam is Family.UCM:
         xi = spec.dist[0]
@@ -617,25 +628,23 @@ def _ray_derivatives(spec: CameraSpec, cells: _RayCells) -> list[tuple]:
         ds_dr2 = ((1.0 - xi * xi) / (2.0 * t) * (1.0 + r2) - (xi + t)) / (1.0 + r2) ** 2
         ds_dxi = (1.0 - xi * r2 / t) / (1.0 + r2)
         sx, sy = 2.0 * mx * ds_dr2, 2.0 * my * ds_dr2
-        return [
-            (s + mx * sx, my * sx, sx),
-            (mx * sy, s + my * sy, sy),
-            (mx * ds_dxi, my * ds_dxi, ds_dxi - 1.0),
-        ]
+        return ((s + mx * sx, my * sx, sx), (mx * sy, s + my * sy, sy),
+                (mx * ds_dxi, my * ds_dxi, ds_dxi - 1.0), [1.0])
+    # eucm and division move only gz: d = e_z
     if fam is Family.EUCM:
         alpha, beta = spec.dist
         t = np.sqrt(np.maximum(1.0 - (2.0 * alpha - 1.0) * beta * r2, 1e-12))
         den = alpha * t + (1.0 - alpha)
         mz = (1.0 - beta * alpha * alpha * r2) / den
         dt = -(2.0 * alpha - 1.0) / (2.0 * t)  # dt/dr2 = beta dt, dt/dbeta = r2 dt
-        dmz_dr2 = (-beta * alpha * alpha - mz * alpha * beta * dt) / den
+        dz_dr2 = (-beta * alpha * alpha - mz * alpha * beta * dt) / den
         dmz_da = (-2.0 * alpha * beta * r2 - mz * (t - beta * alpha * r2 / t - 1.0)) / den
         dmz_db = (-alpha * alpha * r2 - mz * alpha * r2 * dt) / den
-        return [(1.0, 0.0, 2.0 * mx * dmz_dr2), (0.0, 1.0, 2.0 * my * dmz_dr2),
-                (0.0, 0.0, dmz_da), (0.0, 0.0, dmz_db)]
-    dpsi = _even_poly_deriv(spec.dist, r2)
-    return [(1.0, 0.0, 2.0 * mx * dpsi), (0.0, 1.0, 2.0 * my * dpsi),
-            *((0.0, 0.0, r2**n) for n in range(1, spec.model.num_dist + 1))]
+        scales = [dmz_da, dmz_db]
+    else:
+        dz_dr2 = _even_poly_deriv(spec.dist, r2)
+        scales = [r2**n for n in range(1, spec.model.num_dist + 1)]
+    return (1.0, 0.0, 2.0 * mx * dz_dr2), (0.0, 1.0, 2.0 * my * dz_dr2), (0.0, 0.0, 1.0), scales
 
 
 def _ray_angle(p: np.ndarray, q: np.ndarray) -> np.ndarray:

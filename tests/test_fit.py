@@ -334,6 +334,27 @@ class TestRefine:
                 tracemalloc.stop()
         assert peak <= 23 * 2**20
 
+    def test_least_squares_blocks_are_f_ordered(self, monkeypatch):
+        # every block _tsqr factors is F-ordered: qr copies a C-ordered block
+        # into column order first.  The eucm fit builds stage-1 rows, the
+        # kb:3 proxy's stage-2 rows, the (gamma, alpha) rows and refinement's
+        # leaves; the held-focal conversion builds rows with one column moved
+        tsqr, seen = rc.fit._tsqr, []
+
+        def guarded(blocks, width):
+            def checked():
+                for A in blocks:
+                    seen.append(A.flags.f_contiguous)
+                    yield A
+
+            return tsqr(checked(), width)
+
+        monkeypatch.setattr("raycalib.fit._tsqr", guarded)
+        spec = centered_spec("eucm", 150.0, 128, dist=(0.6, 1.1))
+        rc.calibrate(rc.add_noise(rc.field_from_spec(spec), 0.2, seed=1), spec.model)
+        rc.convert_model(spec, rc.parse_model("kb:2"), fix_focal=True, stride=2)
+        assert len(seen) > 20 and all(seen)
+
     def test_underdetermined_returns_start_with_warning(self):
         spec = centered_spec("kb:4", 100.0, 64, dist=(0.05, -0.01, 0.001, -0.0001))
         few = rc.Correspondences.from_spec(spec, 40)  # 2x2 grid: 8 rows < 8 params+
@@ -418,6 +439,35 @@ class TestJacobians:
         dense, *_ = np.linalg.lstsq(J / scale, -e.reshape(-1), rcond=1e-12)
         dense /= scale
         assert np.max(np.abs(step - dense) / np.abs(dense)) < 1e-10
+
+    @pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
+    def test_pass_matches_dense_algebra(self, name):
+        # the pass's blocked kernel against dense algebra on the same rows:
+        # a 176x176 field at 0.2 deg spans four blocks, and the spec is
+        # perturbed off its optimum.  R matches one dense QR of [J | -e] to
+        # 1e-13 of each column's norm once the row signs agree, and the step
+        # matches dense lstsq
+        rng = np.random.default_rng(sum(map(ord, name)))
+        spec = rc.sample_spec_for_model(rc.parse_model(name), 176, rng)
+        corrs = rc.Correspondences.from_field(rc.add_noise(rc.field_from_spec(spec), 0.2, seed=3))
+        pspec = spec.replace(fx=spec.fx * 1.02, cy=spec.cy - 0.7,
+                             dist=tuple(1.01 * k for k in spec.dist))
+        basis = _tangent_basis(corrs.rays)
+        k = 4 + spec.model.num_dist
+        cost, valid, R, _ = _pass(pspec, corrs, basis, np.arange(k))
+        assert len(corrs) > 3 * _QR_BLOCK and valid > 0
+        blk = _residual_block(pspec, corrs.pixels, corrs.rays, *basis)
+        J = residual_jacobian(pspec, corrs.pixels, corrs.rays).reshape(-1, k)
+        e = np.stack([blk.e1, blk.e2], axis=-1).reshape(-1)
+        dense = np.linalg.qr(np.column_stack([J, -e]), mode="r")
+        dense *= (np.sign(np.diag(R)) * np.sign(np.diag(dense)))[:, None]
+        colnorm = np.linalg.norm(R, axis=0)
+        assert np.max(np.abs(R - dense) / colnorm) <= 1e-13
+        scale = np.linalg.norm(J, axis=0)
+        want, *_ = np.linalg.lstsq(J / scale, -e, rcond=1e-12)
+        want /= scale
+        step = _solve(R, 2 * len(corrs), "step")
+        assert np.max(np.abs(step - want) / np.abs(want)) < 1e-10
 
     @pytest.mark.parametrize("gap", [1e-6, 1e-10, 1e-14])
     def test_step_rank_rule_matches_lstsq(self, gap):

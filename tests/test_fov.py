@@ -9,6 +9,7 @@ import pytest
 
 import raycalib as rc
 from raycalib.fileio import read_field, write_field, write_field_csv
+from raycalib.models import _ray_angle, pixel_centers
 
 from conftest import centered_spec
 
@@ -34,6 +35,18 @@ class TestLogMap:
     def test_antipode_rejected(self):
         with pytest.raises(rc.AntipodalRay):
             rc.log_map(np.array([0.0, 0.0, -1.0]))
+
+    def test_rays_next_to_the_antipode_round_trip(self):
+        # an equidistant kb:1 camera whose corner cells image the polar angle
+        # pi - 1e-7, inside kb's domain (up to pi - 1e-9): their rays have
+        # Z within 1e-12 of -1 but a defined direction
+        f = math.hypot(31.5, 31.5) / (math.pi - 1e-7)
+        spec = rc.CameraSpec(rc.parse_model("kb:1"), f, f, 32.0, 32.0, (0.0,), 64, 64)
+        assert rc.validate_spec(spec)
+        rays = rc.unproject(spec, pixel_centers(64, 64)).reshape(-1, 3)
+        assert np.count_nonzero(rays[:, 2] <= -1.0 + 1e-12) == 4
+        back = rc.exp_map(rc.field_from_spec(spec).theta).reshape(-1, 3)
+        assert _ray_angle(back, rays).max() <= 1e-12
 
 
 class TestExpMap:
