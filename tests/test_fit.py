@@ -454,7 +454,7 @@ class TestJacobians:
                              dist=tuple(1.01 * k for k in spec.dist))
         basis = _tangent_basis(corrs.rays)
         k = 4 + spec.model.num_dist
-        cost, valid, R, _ = _pass(pspec, corrs, basis, np.arange(k))
+        _, valid, R, _ = _pass(pspec, corrs, basis, np.arange(k))
         assert len(corrs) > 3 * _QR_BLOCK and valid > 0
         blk = _residual_block(pspec, corrs.pixels, corrs.rays, *basis)
         J = residual_jacobian(pspec, corrs.pixels, corrs.rays).reshape(-1, k)
