@@ -179,7 +179,7 @@ def _theta_difference(gt: CameraSpec, est: CameraSpec, stride: int) -> FovField:
         p, ok_gt = unproject_masked(gt, px)
         q, ok_est = unproject_masked(est, px)
         ok = ok_gt & ok_est
-        diff[sl][ok] = log_map(p[ok]) - log_map(q[ok])
+        diff[sl][ok] = log_map(np.compress(ok, p, axis=0)) - log_map(np.compress(ok, q, axis=0))
     return FovField(theta=diff.reshape(len(v), len(u), 2), stride=stride)
 
 

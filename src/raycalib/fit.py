@@ -7,9 +7,11 @@ unknowns:
    constraint  u*Y*a - Y*a*cx + X*cy = v*X,  solved for (a, a*cx, cy);
 2. the remaining intrinsics from family-specific rows that are linear once
    (a, c) are known (with the reparameterizations g = 1/f for radial/kb and
-   k'_n = k_n * f^(2n-1) for the division model);
+   k'_n = k_n / f^(2n-1) for the division model), in one solve
+   (``_fit_linear_full``) that fitting, fixed-focal conversion and the
+   LensFun mapping share; a held focal's column moves to the right-hand side;
 3. for the extended unified model, whose rows are not linear in f, the focal
-   is first estimated with a kb:3 proxy fit and the constraint
+   is held or first estimated with a kb:3 proxy fit and the constraint
    r^2 R^2 gamma + 2 r Z (r Z - R) alpha = (R - r Z)^2  is then solved for
    (gamma, alpha) with gamma = alpha^2 beta, enforcing the parameter bounds
    with a simplified active set (solve unconstrained, clamp violated bounds,
@@ -59,7 +61,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import BoundInfeasible, DegenerateGeometry, InvalidFocal, NoConsensus
+from .errors import (
+    BoundInfeasible, DegenerateGeometry, InvalidFocal, NoConsensus, UnsupportedFamily
+)
 from .fov import FovField, exp_map
 from .models import (  # _QR_BLOCK: the kernel's block, under the name tests import
     _BLOCK as _QR_BLOCK,
@@ -294,24 +298,16 @@ def fit_ppoint_aspect(corrs: Correspondences) -> tuple[float, float, float]:
 
 
 
-def _dist_of(model: ModelId, ks: np.ndarray, f: float) -> tuple[float, ...]:
-    """The family's coefficients from the solved unknowns k' (k'_n = k_n f^(2n-1)
-    for the division model, k'_n = k_n otherwise)."""
-    if model.family is Family.DIVISION:
-        return tuple(k * f ** (2 * n - 1) for n, k in enumerate(ks, start=1))
-    return tuple(ks)
-
-
 def _family_rows(
     model: ModelId, pixels: np.ndarray, rays: np.ndarray, a: float, c: tuple[float, float]
 ) -> np.ndarray:
     """Linear rows [focal_col | dist_cols | rhs] of one block, once (a, c) are known.
 
     Each row reads focal_col * f + sum_n dist_cols[n] * k'_n = rhs, with 1/f
-    in place of f for radial and kb (``_INVERSE_FOCAL``); ``_dist_of`` maps
-    the solved k' to the family's coefficients.  Pinhole and radial rows keep
-    only rays with Z above _EPS_Z.  The extended unified model is not linear
-    in f and has its own rows (``_eucm_rows``).
+    in place of f for radial and kb (``_INVERSE_FOCAL``); ``_fit_linear_full``
+    maps the solved k' to the family's coefficients.  Pinhole and radial rows
+    keep only rays with Z above _EPS_Z.  The extended unified model is not
+    linear in f and has its own rows (``_eucm_rows``).
     """
     fam = model.family
     X, Y, Z = rays[:, 0], rays[:, 1], rays[:, 2]
@@ -335,9 +331,11 @@ def _family_rows(
     elif fam is Family.UCM:
         d = np.sqrt(X * X + Y * Y + Z * Z)
         cols = [Ra, -rc * d, rc * Z]
-    else:  # division
+    elif fam is Family.DIVISION:
         rca2 = du * du + (dv / a) ** 2
         cols = [Ra, *(Ra * rca2**n for n in orders), rc * Z]
+    else:
+        raise UnsupportedFamily(f"no linear rows for family {fam!r}")
     return np.stack(cols).T
 
 
@@ -383,24 +381,46 @@ def _fit_linear_full(
     a: float,
     c: tuple[float, float],
     size: tuple[int, int],
+    f: float | None = None,
 ) -> tuple[CameraSpec, tuple[str, ...]]:
-    if model.family is Family.EUCM:
-        return _fit_eucm_full(corrs, a, c, size)
-    R, m = _row_qr(
-        corrs, lambda px, rays: _family_rows(model, px, rays, a, c), model.num_dist + 2
-    )
-    sol = _solve(R, m, f"{model.family.value} linear solve")
-    f, ks = float(sol[0]), sol[1:]
-    if model.family in _INVERSE_FOCAL:
-        if f <= 0:
-            raise InvalidFocal(f"solved inverse focal {f:.6g} is not positive")
-        f = 1.0 / f
+    """The stage-2 solve: the spec the family's rows give once (a, c) are known,
+    and the bounds it enforced.  A held focal ``f`` moves its column to the
+    right-hand side; eucm takes ``f`` or the focal of a kb:3 proxy fit.  A ucm
+    xi below 0 goes to 0, and a free focal is then solved again without xi."""
+    fam, held = model.family, f is not None
+    if fam is Family.EUCM:
+        if not held:
+            proxy = ModelId(Family.KANNALA_BRANDT, EUCM_PROXY_ORDER)
+            f = _fit_linear_full(proxy, corrs, a, c, size)[0].fx
+        dist, bounds = _eucm_dist(corrs, f, a, c)
+        return _make_spec(model, f, a, c, dist, size), bounds
+    inverse = fam in _INVERSE_FOCAL
+
+    def rows(px: np.ndarray, rays: np.ndarray) -> np.ndarray:
+        A = _family_rows(model, px, rays, a, c)
+        if not held:
+            return A
+        # the held focal's column moves to the right-hand side
+        A[:, -1] -= A[:, 0] / f if inverse else A[:, 0] * f
+        return A[:, 1:]
+
+    R, m = _row_qr(corrs, rows, model.num_dist + (1 if held else 2))
+    ks = _solve(R, m, f"fixed-focal {fam.value} solve" if held else f"{fam.value} linear solve")
+    if not held:
+        f, ks = float(ks[0]), ks[1:]
+        if inverse:
+            if f <= 0:
+                raise InvalidFocal(f"solved inverse focal {f:.6g} is not positive")
+            f = 1.0 / f
     bounds: tuple[str, ...] = ()
-    if model.family is Family.UCM and ks[0] < 0.0:
-        # the rows of [focal_col | rhs] alone have the factor of R's columns 0 and 2
+    if fam is Family.UCM and ks[0] < 0.0:
         ks, bounds = (0.0,), ("xi>=0",)
-        f = float(_solve(np.linalg.qr(R[:, [0, 2]], mode="r"), m, "ucm re-solve with xi=0")[0])
-    return _make_spec(model, f, a, c, _dist_of(model, ks, f), size), bounds
+        if not held:
+            # the rows of [focal_col | rhs] alone have the factor of R's columns 0 and 2
+            f = float(_solve(np.linalg.qr(R[:, [0, 2]], mode="r"), m, "ucm re-solve with xi=0")[0])
+    if fam is Family.DIVISION:  # the rows solve for k'_n = k_n / f^(2n-1)
+        ks = [k * f ** (2 * n - 1) for n, k in enumerate(ks, start=1)]
+    return _make_spec(model, f, a, c, tuple(ks), size), bounds
 
 
 
@@ -473,31 +493,6 @@ def _eucm_dist(
     else:
         beta = float(gamma) / float(alpha) ** 2
     return (float(alpha), float(beta)), tuple(bounds)
-
-
-def _fit_eucm_full(
-    corrs: Correspondences,
-    a: float,
-    c: tuple[float, float],
-    size: tuple[int, int],
-) -> tuple[CameraSpec, tuple[str, ...]]:
-    proxy, _ = _fit_linear_full(
-        ModelId(Family.KANNALA_BRANDT, EUCM_PROXY_ORDER), corrs, a, c, size
-    )
-    dist, bounds = _eucm_dist(corrs, proxy.fx, a, c)
-    return _make_spec(ModelId(Family.EUCM, 2), proxy.fx, a, c, dist, size), bounds
-
-
-
-def fit_eucm(
-    corrs: Correspondences,
-    a: float,
-    c: tuple[float, float],
-    size: tuple[int, int],
-) -> CameraSpec:
-    """Fit the extended unified model: proxy focal, then (gamma, alpha) rows."""
-    spec, _ = _fit_eucm_full(corrs, a, c, size)
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -897,30 +892,12 @@ def convert_model(
     other parameters frozen).
     """
     corrs = Correspondences.from_spec(src, stride)
-    size = (src.width, src.height)
+    size, a, c = (src.width, src.height), src.aspect, (src.cx, src.cy)
     if not fix_focal:
         return _fit_corrs(dst_model, corrs, size).spec
-
-    f, a, c = src.fx, src.aspect, (src.cx, src.cy)
     if dst_model.num_dist == 0:
-        return _make_spec(dst_model, f, a, c, (), size)
-    if dst_model.family is Family.EUCM:
-        dist, _ = _eucm_dist(corrs, f, a, c)
-    else:
-        inverse = dst_model.family in _INVERSE_FOCAL
-
-        def held(px: np.ndarray, rays: np.ndarray) -> np.ndarray:
-            # the focal column moves to the right-hand side
-            rows = _family_rows(dst_model, px, rays, a, c)
-            rows[:, -1] -= rows[:, 0] / f if inverse else rows[:, 0] * f
-            return rows[:, 1:]
-
-        R, m = _row_qr(corrs, held, dst_model.num_dist + 1)
-        what = f"fixed-focal {dst_model.family.value} solve"
-        dist = _dist_of(dst_model, _solve(R, m, what), f)
-
-    # xi >= 0 and beta > 0, as the refinement enforces them
-    spec0 = _make_spec(dst_model, f, a, c, dist, size)
+        return _make_spec(dst_model, src.fx, a, c, (), size)
+    spec0, _ = _fit_linear_full(dst_model, corrs, a, c, size, src.fx)
+    # the parameter bounds, as the refinement enforces them
     spec0 = _spec_of(spec0, _clamp_params(dst_model, _params_of(spec0)))
-    free = np.arange(4, 4 + dst_model.num_dist)
-    return refine(spec0, corrs, free=free).spec
+    return refine(spec0, corrs, free=np.arange(4, 4 + dst_model.num_dist)).spec

@@ -23,10 +23,11 @@ x = rho = R/Z and x = theta respectively.  One clipped Newton loop
 the bracketed cells it left open) serves these radial/kb unprojections, the
 division projection and the LensFun undistortion in ``synth``.
 
-Unprojection ends at a closed-form normalized radius per family
-(``_domain_radius``; Usenko et al., Double Sphere, 3DV 2018, tabulate these
-domains).  Only radial and eucm clamp the focal to keep the image inside it
-(``min_focal``); the samplers redraw the other families' cameras instead.
+Each family's image ends at one closed-form normalized radius,
+``_domain_radius`` (Usenko et al., Double Sphere, 3DV 2018, tabulate these
+domains).  Only the ``_CLAMPED`` families, radial and eucm, clamp the focal
+to keep the image inside it (``min_focal``); the samplers redraw the other
+families' cameras instead.
 
 Pixel coordinates live in the continuous domain [0, W] x [0, H]; sampled
 grids use pixel centers (i + 0.5, j + 0.5).
@@ -48,7 +49,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import NonInvertiblePixel, RayOutsideDomain
+from .errors import NonInvertiblePixel, RayOutsideDomain, UnsupportedFamily
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 20
@@ -84,6 +85,8 @@ _DIST_RANGE: dict[Family, tuple[int, int]] = {
 }
 
 _VARIABLE_DIST = {Family.BROWN_CONRADY, Family.KANNALA_BRANDT, Family.DIVISION}
+
+_CLAMPED = (Family.BROWN_CONRADY, Family.EUCM)  # the families whose focal min_focal clamps
 
 
 @dataclass(frozen=True)
@@ -285,16 +288,16 @@ def _division_fold_radius(ks: tuple[float, ...]) -> float:
 
 
 def _newton(
-    fun, target: np.ndarray, x0: np.ndarray, hi: float, max_iter: int = NEWTON_MAX_ITER
+    fun, target: np.ndarray, x0: np.ndarray, hi: float | np.ndarray, max_iter: int = NEWTON_MAX_ITER
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cellwise Newton iteration on h(x) = g(x) - target = 0, clipped into [0, hi].
 
-    ``fun(x)`` returns (g, g') elementwise.  A cell is converged once a step
-    is at most NEWTON_TOL; the loop ends when every cell is, or after
-    ``max_iter`` steps.  With a finite ``hi``, each cell still open whose
-    root is bracketed, h(0) <= 0 <= h(hi), is then bisected to NEWTON_TOL
-    (``rtsafe``'s fallback, Press et al., Numerical Recipes, 9.4); only those
-    cells are evaluated.  Returns (x, converged).
+    ``fun(x)`` returns (g, g') elementwise; ``hi`` is one bound or one per
+    cell.  A cell is converged once a step is at most NEWTON_TOL; the loop
+    ends when every cell is, or after ``max_iter`` steps.  With a finite
+    ``hi``, each cell still open whose root is bracketed, h(0) <= 0 <= h(hi),
+    is then bisected ceil(log2(hi / NEWTON_TOL)) times (``rtsafe``'s fallback,
+    Press et al., Numerical Recipes, 9.4).  Returns (x, converged).
     """
     x = x0
     done = np.zeros(x.shape, dtype=bool)
@@ -305,16 +308,18 @@ def _newton(
         done |= np.abs(step) <= NEWTON_TOL
         if done.all():
             return x, done
-    if not math.isfinite(hi):
+    if not np.all(np.isfinite(hi)):
         return x, done
     open_ = ~done
     t = np.broadcast_to(target, x.shape)[open_]
-    lo, up = np.zeros(t.shape), np.full(t.shape, hi)
+    lo, up = np.zeros(t.shape), np.broadcast_to(hi, x.shape)[open_]
     bracket = (fun(lo)[0] <= t) & (fun(up)[0] >= t)
-    for _ in range(math.ceil(math.log2(hi / NEWTON_TOL))):
+    halvings = np.ceil(np.log2(up / NEWTON_TOL))
+    for k in range(int(halvings.max(initial=0.0))):
         mid = 0.5 * (lo + up)
         below = fun(mid)[0] <= t
-        lo, up = np.where(below, mid, lo), np.where(below, up, mid)
+        go = k < halvings  # a cell halves its own bracket only
+        lo, up = np.where(go & below, mid, lo), np.where(go & ~below, mid, up)
     x = np.array(x, dtype=np.float64)  # a writable copy, also of a 0-d result
     x[open_] = np.where(bracket, 0.5 * (lo + up), x[open_])
     done[open_] = bracket
@@ -379,21 +384,21 @@ def _division_forward_radius(
 
     The angle profile is strictly monotone up to the model's fold radius, so
     a Newton iteration clipped into that bracket converges from the
-    undistorted (pinhole) start.  Returns (r, converged).
+    undistorted (pinhole) start.  Without a fold, each cell's bracket doubles
+    from 2 theta + 1 until its angle reaches the cell's theta, so a cell's
+    radius depends on its ray and the spec alone.  Returns (r, converged).
     """
     ks = spec.dist
     r_fold = _division_fold_radius(ks)
     if math.isfinite(r_fold):
         hi = 0.999999 * r_fold
     else:
-        # no fold: the angle profile is globally monotone; bound the search
-        # by growing an upper bracket past every requested angle
-        hi_s = 2.0 * float(np.max(theta)) + 1.0
+        hi = 2.0 * theta + 1.0
         for _ in range(200):
-            if math.atan2(hi_s, float(_even_poly(ks, np.array(hi_s**2)))) >= np.max(theta):
+            short = np.arctan2(hi, _even_poly(ks, hi * hi)) < theta
+            if not short.any():
                 break
-            hi_s *= 2.0
-        hi = hi_s
+            hi = np.where(short, 2.0 * hi, hi)
 
     def fun(r):
         r2 = r * r
@@ -428,7 +433,7 @@ def _projection_scale(spec: CameraSpec, X, Y, Z) -> tuple[np.ndarray, np.ndarray
     elif fam is Family.DIVISION:
         r, ok = _division_forward_radius(spec, R, Z, theta)
         scale = np.where(R > 1e-12, r / np.where(R > 1e-12, R, 1.0), 1.0)
-    else:
+    elif fam in (Family.UCM, Family.EUCM):
         # unified models: phi = 1 / (xi |p| + Z) or 1 / (alpha rho + (1 - alpha) Z)
         if fam is Family.UCM:
             den = spec.dist[0] * np.sqrt(X * X + Y * Y + Z * Z) + Z
@@ -437,6 +442,8 @@ def _projection_scale(spec: CameraSpec, X, Y, Z) -> tuple[np.ndarray, np.ndarray
             den = alpha * np.sqrt(beta * R * R + Z * Z) + (1.0 - alpha) * Z
         ok = den > 1e-12
         scale = 1.0 / np.where(ok, den, 1.0)
+    else:
+        raise UnsupportedFamily(f"no projection for family {fam!r}")
     return scale, ok, theta
 
 
@@ -572,9 +579,11 @@ def _unproject_cells(
         den = alpha * np.sqrt(np.maximum(arg, 0.0)) + (1.0 - alpha)
         valid &= den > 1e-12
         g = (mx, my, (1.0 - beta * alpha * alpha * r2) / np.where(den > 1e-12, den, 1.0))
-    else:
+    elif fam is Family.DIVISION:
         valid &= r <= _division_fold_radius(spec.dist)
         g = (mx, my, _even_poly(spec.dist, r * r))
+    else:
+        raise UnsupportedFamily(f"no unprojection for family {fam!r}")
 
     # with |g| finite and above 1e-12, every component of g / |g| is finite
     norm = np.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
@@ -641,9 +650,11 @@ def _ray_derivatives(
         dmz_da = (-2.0 * alpha * beta * r2 - mz * (t - beta * alpha * r2 / t - 1.0)) / den
         dmz_db = (-alpha * alpha * r2 - mz * alpha * r2 * dt) / den
         scales = [dmz_da, dmz_db]
-    else:
+    elif fam is Family.DIVISION:
         dz_dr2 = _even_poly_deriv(spec.dist, r2)
         scales = [r2**n for n in range(1, spec.model.num_dist + 1)]
+    else:
+        raise UnsupportedFamily(f"no ray derivatives for family {fam!r}")
     return (1.0, 0.0, 2.0 * mx * dz_dr2), (0.0, 1.0, 2.0 * my * dz_dr2), (0.0, 0.0, 1.0), scales
 
 
@@ -691,36 +702,27 @@ def unproject(spec: CameraSpec, pixels: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fold_radius(model: ModelId, dist: tuple[float, ...]) -> float:
-    """Normalized image radius at which the projection folds, or inf.
-
-    Brown-Conrady folds at the first stationary point of rho * psi(rho); the
-    extended unified model folds at the normalized radius 1/sqrt(beta(2a-1))
-    when alpha > 0.5.  Only these two families clamp the focal to it.
-    """
-    if model.family is Family.BROWN_CONRADY:
-        rho_max = _stationary_radius(dist)
-        if math.isfinite(rho_max):
-            return rho_max * float(_even_poly(dist, np.array(rho_max**2)))
-    elif model.family is Family.EUCM and dist[0] > 0.5:
-        alpha, beta = dist
-        return 1.0 / math.sqrt(beta * (2.0 * alpha - 1.0))
-    return math.inf
-
-
 def _domain_radius(model: ModelId, dist: tuple[float, ...]) -> float:
-    """Normalized image radius at which unprojection ends, or inf: the fold
-    of radial, eucm (``_fold_radius``), kb (capped at ``_KB_THETA_CAP``) and
-    division, and the end of the ucm square root 1 + (1 - xi^2) r^2 >= 0."""
+    """Normalized image radius at which unprojection ends, or inf: the one end
+    of each family's image.  Radial and kb end at the odd polynomial's first
+    stationary point, kb capped at ``_KB_THETA_CAP``; eucm folds at
+    1/sqrt(beta (2 alpha - 1)) when alpha > 0.5, division where its angle
+    profile is stationary; ucm ends with its root 1 + (1 - xi^2) r^2 >= 0."""
     fam = model.family
-    if fam is Family.KANNALA_BRANDT:
-        theta = min(_stationary_radius(dist), _KB_THETA_CAP)
-        return float(_odd_poly_theta(dist, np.array(theta)))
+    if fam in (Family.BROWN_CONRADY, Family.KANNALA_BRANDT):
+        cap = _KB_THETA_CAP if fam is Family.KANNALA_BRANDT else math.inf
+        x = min(_stationary_radius(dist), cap)
+        return float(_odd_poly_theta(dist, np.array(x))) if math.isfinite(x) else math.inf
+    if fam is Family.EUCM:
+        alpha, beta = dist
+        return 1.0 / math.sqrt(beta * (2.0 * alpha - 1.0)) if alpha > 0.5 else math.inf
+    if fam is Family.UCM:
+        return 1.0 / math.sqrt(dist[0] * dist[0] - 1.0) if dist[0] > 1.0 else math.inf
     if fam is Family.DIVISION:
         return _division_fold_radius(dist)
-    if fam is Family.UCM and dist[0] > 1.0:
-        return 1.0 / math.sqrt(dist[0] * dist[0] - 1.0)
-    return _fold_radius(model, dist)
+    if fam is Family.PINHOLE:
+        return math.inf
+    raise UnsupportedFamily(f"no image end for family {fam!r}")
 
 
 def min_focal(
@@ -728,11 +730,13 @@ def min_focal(
 ) -> float:
     """Smallest focal length keeping the projection injective over the image:
     the half diagonal over the fold radius, 0 for families that do not fold.
-    Only radial and eucm have this clamp: kb, division and ucm end at
+    Only ``_CLAMPED`` families have this clamp: kb, division and ucm end at
     ``_domain_radius``, and the samplers redraw a camera whose corner lies
     past it, where a clamp would raise its focal and change the seeded streams.
     """
-    return 0.5 * math.hypot(width, height) / _fold_radius(model, tuple(float(k) for k in dist))
+    if model.family not in _CLAMPED:
+        return 0.0
+    return 0.5 * math.hypot(width, height) / _domain_radius(model, tuple(float(k) for k in dist))
 
 
 @dataclass(frozen=True)
@@ -751,8 +755,9 @@ class ValidityReport:
 
 def validate_spec(spec: CameraSpec) -> ValidityReport:
     """Check parameter bounds and the injectivity clamp for a spec.  The clamp
-    is radial's and eucm's only (``min_focal``): a kb, division or ucm camera
-    with its corner past ``_domain_radius`` passes and images up to that end."""
+    is the ``_CLAMPED`` families' only (``min_focal``): a kb, division or ucm
+    camera with its corner past ``_domain_radius`` passes and images up to
+    that end."""
     bad: list[str] = []
     if not (spec.fx > 0.0 and math.isfinite(spec.fx)):
         bad.append(f"fx must be positive, got {spec.fx}")
@@ -769,10 +774,10 @@ def validate_spec(spec: CameraSpec) -> ValidityReport:
             bad.append(f"alpha must be in [0, 1], got {alpha}")
         if beta <= 0.0:
             bad.append(f"beta must be > 0, got {beta}")
-    if not bad:
+    if not bad and fam in _CLAMPED:
         # corner-vs-fold check in normalized units; for a centered square spec
         # with unit aspect this is exactly fx >= min_focal(...)
-        fold = _fold_radius(spec.model, spec.dist)
+        fold = _domain_radius(spec.model, spec.dist)
         corner = _corner_norm_radius(spec)
         if corner > fold:
             bad.append(

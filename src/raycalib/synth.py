@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DegenerateGeometry, FovOutOfRange, NewtonDivergence, UnsupportedFamily
 from .fileio import parse_json_object
-from .fit import Correspondences, fit_eucm, refine
+from .fit import Correspondences, fit_linear, refine
 from .fov import FovField
 from .models import (
     CameraSpec,
@@ -463,7 +463,7 @@ def lensfun_to_eucm(
     # normalized (distorted) image coordinates, origin at the sensor center
     coords = np.stack([gx[good], gy[good]], axis=-1) / entry.focal_mm
     corrs = Correspondences(coords, rays)
-    spec0 = fit_eucm(corrs, 1.0, (0.0, 0.0), (1, 1))
+    spec0 = fit_linear(ModelId(Family.EUCM, 2), corrs, 1.0, (0.0, 0.0), (1, 1))
     spec = refine(spec0, corrs, free=np.array([0, 1, 4, 5])).spec
 
     q, ok_q = unproject_masked(spec, coords)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import math
 import tracemalloc
 
@@ -13,7 +14,7 @@ from raycalib.fit import (
     _QR_BLOCK,
     _eucm_dist,
     _family_rows,
-    _fit_eucm_full,
+    _fit_linear_full,
     _fit_ppoint_full,
     _params_of,
     _pass,
@@ -191,7 +192,7 @@ class TestFitEucm:
         spec = centered_spec("eucm", 160.0, 512, dist=(0.6, 1.19))
         corrs = rc.Correspondences.from_spec(spec, 4)
         a, cx, cy = rc.fit_ppoint_aspect(corrs)
-        got = rc.fit_eucm(corrs, a, (cx, cy), (512, 512))
+        got = rc.fit_linear(rc.parse_model("eucm"), corrs, a, (cx, cy), (512, 512))
         assert got.fx == pytest.approx(spec.fx, rel=1e-3)
         assert got.dist[0] == pytest.approx(0.6, abs=1e-4)
         # the proxy-focal error leaks into beta at the algebraic stage; the
@@ -214,7 +215,7 @@ class TestFitEucm:
         spec = centered_spec("pinhole", 70.0, 480)
         corrs = grid_corrs(spec)
         a, cx, cy = rc.fit_ppoint_aspect(corrs)
-        got, bounds = _fit_eucm_full(corrs, a, (cx, cy), (480, 480))
+        got, bounds = _fit_linear_full(rc.parse_model("eucm"), corrs, a, (cx, cy), (480, 480))
         assert got.dist[0] < 1e-3
         assert got.dist[1] > 0.0
         assert bounds  # at least one bound was clamped
@@ -226,7 +227,7 @@ class TestFitEucm:
         spec = centered_spec("pinhole", 70.0, 480)
         corrs = grid_corrs(spec)
         a, cx, cy = rc.fit_ppoint_aspect(corrs)
-        f = _fit_eucm_full(corrs, a, (cx, cy), (480, 480))[0].fx
+        f = _fit_linear_full(rc.parse_model("eucm"), corrs, a, (cx, cy), (480, 480))[0].fx
         focals = [f]
         for direction in (-math.inf, math.inf):
             g = f
@@ -380,8 +381,7 @@ class TestJacobians:
         "name", ["pinhole", "ucm", "eucm", "division:1", "division:2", "division:3"]
     )
     def test_closed_form_families_match_central_differences(self, name, rng):
-        # spec-pinned step 1e-6 * max(1, |param|); entries above a relevance
-        # floor agree to 1e-5 relative
+        # entries above a relevance floor agree to 1e-5 relative
         spec = rc.sample_spec_for_model(rc.parse_model(name), 64, rng)
         px = rng.uniform(4, 60, size=(100, 2))
         targets, ok = rc.unproject_masked(spec, px)
@@ -401,10 +401,8 @@ class TestJacobians:
         "name", [f"{fam}:{n}" for fam in ("radial", "kb") for n in range(1, 5)]
     )
     def test_implicit_derivatives_match_differences(self, name, rng):
-        # the Newton-inverted families carry a 1e-10 solve tolerance, so the
-        # comparison uses a larger step where truncation and solve noise meet;
-        # at 1e-4 the truncation error alone reaches 2.2e-5 on radial:4's k4
-        # column (it falls as the step squared)
+        # the Newton-inverted families, through the implicit derivatives of
+        # the converged solve
         spec = rc.sample_spec_for_model(rc.parse_model(name), 64, rng)
         px = rng.uniform(4, 60, size=(100, 2))
         targets, ok = rc.unproject_masked(spec, px)
@@ -413,9 +411,7 @@ class TestJacobians:
         Ja = residual_jacobian(pspec, px, targets)
         b1, b2 = _tangent_basis(targets)
         kappa = _params_of(pspec)
-        Jn = residual_jacobian_numeric(
-            pspec, px, targets, b1, b2, kappa, np.arange(len(kappa)), rel_step=1e-5
-        )
+        Jn = residual_jacobian_numeric(pspec, px, targets, b1, b2, kappa, np.arange(len(kappa)))
         colscale = np.maximum(np.abs(Jn).max(axis=(0, 1)), 1e-12)
         assert np.max(np.abs(Ja - Jn).max(axis=(0, 1)) / colscale) < 1e-5
 
@@ -542,6 +538,18 @@ class TestCalibrate:
         assert res.spec.dist == (0.0,)
         assert all(b <= a for a, b in zip(res.gn_costs, res.gn_costs[1:]))
 
+    def test_foreign_family_is_not_fitted_as_division(self):
+        # a family that is not this package's Family member has no rows here;
+        # the same member of a second Family enum must raise, not fall through
+        class Foreign(enum.Enum):
+            UCM = "ucm"
+
+        spec = rc.sample_spec_for_model(rc.parse_model("ucm"), 96, np.random.default_rng(1))
+        model = rc.parse_model("ucm")
+        object.__setattr__(model, "family", Foreign.UCM)
+        with pytest.raises(rc.UnsupportedFamily):
+            rc.calibrate(rc.field_from_spec(spec), model)
+
     def test_reparameterization_consistency(self):
         # refitting the correspondences of a fitted division spec returns the
         # same coefficients, confirming the k' reparameterization is undone
@@ -644,6 +652,14 @@ class TestConvertModel:
     def test_fixed_focal_same_family_is_exact(self, name, fov, dist):
         # the held-focal linear rows solve the source's own family exactly
         spec = centered_spec(name, fov, 128, dist=dist)
+        got = rc.convert_model(spec, spec.model, fix_focal=True, stride=4)
+        assert max_param_error(got, spec) < 1e-9
+
+    @pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fixed_focal_same_family_is_exact_on_drawn_cameras(self, name, seed):
+        # the same for every model string, on cameras of the sampler
+        spec = rc.sample_spec_for_model(rc.parse_model(name), 128, np.random.default_rng(seed))
         got = rc.convert_model(spec, spec.model, fix_focal=True, stride=4)
         assert max_param_error(got, spec) < 1e-9
 
