@@ -80,6 +80,17 @@ def random_unit_rays(rng: np.random.Generator, n: int, theta_max: float) -> np.n
     )
 
 
+# each oracle column is stepped so that the residuals move by about this
+# many radians.  One relative step for every column leaves a column as flat as
+# radial:4's k4 (2e-6 rad per unit) to the quotient's roundoff and a steep
+# kb:3 column to its truncation error.  A move of 1e-6 rad still leaves the
+# small nonzero residuals of a perturbed spec to their roundoff: on
+# TestJacobians' division:3 camera its cy column reads 1.1e-5 against the
+# analytic Jacobian, 2.6e-7 at 1e-5 rad, 2.2e-8 at 1e-4 rad and 1.9e-9 with a
+# five-point difference at 1e-3 rad, an error that falls as the step grows.
+_ORACLE_MOVE = 1e-5
+
+
 def residual_jacobian_numeric(
     spec: rc.CameraSpec,
     pixels: np.ndarray,
@@ -88,19 +99,12 @@ def residual_jacobian_numeric(
     b2: np.ndarray,
     kappa: np.ndarray,
     free_idx: np.ndarray,
-    move: float = 1e-5,
 ) -> np.ndarray:
     """Central-difference oracle for ``residual_jacobian``: (n, 2, len(kappa)).
 
-    Parameter j is stepped by move / s_j, so that the residuals move by about
-    ``move`` rad, where s_j is the largest entry of its column in a pilot
-    difference at the step 1e-6 max(1, |kappa_j|).  One relative step for
-    every column leaves a column as flat as radial:4's k4 (2e-6 rad per unit)
-    to the quotient's roundoff and a steep kb:3 column to its truncation
-    error.  A move of 1e-6 rad also leaves the small residuals of a perturbed
-    spec to the roundoff of the arc factor near c = 1 (up to 1.1e-5 relative
-    on the smaller entries); 1e-5 rad keeps both errors below 4e-6.  Columns
-    outside ``free_idx`` stay zero.
+    Parameter j is stepped by ``_ORACLE_MOVE`` / s_j, where s_j is the largest
+    entry of its column in a pilot difference at the step
+    1e-6 max(1, |kappa_j|).  Columns outside ``free_idx`` stay zero.
     """
 
     def column(j: int, h: float) -> np.ndarray:
@@ -114,5 +118,5 @@ def residual_jacobian_numeric(
     J = np.zeros((len(pixels), 2, len(kappa)))
     for j in free_idx:
         pilot = column(j, 1e-6 * max(1.0, abs(float(kappa[j]))))
-        J[:, :, j] = column(j, move / max(float(np.abs(pilot).max()), 1e-12))
+        J[:, :, j] = column(j, _ORACLE_MOVE / max(float(np.abs(pilot).max()), 1e-12))
     return J

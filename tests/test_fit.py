@@ -644,22 +644,22 @@ class TestConvertModel:
         assert rc.angular_error(spec, got, grid_stride=4) < 1.0
 
     @pytest.mark.parametrize(
-        "name, fov, dist",
-        [("radial:2", 80.0, (-0.1, 0.01)), ("kb:2", 110.0, (0.06, 0.002)),
-         ("ucm", 120.0, (0.8,)), ("eucm", 120.0, (0.6, 1.1)),
-         ("division:2", 110.0, (-0.15, 0.02))],
+        "name, case",
+        [pytest.param(name, (fov, dist), id=f"{name}-{fov}-dist{i}")
+         for i, (name, fov, dist) in enumerate(
+             [("radial:2", 80.0, (-0.1, 0.01)), ("kb:2", 110.0, (0.06, 0.002)),
+              ("ucm", 120.0, (0.8,)), ("eucm", 120.0, (0.6, 1.1)),
+              ("division:2", 110.0, (-0.15, 0.02))])]
+        + [pytest.param(name, seed, id=f"{name}-seed{seed}")
+           for name in ALL_MODEL_STRINGS for seed in range(5)],
     )
-    def test_fixed_focal_same_family_is_exact(self, name, fov, dist):
-        # the held-focal linear rows solve the source's own family exactly
-        spec = centered_spec(name, fov, 128, dist=dist)
-        got = rc.convert_model(spec, spec.model, fix_focal=True, stride=4)
-        assert max_param_error(got, spec) < 1e-9
-
-    @pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
-    @pytest.mark.parametrize("seed", range(5))
-    def test_fixed_focal_same_family_is_exact_on_drawn_cameras(self, name, seed):
-        # the same for every model string, on cameras of the sampler
-        spec = rc.sample_spec_for_model(rc.parse_model(name), 128, np.random.default_rng(seed))
+    def test_fixed_focal_same_family_is_exact(self, name, case):
+        # the held-focal linear rows solve the source's own family exactly: on
+        # hand-picked (fov, dist) cameras and on cameras the sampler draws
+        if isinstance(case, int):
+            spec = rc.sample_spec_for_model(rc.parse_model(name), 128, np.random.default_rng(case))
+        else:
+            spec = centered_spec(name, case[0], 128, dist=case[1])
         got = rc.convert_model(spec, spec.model, fix_focal=True, stride=4)
         assert max_param_error(got, spec) < 1e-9
 
