@@ -128,6 +128,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.n < 1 or not args.noise_deg >= 0:  # NaN fails too
+        raise ValueError(f"need --n >= 1 and --noise-deg >= 0, got {args.n} and {args.noise_deg}")
     out = Path(args.output)
     cfg = SamplerConfig(kind=DatasetKind(args.kind), size=args.size, seed=args.seed)
     sampler = IntrinsicsSampler(cfg)

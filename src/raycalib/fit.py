@@ -840,8 +840,11 @@ def calibrate_ransac(
     consensus set gets the full linear + refinement treatment.
 
     Raises:
+        ValueError: if ``iters`` is below 1 or ``thresh`` is not positive.
         NoConsensus: if the best inlier ratio is below 10%.
     """
+    if iters < 1 or not thresh > 0:
+        raise ValueError(f"need iters >= 1 and thresh > 0, got {iters} and {thresh}")
     corrs = Correspondences.from_field(fov_field, stride)
     size = (fov_field.width, fov_field.height)
     n = len(corrs)

@@ -18,10 +18,10 @@ backwards, by its unprojection [X, Y, Z] ~ [m_x, m_y, psi(r)] with
 m = ((u - cx)/fx, (v - cy)/fy) and r = |m|; its forward map inverts that
 relation with a Newton solve.  Brown-Conrady and Kannala-Brandt
 unprojections invert the odd polynomial x + sum_n k_n x^(2n+1) = r, for
-x = rho = R/Z and x = theta respectively.  One clipped Newton loop
-(``_newton``: step tolerance 1e-10, at most 20 iterations, then bisection of
-the bracketed cells it left open) serves these radial/kb unprojections, the
-division projection and the LensFun undistortion in ``synth``.
+x = rho = R/Z and x = theta respectively.  One solver, ``_newton``, serves
+these radial/kb unprojections, the division projection and the LensFun
+undistortion in ``synth``, with one contract per cell: the root in a bracket
+[0, hi], or none (the bracket end first, then Newton, then bisection).
 
 Each family's image ends at one closed-form normalized radius,
 ``_domain_radius`` (Usenko et al., Double Sphere, 3DV 2018, tabulate these
@@ -35,8 +35,7 @@ grids use pixel centers (i + 0.5, j + 0.5).
 Dense per-cell work is cut into blocks of ``_BLOCK`` cells here, once for
 the package (``_blocks``; ``_grid_blocks`` for pixel grids): unprojection,
 projection, field generation, the metrics, RANSAC scoring and the fit.
-Since the radial/kb Newton loop runs until every cell of its block has
-converged, a cell's unprojection can differ by roundoff with its block.
+A cell's result does not depend on its block.
 """
 
 from __future__ import annotations
@@ -287,43 +286,38 @@ def _division_fold_radius(ks: tuple[float, ...]) -> float:
     return _first_positive_root_even(tuple((1 - 2 * n) * k for n, k in enumerate(ks, 1)))
 
 
-def _newton(
-    fun, target: np.ndarray, x0: np.ndarray, hi: float | np.ndarray, max_iter: int = NEWTON_MAX_ITER
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cellwise Newton iteration on h(x) = g(x) - target = 0, clipped into [0, hi].
+def _newton(fun, target: np.ndarray, x0: np.ndarray, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Root of h(x) = g(x) - target in [0, hi] per cell, or none (``rtsafe``'s
+    contract, Press et al., Numerical Recipes, 9.4): (x, has_root).
 
-    ``fun(x)`` returns (g, g') elementwise; ``hi`` is one bound or one per
-    cell.  A cell is converged once a step is at most NEWTON_TOL; the loop
-    ends when every cell is, or after ``max_iter`` steps.  With a finite
-    ``hi``, each cell still open whose root is bracketed, h(0) <= 0 <= h(hi),
-    is then bisected ceil(log2(hi / NEWTON_TOL)) times (``rtsafe``'s fallback,
-    Press et al., Numerical Recipes, 9.4).  Returns (x, converged).
+    ``fun(x)`` returns (g, g') elementwise, with g(0) <= target; ``hi`` is one
+    finite bound or one per cell.  Cells with h(hi) <= 0 or NaN take x = hi at
+    once, a root only if h(hi) = 0.  The others take clipped Newton steps from
+    ``x0`` up to their first step of at most NEWTON_TOL; any still open after
+    NEWTON_MAX_ITER steps are bisected ceil(log2(hi / NEWTON_TOL)) times.
     """
-    x = x0
-    done = np.zeros(x.shape, dtype=bool)
-    for _ in range(max_iter):
+    h_hi = fun(hi)[0] - target
+    valid = h_hi >= 0.0
+    done = ~(h_hi > 0.0)
+    x = np.where(done, hi, x0)
+    for _ in range(NEWTON_MAX_ITER):
+        if done.all():
+            return x, valid
         g, gp = fun(x)
         step = (g - target) / np.where(np.abs(gp) > 1e-300, gp, 1.0)
-        x = np.clip(x - step, 0.0, hi)
+        x = np.where(done, x, np.clip(x - step, 0.0, hi))
         done |= np.abs(step) <= NEWTON_TOL
-        if done.all():
-            return x, done
-    if not np.all(np.isfinite(hi)):
-        return x, done
     open_ = ~done
     t = np.broadcast_to(target, x.shape)[open_]
     lo, up = np.zeros(t.shape), np.broadcast_to(hi, x.shape)[open_]
-    bracket = (fun(lo)[0] <= t) & (fun(up)[0] >= t)
     halvings = np.ceil(np.log2(up / NEWTON_TOL))
     for k in range(int(halvings.max(initial=0.0))):
         mid = 0.5 * (lo + up)
         below = fun(mid)[0] <= t
         go = k < halvings  # a cell halves its own bracket only
         lo, up = np.where(go & below, mid, lo), np.where(go & ~below, mid, up)
-    x = np.array(x, dtype=np.float64)  # a writable copy, also of a 0-d result
-    x[open_] = np.where(bracket, 0.5 * (lo + up), x[open_])
-    done[open_] = bracket
-    return x, done
+    x[open_] = 0.5 * (lo + up)
+    return x, valid
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +376,11 @@ def _division_forward_radius(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve atan2(r, psi(r)) = theta = atan2(R, Z) for the normalized radius r.
 
-    The angle profile is strictly monotone up to the model's fold radius, so
-    a Newton iteration clipped into that bracket converges from the
-    undistorted (pinhole) start.  Without a fold, each cell's bracket doubles
-    from 2 theta + 1 until its angle reaches the cell's theta, so a cell's
-    radius depends on its ray and the spec alone.  Returns (r, converged).
+    The angle profile is strictly monotone up to the model's fold radius,
+    which ends the ``_newton`` bracket: a ray past the fold angle has no root.
+    Newton starts from the pinhole radius.  Without a fold, each cell's
+    bracket doubles from 2 theta + 1 until its angle reaches the cell's theta,
+    so its radius depends on its ray and the spec alone.  Returns (r, has_root).
     """
     ks = spec.dist
     r_fold = _division_fold_radius(ks)
@@ -409,8 +403,7 @@ def _division_forward_radius(
         return np.arctan2(r, psi), gp
 
     r0 = np.clip(np.where(Z > 0.2, R / np.where(Z > 0.2, Z, 1.0), theta), 0.0, hi)
-    r, converged = _newton(fun, theta, r0, hi)
-    return r, converged & np.isfinite(r)
+    return _newton(fun, theta, r0, hi)
 
 
 def _projection_scale(spec: CameraSpec, X, Y, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -506,9 +499,10 @@ def _odd_poly_solve(
     undistorted rho for radial (cap 1e9), the polar angle theta for kb (cap
     ``_KB_THETA_CAP``).
 
-    Newton from ``x0`` (default r), clipped into [0, 0.999 hi]; a nearby
-    solution, such as that of the same pixels under nearly the same
-    coefficients, saves iterations.  Returns (x, converged).
+    A cell past the domain end, r > h(hi), has no root; at r = h(hi) it takes
+    x = hi with no Newton step.  Newton starts from ``x0`` (default r), clipped
+    into [0, 0.999 hi]; a nearby solution, such as that of the same pixels
+    under nearly the same coefficients, saves iterations.  Returns (x, has_root).
     """
     hi = min(_stationary_radius(dist), cap)
 

@@ -233,8 +233,6 @@ def sample_spec_for_model(
             continue
         f = max(f, min_focal(model, dist, size, size) * (1.0 + 1e-4))
         spec = _centered_square(model, f, dist, size)
-        if not validate_spec(spec).ok:
-            continue
         if model.num_dist >= 2 and _radial_slope_floor(spec) < 0.15:
             continue
         if _corner_norm_radius(spec) <= _domain_radius(model, dist):
@@ -418,8 +416,9 @@ def lensfun_to_eucm(
 ) -> tuple[float, float, float, float]:
     """Map a LensFun entry to (alpha, beta, focal_mm, residual_deg).
 
-    A uniform sensor grid is undistorted with Newton's method (tolerance
-    1e-10, at most 50 iterations), the ideal fisheye projection is inverted
+    A uniform sensor grid is undistorted by ``_newton`` on [0, fold], the fold
+    being the first positive root of the distortion's slope (1e9 without one,
+    as radial's cap); the ideal fisheye projection is inverted
     to obtain rays, and the extended unified model is fitted to the
     (normalized coordinate, ray) correspondences.  The returned focal is the
     fitted generalized focal scaled back to millimetres; the residual is the
@@ -443,7 +442,8 @@ def lensfun_to_eucm(
     # undistort: solve distort(ru) = rd
     distort = _distortion(entry)
     slope = distort.deriv()
-    ru, done = _newton(lambda x: (distort(x), slope(x)), rd, rd, math.inf, 50)
+    fold = min((z.real for z in slope.roots() if abs(z.imag) < 1e-9 and z.real > 0), default=1e9)
+    ru, done = _newton(lambda x: (distort(x), slope(x)), rd, rd, fold)
     gx_u = gx * np.where(rd > 0, ru / rd, 1.0)
     gy_u = gy * np.where(rd > 0, ru / rd, 1.0)
 

@@ -34,7 +34,6 @@ from conftest import ALL_MODEL_STRINGS
 
 # 160 x 160 = 25,600 cells: three full blocks and a partial one
 SIZE = 160
-NEWTON_FAMILIES = (rc.Family.BROWN_CONRADY, rc.Family.KANNALA_BRANDT)
 
 
 def camera(name: str, focal_scale: float = 1.0) -> rc.CameraSpec:
@@ -76,11 +75,7 @@ class TestBlockEdges:
         want, want_ok, _ = _unproject_cells(spec, self.PX)
         rays, ok = rc.unproject_masked(spec, self.PX)
         np.testing.assert_array_equal(ok, want_ok)
-        if spec.model.family in NEWTON_FAMILIES:
-            # Newton stops once every cell of a block, not of the grid, has
-            assert np.max(_ray_angle(rays[ok], want[ok]), initial=0.0) <= 1e-15
-        else:
-            np.testing.assert_array_equal(rays[ok], want[ok])
+        np.testing.assert_array_equal(rays[ok], want[ok])
 
     def test_folded_cameras_drop_cells(self):
         dropped = {n: int(np.count_nonzero(~rc.unproject_masked(camera(n, 0.25), self.PX)[1]))
@@ -96,25 +91,14 @@ class TestBlockEdges:
         u, v, want_ok = _project_cells(spec, rays, theta_max(spec))
         px, got_ok = rc.project_masked(spec, rays)
         np.testing.assert_array_equal(got_ok, want_ok)
-        if spec.model.family is rc.Family.DIVISION:
-            # each cell's Newton bracket comes from its ray and the spec, but
-            # Newton stops once every cell of a block, not of the grid, has
-            # converged, so the two calls agree to roundoff
-            err = np.abs(px[got_ok] - np.stack([u, v], axis=-1)[got_ok])
-            assert np.max(err, initial=0.0) <= 1e-13 * spec.fx
-        else:
-            np.testing.assert_array_equal(px[:, 0], u)
-            np.testing.assert_array_equal(px[:, 1], v)
+        np.testing.assert_array_equal(px[:, 0], u)
+        np.testing.assert_array_equal(px[:, 1], v)
 
     @pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
     def test_field_from_spec(self, name):
         spec = camera(name)
         want = rc.log_map(_unproject_cells(spec, self.PX)[0]).reshape(SIZE, SIZE, 2)
-        got = rc.field_from_spec(spec).theta
-        if spec.model.family in NEWTON_FAMILIES:
-            assert np.max(np.abs(got - want)) <= 1e-15
-        else:
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(rc.field_from_spec(spec).theta, want)
 
     @pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
     def test_evaluate(self, name):
@@ -134,15 +118,8 @@ class TestBlockEdges:
         re = float(np.mean(np.linalg.norm(px[ok_r] - self.PX[ok_r], axis=-1)))
         assert report.dropped_ae == ok.size - np.count_nonzero(ok)
         assert report.dropped_re == ok_r.size - np.count_nonzero(ok_r)
-        newton = gt.model.family in NEWTON_FAMILIES
-        if newton:
-            assert report.ae_mean == pytest.approx(ae, rel=1e-12)
-        else:
-            assert report.ae_mean == ae
-        if newton or gt.model.family is rc.Family.DIVISION:  # the projection is Newton's
-            assert report.re_mean == pytest.approx(re, rel=1e-12)
-        else:
-            assert report.re_mean == re
+        assert report.ae_mean == ae
+        assert report.re_mean == re
 
 
 class TestNoWholeGridCall:

@@ -429,6 +429,11 @@ def _synth_size(size: str, tmp: Path) -> list[str]:
             "-o", str(tmp / "ds")]
 
 
+def _fit_ransac(flag: str, value: str, tmp: Path) -> list[str]:
+    write_field(tmp / "field.aff1", rc.field_from_spec(centered_spec("pinhole", 60.0, 16)))
+    return ["fit", str(tmp / "field.aff1"), "--model", "pinhole", "--ransac", flag, value]
+
+
 def _lensfun_entry(tmp: Path, **fields) -> Path:
     entry = {"model_kind": "poly3", "coefficients": [0.01], "focal_mm": 8.0,
              "sensor_width_mm": 36.0, "sensor_height_mm": 24.0, **fields}
@@ -472,13 +477,16 @@ class TestInputErrors:
             (functools.partial(_lensfun_grid_stride, "-4"), "InvalidInput"),
             (_convert_string_focal, "InvalidInput"),
             (_lensfun_string_coefficient, "InvalidInput"),
+            (functools.partial(_fit_ransac, "--iters", "-3"), "InvalidInput"),
+            (functools.partial(_fit_ransac, "--thresh-deg", "-1"), "InvalidInput"),
         ],
         ids=["eval-missing-dir", "eval-no-common-name", "convert-invalid-spec",
              "fit-truncated-header", "fit-ragged-payload", "convert-spec-not-an-object",
              "convert-null-focal", "lensfun-number-coefficients", "fit-stride-0",
              "fit-stride-negative", "eval-stride-0", "convert-stride-0", "synth-size-0",
              "synth-size-negative", "lensfun-grid-stride-0", "lensfun-grid-stride-negative",
-             "convert-string-focal", "lensfun-string-coefficient"],
+             "convert-string-focal", "lensfun-string-coefficient", "fit-ransac-iters-negative",
+             "fit-ransac-thresh-negative"],
     )
     def test_exit_2_with_error_object(self, make_argv, kind, tmp_path, capsys):
         code = run(*make_argv(tmp_path))
@@ -486,6 +494,18 @@ class TestInputErrors:
         assert code == 2
         assert error["kind"] == kind and error["message"]
 
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--n", "-1"), ("--n", "0"), ("--noise-deg", "-0.5"), ("--noise-deg", "nan")],
+    )
+    def test_synth_bad_count_writes_nothing(self, flag, value, tmp_path, capsys):
+        argv = {"--n": "2", "--noise-deg": "0", flag: value}
+        code = run("synth", "--kind", "opp", "--size", "16", "--seed", "1",
+                   *(x for item in argv.items() for x in item), "-o", str(tmp_path / "ds"))
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "InvalidInput"
+        assert not (tmp_path / "ds").exists()
 
     def test_non_numeric_csv_value_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "field.csv"

@@ -591,6 +591,14 @@ class TestRansac:
         r2 = rc.calibrate_ransac(field, spec.model, iters=40, seed=9)
         assert r1.spec == r2.spec and r1.inlier_ratio == r2.inlier_ratio
 
+    @pytest.mark.parametrize(
+        "iters, thresh", [(0, 0.01), (-3, 0.01), (10, 0.0), (10, -0.01), (10, math.nan)]
+    )
+    def test_invalid_settings_raise_value_error(self, iters, thresh):
+        field = rc.field_from_spec(centered_spec("pinhole", 60.0, 16))
+        with pytest.raises(ValueError, match="iters >= 1 and thresh > 0"):
+            rc.calibrate_ransac(field, rc.parse_model("pinhole"), iters=iters, thresh=thresh)
+
     def test_no_consensus_raises(self, rng):
         # a field of directionally random cells admits no camera model
         az = rng.uniform(0, 2 * np.pi, (32, 32))

@@ -10,6 +10,7 @@ import pytest
 import raycalib as rc
 import raycalib.models
 from raycalib.models import (
+    _KB_THETA_CAP,
     _corner_norm_radius,
     _division_fold_radius,
     _domain_radius,
@@ -27,6 +28,22 @@ from conftest import ALL_MODEL_STRINGS, random_unit_rays
 
 def pinhole_spec(f=240.0, c=(240.0, 240.0), size=480):
     return rc.CameraSpec(rc.parse_model("pinhole"), f, f, c[0], c[1], (), size, size)
+
+
+@pytest.fixture
+def newton_evaluations(monkeypatch):
+    """The points at which ``models._newton`` evaluates its function."""
+    evals = []
+    newton = raycalib.models._newton
+
+    def counted(fun, *args):
+        def fun_counted(x):
+            evals.append(x)
+            return fun(x)
+        return newton(fun_counted, *args)
+
+    monkeypatch.setattr(raycalib.models, "_newton", counted)
+    return evals
 
 
 def stacked_unproject(spec: rc.CameraSpec, pixels: np.ndarray):
@@ -237,6 +254,27 @@ class TestUnproject:
         ref = [min(z.real for z in zs if abs(z.imag) < 1e-12 and 0.0 <= z.real <= fold)
                for zs in roots]
         np.testing.assert_allclose(theta, ref, rtol=0.0, atol=1e-9)
+
+    def test_cell_past_the_domain_end_is_invalid_after_one_evaluation(self, newton_evaluations):
+        # radial:1 with k = -0.1 folds at rho = 1/sqrt(0.3), where h = 2 rho / 3
+        dist, rho = (-0.1,), 1.0 / math.sqrt(0.3)
+        x, ok = _odd_poly_solve(dist, np.array([1.001 * 2.0 * rho / 3.0]), 1e9)
+        assert len(newton_evaluations) == 1 and not ok.any()
+        assert x[0] == _stationary_radius(dist)
+
+    @pytest.mark.parametrize("name, seed", [("radial:1", 0), ("kb:4", 4)])
+    def test_theta_max_at_a_stationary_fold_evaluates_once(self, name, seed, newton_evaluations):
+        # the corner lies past the fold, so theta_max asks for r = h(fold), the
+        # double root where Newton would converge only linearly
+        drawn = rc.sample_spec_for_model(rc.parse_model(name), 480, np.random.default_rng(seed))
+        spec = drawn.replace(fx=0.2 * drawn.fx, fy=0.2 * drawn.fy)
+        kb = spec.model.family is rc.Family.KANNALA_BRANDT
+        x = _stationary_radius(spec.dist)  # below the cap: the fold is stationary
+        assert x < (_KB_THETA_CAP if kb else 1e9)
+        assert _corner_norm_radius(spec) > _domain_radius(spec.model, spec.dist)
+        fold = x if kb else math.atan(x)
+        assert theta_max(spec) == pytest.approx(fold + 1e-9, rel=0.0, abs=1e-12)
+        assert len(newton_evaluations) == 1
 
 
 # ---------------------------------------------------------------------------
