@@ -120,6 +120,10 @@ class Correspondences:
         return len(self.pixels)
 
     def subset(self, idx: np.ndarray) -> "Correspondences":
+        """The cells ``idx`` picks: indices, or a mask with one entry per cell."""
+        if idx.dtype == bool:  # compress copies the kept cells many times faster than a[:, mask]
+            return Correspondences(np.compress(idx, self.pixels.T, axis=1).T,
+                                   np.compress(idx, self.rays.T, axis=1).T)
         return Correspondences(self.pixels.T[:, idx].T, self.rays.T[:, idx].T)
 
     @classmethod
@@ -641,6 +645,7 @@ def _write_jacobian(
     for Gi, b, bq in zip(G, (b1, b2), (blk.b1q, blk.b2q)):
         np.multiply(wn, b, out=Gi)
         Gi -= (bq * inv) * h
+    del dw, inv, h, wn  # freed before the block's peak: the ray derivatives and contractions
     dgx, dgy, d, scales = _ray_derivatives(spec, blk.ray)
     jx, jy = _contract(G, dgx), _contract(G, dgy)
     jd = [] if d is None else [_contract(G, d)] * len(scales)
@@ -687,13 +692,16 @@ def _pass(
     none), their count, the factor R of [J_free | -e] (None without
     ``want_r``) and the Newton solution of radial/kb (None for the other
     families), which ``x0`` passes back as the next pass's start.  Each
-    block's rows are written column by column into one buffer, whose e1
-    half and e2 half are two F-ordered leaves of ``_tsqr``.
+    block's rows are written column by column into one buffer of the pass,
+    whose e1 half and e2 half are two F-ordered leaves of ``_tsqr``; each
+    leaf is factored before the next block overwrites it.  A partial last
+    block takes a buffer of its own, so that its leaves stay contiguous.
     """
     n, k = len(corrs), len(free_idx)
     b1, b2 = basis
     sol = np.empty(n) if spec.model.family in _INVERSE_FOCAL else None
     total, valid = 0.0, 0  # squared residuals and valid cells so far
+    buffer = np.empty((2, k + 1, min(n, _QR_BLOCK))) if want_r else None
 
     def rows() -> Iterator[np.ndarray]:
         nonlocal total, valid
@@ -706,7 +714,8 @@ def _pass(
                 sol[sl] = blk.ray.sol
             if want_r:
                 # halves[i].T is the leaf of e_i; cols[j] is column j of both, (2, m)
-                halves = np.empty((2, k + 1, len(blk.ok)))
+                m = len(blk.ok)
+                halves = buffer if m == buffer.shape[2] else np.empty((2, k + 1, m))
                 cols = halves.transpose(1, 0, 2)
                 _write_jacobian(spec, blk, b1[:, sl], b2[:, sl], free_idx, cols[:k])
                 np.negative(blk.e1, out=cols[k, 0])

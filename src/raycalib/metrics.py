@@ -82,8 +82,9 @@ def _grid_errors(
     the ground-truth ray re-projected through ``est``.
 
     The grid is scored block by block (``_grid_blocks``), with one
-    ground-truth unprojection per block for both errors; the per-cell errors
-    are collected into one array each, so each mean sums them in grid order.
+    ground-truth unprojection per block for both errors; each block's valid
+    errors are appended to one array per error (``np.compress``, many times
+    faster than a boolean index), so each mean sums them in grid order.
 
     Raises:
         EmptyInput: if no cell has an error asked for.
@@ -91,27 +92,32 @@ def _grid_errors(
     _check_same_size(gt, est)
     u, v = pixel_axes(gt.width, gt.height, grid_stride)
     n = len(u) * len(v)
-    ang, ok_a = (np.empty(n), np.empty(n, dtype=bool)) if angles else (None, None)
-    dist, ok_r = (np.empty(n), np.empty(n, dtype=bool)) if reproj else (None, None)
+    ang = np.empty(n) if angles else None
+    dist = np.empty(n) if reproj else None
+    na = nr = 0  # valid cells of each error so far
     tmax = theta_max(est) if reproj else None
-    for sl, px in _grid_blocks(u, v):
+    for _, px in _grid_blocks(u, v):
         p, ok_g, _ = _unproject_cells(gt, px)
         if angles:
             q, ok_e, _ = _unproject_cells(est, px)
-            ang[sl], ok_a[sl] = np.degrees(_ray_angle(p, q)), ok_g & ok_e
+            kept = np.compress(ok_g & ok_e, np.degrees(_ray_angle(p, q)))
+            ang[na : na + len(kept)] = kept
+            na += len(kept)
         if reproj:
             pu, pv, ok_e = _project_cells(est, p, tmax)
             du, dv = pu - px[:, 0], pv - px[:, 1]
-            dist[sl], ok_r[sl] = np.sqrt(du * du + dv * dv), ok_g & ok_e
+            kept = np.compress(ok_g & ok_e, np.sqrt(du * du + dv * dv))
+            dist[nr : nr + len(kept)] = kept
+            nr += len(kept)
     out = []
-    for err, ok, empty in (
-        (ang, ok_a, "no grid cell is unprojectable under both cameras"),
-        (dist, ok_r, "no grid cell survives the reprojection round trip"),
+    for err, valid, empty in (
+        (ang, na, "no grid cell is unprojectable under both cameras"),
+        (dist, nr, "no grid cell survives the reprojection round trip"),
     ):
         if err is not None:
-            if not ok.any():
+            if not valid:
                 raise EmptyInput(empty)
-            out.append((float(np.mean(err[ok])), int(ok.size - np.count_nonzero(ok))))
+            out.append((float(np.mean(err[:valid])), n - valid))
     return out
 
 

@@ -35,7 +35,9 @@ grids use pixel centers (i + 0.5, j + 0.5).
 Dense per-cell work is cut into blocks of ``_BLOCK`` cells here, once for
 the package (``_blocks``; ``_grid_blocks`` for pixel grids): unprojection,
 projection, field generation, the metrics, RANSAC scoring and the fit.
-A cell's result does not depend on its block.
+A cell's result does not depend on its block.  A block's freed temporaries
+stay resident for the next block (see the buffer freed after ``_BLOCK``);
+the cost is up to 8 MiB of freed heap that each malloc arena keeps.
 """
 
 from __future__ import annotations
@@ -62,6 +64,18 @@ _KB_THETA_CAP = math.pi - 1e-9  # largest kb polar angle, short of the antipode
 # cells per block of dense per-cell work: one float per cell of a block is
 # 64 KiB, and a least-squares block of 16,384 rows is about 1 MiB
 _BLOCK = 8192
+
+# Keep one block's working set resident.  glibc's malloc raises its mmap
+# threshold to the largest mmapped chunk freed so far, and its trim threshold
+# to twice that (mallopt(3)).  A 128x128 fit frees no array above 768 KiB, so
+# the trim threshold would stay below one pass's block temporaries (3 to
+# 4 MiB), and each block would hand its memory back to the kernel at free()
+# for the next block to fault in again: a third of the fit's time.  Freeing
+# one untouched buffer of 512 bytes per cell of a block (4 MiB) raises the
+# thresholds to 4 and 8 MiB, so freed block temporaries stay in the heap.
+# The buffer is never written, so it is never resident.  MALLOC_* settings
+# switch the dynamic rule off and stay in force; other allocators ignore it.
+np.empty(512 * _BLOCK, dtype=np.uint8)
 
 
 class Family(Enum):

@@ -3,13 +3,20 @@
 Unprojection, projection, field generation, the grid metrics and RANSAC
 scoring all cut their cells with ``models._blocks``.  These tests hold the
 blocked results to one whole-grid call, keep every call of the unprojection
-within one block and bound the memory that field generation and evaluation
-take.
+within one block, bound the memory that field generation and evaluation
+take and check that a fit's blocks reuse resident memory.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,3 +195,39 @@ class TestPeakMemory:
     def test_evaluate(self):
         est = self.GT.replace(fx=self.GT.fx * 1.01, cx=self.GT.cx + 0.7)
         assert peak_mib(lambda: rc.evaluate(self.GT, est)) <= 9.0
+
+
+FAULTS_PER_FIT = textwrap.dedent("""
+    import resource, sys
+    import numpy as np
+    import raycalib as rc
+
+    spec = rc.sample_spec_for_model(rc.parse_model(sys.argv[1]), 128, np.random.default_rng(1))
+    field = rc.add_noise(rc.field_from_spec(spec), 0.5, seed=1)
+    rc.calibrate(field, spec.model)  # warm-up: imports, caches, the heap's first growth
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(8):
+        rc.calibrate(field, spec.model)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 8)
+""")
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("resource") is None or platform.libc_ver()[0] != "glibc",
+    reason="counts minor page faults under glibc's dynamic malloc thresholds",
+)
+@pytest.mark.parametrize("name", ["radial:1", "kb:4"])
+def test_fit_blocks_stay_resident(name):
+    # a 128x128 fit frees no array above 768 KiB, so without the 4 MiB
+    # buffer ``models`` frees at import, glibc hands each block's
+    # temporaries back to the kernel and faults them in again: about 6,000
+    # minor faults per fit.  A fresh interpreter, because a process that
+    # has freed a larger array has raised the thresholds already; MALLOC_*
+    # settings switch the dynamic thresholds off, so they are cleared.
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    src = str(Path(rc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_FIT, name], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert float(out.stdout) <= 64
