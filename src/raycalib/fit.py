@@ -120,10 +120,6 @@ class Correspondences:
         return len(self.pixels)
 
     def subset(self, idx: np.ndarray) -> "Correspondences":
-        """The cells ``idx`` picks: indices, or a mask with one entry per cell."""
-        if idx.dtype == bool:  # compress copies the kept cells many times faster than a[:, mask]
-            return Correspondences(np.compress(idx, self.pixels.T, axis=1).T,
-                                   np.compress(idx, self.rays.T, axis=1).T)
         return Correspondences(self.pixels.T[:, idx].T, self.rays.T[:, idx].T)
 
     @classmethod
@@ -693,9 +689,8 @@ def _pass(
     ``want_r``) and the Newton solution of radial/kb (None for the other
     families), which ``x0`` passes back as the next pass's start.  Each
     block's rows are written column by column into one buffer of the pass,
-    whose e1 half and e2 half are two F-ordered leaves of ``_tsqr``; each
-    leaf is factored before the next block overwrites it.  A partial last
-    block takes a buffer of its own, so that its leaves stay contiguous.
+    whose e1 half and e2 half are two column-major leaves of ``_tsqr``; each
+    leaf is factored before the next block overwrites it.
     """
     n, k = len(corrs), len(free_idx)
     b1, b2 = basis
@@ -715,7 +710,7 @@ def _pass(
             if want_r:
                 # halves[i].T is the leaf of e_i; cols[j] is column j of both, (2, m)
                 m = len(blk.ok)
-                halves = buffer if m == buffer.shape[2] else np.empty((2, k + 1, m))
+                halves = buffer[:, :, :m]
                 cols = halves.transpose(1, 0, 2)
                 _write_jacobian(spec, blk, b1[:, sl], b2[:, sl], free_idx, cols[:k])
                 np.negative(blk.e1, out=cols[k, 0])
@@ -885,7 +880,7 @@ def calibrate_ransac(
         raise NoConsensus(
             f"best inlier count {best_count}/{n} below the 10% consensus floor"
         )
-    result = _fit_corrs(model, corrs.subset(best_mask), size)
+    result = _fit_corrs(model, corrs.subset(np.flatnonzero(best_mask)), size)
     return replace(result, inlier_ratio=best_count / n, dropped=result.dropped + holes)
 
 

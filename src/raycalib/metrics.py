@@ -83,8 +83,8 @@ def _grid_errors(
 
     The grid is scored block by block (``_grid_blocks``), with one
     ground-truth unprojection per block for both errors; each block's valid
-    errors are appended to one array per error (``np.compress``, many times
-    faster than a boolean index), so each mean sums them in grid order.
+    errors are appended to one array per error, so no whole-grid mask is
+    held and each mean sums them in grid order.
 
     Raises:
         EmptyInput: if no cell has an error asked for.
