@@ -444,7 +444,7 @@ def _eucm_dist(
     corrs: Correspondences, f: float, a: float, c: tuple[float, float]
 ) -> tuple[tuple[float, float], tuple[str, ...]]:
     """(alpha, beta) of the extended unified model at a known focal, solved
-    from the (gamma, alpha) rows with the active set, and the bounds it hit.
+    from the (gamma, alpha) rows with the active set, and the bounds it is on.
 
     The re-solves work on the columns of the rows' factor R: R = Q^T [col_g |
     col_a | rhs], so inner products of its columns are those of the rows.
@@ -452,7 +452,6 @@ def _eucm_dist(
     R, m = _row_qr(corrs, lambda px, rays: _eucm_rows(px, rays, f, a, c), 3)
     gamma, alpha = _solve(R, m, "eucm (gamma, alpha) solve")
     col_g, col_a, rhs = R.T
-    bounds: list[str] = []
 
     def resolve(col: np.ndarray, b: np.ndarray, what: str) -> float:
         denom = float(col @ col)
@@ -460,39 +459,23 @@ def _eucm_dist(
             raise BoundInfeasible(f"{what}: no free unknown left to re-solve")
         return float(col @ b) / denom
 
-    if alpha < 0.0:
-        alpha = 0.0
-        bounds.append("alpha>=0")
-        gamma = resolve(col_g, rhs, "eucm re-solve gamma at alpha=0")
-    elif alpha > 1.0:
-        alpha = 1.0
-        bounds.append("alpha<=1")
-        gamma = resolve(col_g, rhs - col_a, "eucm re-solve gamma at alpha=1")
+    if not 0.0 <= alpha <= 1.0:
+        alpha = min(max(alpha, 0.0), 1.0)
+        gamma = resolve(col_g, rhs - alpha * col_a, f"eucm re-solve gamma at alpha={alpha:g}")
 
     # a gamma within the solve's resolution of zero has the sign of roundoff
     if abs(gamma) <= _RCOND * float(np.linalg.norm(rhs)) / float(np.linalg.norm(col_g)):
         gamma = 0.0
     if gamma <= 0.0 and alpha > 0.0:
         gamma = 0.0
-        bounds.append("beta>0")
-        alpha = resolve(col_a, rhs, "eucm re-solve alpha at gamma=0")
-        if alpha < 0.0:
-            alpha = 0.0
-            bounds.append("alpha>=0")
-        elif alpha > 1.0:
-            alpha = 1.0
-            bounds.append("alpha<=1")
+        alpha = min(resolve(col_a, rhs, "eucm re-solve alpha at gamma=0"), 1.0)
 
     if alpha < 1e-9:
         # alpha = 0 reduces the model to a pinhole: beta is unidentifiable
-        alpha, beta = 0.0, 1.0
-        if "alpha>=0" not in bounds:
-            bounds.append("alpha>=0")
-    elif gamma <= 0.0:
-        beta = 1e-6
-    else:
-        beta = float(gamma) / float(alpha) ** 2
-    return (float(alpha), float(beta)), tuple(bounds)
+        return (0.0, 1.0), ("alpha>=0",)
+    beta = 1e-6 if gamma <= 0.0 else float(gamma) / float(alpha) ** 2
+    bounds = tuple(b for b, on in (("alpha<=1", alpha == 1.0), ("beta>0", gamma <= 0.0)) if on)
+    return (float(alpha), beta), bounds
 
 
 # ---------------------------------------------------------------------------

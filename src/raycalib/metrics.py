@@ -128,15 +128,7 @@ def angular_error(
 
     Pixels that either camera cannot unproject are dropped from the mean.
     """
-    deg, _ = angular_error_counted(gt, est, grid_stride)
-    return deg
-
-
-def angular_error_counted(
-    gt: CameraSpec, est: CameraSpec, grid_stride: int = 1
-) -> tuple[float, int]:
-    """As ``angular_error`` but also reporting the dropped-cell count."""
-    return _grid_errors(gt, est, grid_stride, reproj=False)[0]
+    return _grid_errors(gt, est, grid_stride, reproj=False)[0][0]
 
 
 def reproj_error(gt: CameraSpec, est: CameraSpec, grid_stride: int = 1) -> float:
@@ -145,15 +137,7 @@ def reproj_error(gt: CameraSpec, est: CameraSpec, grid_stride: int = 1) -> float
     Direction convention: unproject under the ground truth, project under the
     estimate; cells where either step is undefined are dropped.
     """
-    pxe, _ = reproj_error_counted(gt, est, grid_stride)
-    return pxe
-
-
-def reproj_error_counted(
-    gt: CameraSpec, est: CameraSpec, grid_stride: int = 1
-) -> tuple[float, int]:
-    """As ``reproj_error`` but also reporting the dropped-cell count."""
-    return _grid_errors(gt, est, grid_stride, angles=False)[0]
+    return _grid_errors(gt, est, grid_stride, angles=False)[0][0]
 
 
 def fov_agnostic(spec: CameraSpec) -> tuple[float, float]:

@@ -260,19 +260,14 @@ def _even_poly_deriv(ks: tuple[float, ...], x2: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _odd_poly_theta(ks: tuple[float, ...], theta: np.ndarray) -> np.ndarray:
-    """theta + k_1 theta^3 + ... + k_N theta^(2N+1)."""
-    t2 = theta * theta
-    return theta * _even_poly(ks, t2)
-
-
-def _odd_poly_theta_deriv(ks: tuple[float, ...], theta: np.ndarray) -> np.ndarray:
-    """1 + 3 k_1 theta^2 + ... + (2N+1) k_N theta^(2N)."""
-    t2 = theta * theta
-    acc = np.zeros_like(theta)
-    for n in range(len(ks), 0, -1):
-        acc = acc * t2 + (2 * n + 1) * ks[n - 1]
-    return 1.0 + acc * t2
+def _odd_poly(ks: tuple[float, ...], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h = x + k_1 x^3 + ... + k_N x^(2N+1) and h' = 1 + 3 k_1 x^2 + ...
+    + (2N+1) k_N x^(2N), in one Horner loop sharing x^2 (N >= 1)."""
+    x2 = x * x
+    acc, acc_p = ks[-1] * x2, (2 * len(ks) + 1) * ks[-1]
+    for n in range(len(ks) - 1, 0, -1):
+        acc, acc_p = (acc + ks[n - 1]) * x2, acc_p * x2 + (2 * n + 1) * ks[n - 1]
+    return x * (1.0 + acc), 1.0 + acc_p * x2
 
 
 @lru_cache(maxsize=65536)
@@ -339,14 +334,6 @@ def _newton(fun, target: np.ndarray, x0: np.ndarray, hi) -> tuple[np.ndarray, np
 # ---------------------------------------------------------------------------
 
 
-def _radial_profile_theta(spec: CameraSpec, theta: np.ndarray) -> np.ndarray:
-    """Normalized image radius |m| reached at polar angle theta (NaN = invalid)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    s = np.sin(theta)
-    scale, ok, _ = _projection_scale(spec, s, 0.0, np.cos(theta))
-    return np.where(ok, scale * s, np.nan)
-
-
 def radial_profile(spec: CameraSpec, theta: np.ndarray) -> np.ndarray:
     """Projected pixel radius |x - c| at polar angle theta, along the x axis.
 
@@ -355,7 +342,10 @@ def radial_profile(spec: CameraSpec, theta: np.ndarray) -> np.ndarray:
     injectivity: the projection is injective over a disc exactly when the
     profile is strictly increasing up to the disc radius.
     """
-    return spec.fx * _radial_profile_theta(spec, np.asarray(theta, dtype=np.float64))
+    theta = np.asarray(theta, dtype=np.float64)
+    s = np.sin(theta)
+    scale, ok, _ = _projection_scale(spec, s, 0.0, np.cos(theta))
+    return spec.fx * np.where(ok, scale * s, np.nan)
 
 
 def _corner_norm_radius(spec: CameraSpec) -> float:
@@ -435,7 +425,7 @@ def _projection_scale(spec: CameraSpec, X, Y, Z) -> tuple[np.ndarray, np.ndarray
             scale = scale * _even_poly(spec.dist, (R / safe_z) ** 2)
         ok = Z > 1e-12
     elif fam is Family.KANNALA_BRANDT:
-        poly = _odd_poly_theta(spec.dist, theta)
+        poly = _odd_poly(spec.dist, theta)[0]
         scale = np.where(R > 1e-12, poly / np.where(R > 1e-12, R, 1.0), 1.0)
     elif fam is Family.DIVISION:
         r, ok = _division_forward_radius(spec, R, Z, theta)
@@ -519,17 +509,8 @@ def _odd_poly_solve(
     under nearly the same coefficients, saves iterations.  Returns (x, has_root).
     """
     hi = min(_stationary_radius(dist), cap)
-
-    def fun(x):
-        # h and h' in one Horner loop sharing x^2, from k_N x^2 and (2N+1) k_N:
-        # the bits of _odd_poly_theta and _odd_poly_theta_deriv
-        x2 = x * x
-        acc, acc_p = dist[-1] * x2, (2 * len(dist) + 1) * dist[-1]
-        for n in range(len(dist) - 1, 0, -1):
-            acc, acc_p = (acc + dist[n - 1]) * x2, acc_p * x2 + (2 * n + 1) * dist[n - 1]
-        return x * (1.0 + acc), 1.0 + acc_p * x2
-
-    return _newton(fun, r, np.clip(r if x0 is None else x0, 0.0, 0.999 * hi), hi)
+    x0 = np.clip(r if x0 is None else x0, 0.0, 0.999 * hi)
+    return _newton(lambda x: _odd_poly(dist, x), r, x0, hi)
 
 
 class _RayCells(NamedTuple):
@@ -622,7 +603,7 @@ def _ray_derivatives(
         # and ds/dsol = gz, so dg/dsol = (ds mx / r, ds my / r, -s or 0)
         kb = fam is Family.KANNALA_BRANDT
         sol, s, ds = cells.sol, cells.s, cells.ds
-        hp = _odd_poly_theta_deriv(spec.dist, sol)
+        hp = _odd_poly(spec.dist, sol)[1]
         hp = np.where(np.abs(hp) > 1e-12, hp, 1e-12)
         tiny = r < 1e-9
         inv_r = np.where(tiny, 0.0, 1.0 / np.where(tiny, 1.0, r))
@@ -720,7 +701,7 @@ def _domain_radius(model: ModelId, dist: tuple[float, ...]) -> float:
     if fam in (Family.BROWN_CONRADY, Family.KANNALA_BRANDT):
         cap = _KB_THETA_CAP if fam is Family.KANNALA_BRANDT else math.inf
         x = min(_stationary_radius(dist), cap)
-        return float(_odd_poly_theta(dist, np.array(x))) if math.isfinite(x) else math.inf
+        return float(_odd_poly(dist, np.array(x))[0]) if math.isfinite(x) else math.inf
     if fam is Family.EUCM:
         alpha, beta = dist
         return 1.0 / math.sqrt(beta * (2.0 * alpha - 1.0)) if alpha > 0.5 else math.inf

@@ -28,7 +28,8 @@ corner lies past its model's domain end (``_domain_radius``) is drawn again.
 LensFun lens entries (polynomial distortion on top of an ideal fisheye
 projection) are mapped to the extended unified model by undistorting a
 uniform sensor grid with the library's Newton loop, inverting the ideal
-projection, and fitting in focal-normalized units.
+projection, and fitting in focal-normalized units.  The grid goes through
+the fit's grid builder and the fit's angular residuals score the result.
 """
 
 from __future__ import annotations
@@ -41,9 +42,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateGeometry, FovOutOfRange, NewtonDivergence, UnsupportedFamily
+from .errors import (
+    DegenerateGeometry, FovOutOfRange, NewtonDivergence, ThetaOutOfDomain, UnsupportedFamily
+)
 from .fileio import parse_json_object
-from .fit import Correspondences, fit_linear, refine
+from .fit import Correspondences, _angular_residuals, fit_linear, refine
 from .fov import FovField
 from .models import (
     CameraSpec,
@@ -52,13 +55,11 @@ from .models import (
     _corner_norm_radius,
     _domain_radius,
     _newton,
-    _odd_poly_theta,
-    _odd_poly_theta_deriv,
-    _radial_profile_theta,
-    _ray_angle,
+    _odd_poly,
     min_focal,
     parse_model,
-    unproject_masked,
+    pixel_axes,
+    radial_profile,
     validate_spec,
 )
 
@@ -100,7 +101,7 @@ def focal_from_fov(
     if half >= math.pi:
         raise FovOutOfRange(f"half angle {half:.3f} rad is not representable")
     probe = _centered_square(model, 1.0, tuple(dist), max(height, 1))
-    r = float(_radial_profile_theta(probe, np.array(half)))
+    r = float(radial_profile(probe, np.array(half)))
     if not math.isfinite(r) or r <= 0.0:
         raise FovOutOfRange(f"{model} cannot reach a {fov_deg} degree field of view")
     return (height / 2.0) / r
@@ -182,8 +183,9 @@ def _radial_slope_floor(spec: CameraSpec) -> float:
         return 1.0
     # x = theta for kb, x = rho = R/Z for radial; both map by x + sum k_n x^(2n+1)
     x = np.linspace(0.0, 2.2 if fam is Family.KANNALA_BRANDT else 3.0, 256)
-    x = x[_odd_poly_theta(spec.dist, x) <= _corner_norm_radius(spec)]
-    return float(np.min(_odd_poly_theta_deriv(spec.dist, x))) if x.size else 1.0
+    h, slope = _odd_poly(spec.dist, x)
+    slope = slope[h <= _corner_norm_radius(spec)]
+    return float(np.min(slope)) if slope.size else 1.0
 
 
 # generic per-model sampler used by tests and benchmarks; families absent from
@@ -249,20 +251,27 @@ def add_noise(fov_field: FovField, sigma_deg: float, seed: int) -> FovField:
     """Add zero-mean Gaussian noise (std ``sigma_deg``) to each component.
 
     Deterministic for a fixed seed; cells pushed to |theta| >= pi are redrawn.
+
+    Raises:
+        ValueError: if ``sigma_deg`` is not finite and >= 0.
+        ThetaOutOfDomain: if cells are still at |theta| >= pi after 100 redraws.
     """
-    if sigma_deg < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0.0 <= sigma_deg < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma_deg}")
     if sigma_deg == 0:
         return FovField(theta=fov_field.theta.copy(), stride=fov_field.stride)
     rng = np.random.default_rng(seed)
     sigma = math.radians(sigma_deg)
     theta = fov_field.theta + rng.normal(0.0, sigma, fov_field.theta.shape)
+    bad = np.hypot(theta[..., 0], theta[..., 1]) >= math.pi
     for _ in range(100):
-        bad = np.hypot(theta[..., 0], theta[..., 1]) >= math.pi
         if not bad.any():
             break
-        n_bad = int(np.count_nonzero(bad))
-        theta[bad] = fov_field.theta[bad] + rng.normal(0.0, sigma, (n_bad, 2))
+        theta[bad] = fov_field.theta[bad] + rng.normal(0.0, sigma, (np.count_nonzero(bad), 2))
+        bad = np.hypot(theta[..., 0], theta[..., 1]) >= math.pi
+    if bad.any():
+        n_bad = np.count_nonzero(bad)
+        raise ThetaOutOfDomain(f"{n_bad} cells still at |theta| >= pi after 100 redraws")
     return FovField(theta=theta, stride=fov_field.stride)
 
 
@@ -416,58 +425,51 @@ def lensfun_to_eucm(
 ) -> tuple[float, float, float, float]:
     """Map a LensFun entry to (alpha, beta, focal_mm, residual_deg).
 
-    A uniform sensor grid is undistorted by ``_newton`` on [0, fold], the fold
-    being the first positive root of the distortion's slope (1e9 without one,
-    as radial's cap); the ideal fisheye projection is inverted
-    to obtain rays, and the extended unified model is fitted to the
-    (normalized coordinate, ray) correspondences.  The returned focal is the
-    fitted generalized focal scaled back to millimetres; the residual is the
-    mean angle between the fitted model's unprojections and the ideal rays.
+    A uniform sensor grid goes through the fit's grid builder, block by
+    block: ``_newton`` undistorts it on [0, fold], the fold being the first
+    positive root of the distortion's slope (1e9 without one, as radial's
+    cap), and the ideal fisheye projection is inverted to obtain rays.  The
+    extended unified model is fitted to the (normalized coordinate, ray)
+    correspondences; the returned focal is the fitted generalized focal in
+    millimetres, the residual the mean of its ``_angular_residuals``.
     """
     if grid_stride < 1:
         raise ValueError(f"grid stride must be >= 1, got {grid_stride}")
     w, h = entry.sensor_width_mm, entry.sensor_height_mm
     n_u = max(4, int(256 / grid_stride))
     n_v = max(4, int(round(n_u * h / w)))
-    xs = (np.arange(n_u) + 0.5) / n_u * w - w / 2.0
-    ys = (np.arange(n_v) + 0.5) / n_v * h - h / 2.0
-    gx, gy = np.meshgrid(xs, ys)
-    gx, gy = gx.ravel(), gy.ravel()
-
+    u, v = pixel_axes(n_u, n_v)
     norm_unit = min(w, h) / 2.0
-    rd = np.hypot(gx, gy) / norm_unit
-    keep = rd > 1e-9
-    gx, gy, rd = gx[keep], gy[keep], rd[keep]
-
-    # undistort: solve distort(ru) = rd
     distort = _distortion(entry)
     slope = distort.deriv()
     fold = min((z.real for z in slope.roots() if abs(z.imag) < 1e-9 and z.real > 0), default=1e9)
-    ru, done = _newton(lambda x: (distort(x), slope(x)), rd, rd, fold)
-    gx_u = gx * np.where(rd > 0, ru / rd, 1.0)
-    gy_u = gy * np.where(rd > 0, ru / rd, 1.0)
 
-    theta, ok = _invert_fisheye(
-        entry.projection, np.hypot(gx_u, gy_u) / entry.focal_mm
-    )
-    # cells beyond the rated image circle see nothing; drop them
-    good = done & ok & (theta <= math.radians(entry.fov_deg) / 2.0 + 1e-9)
-    if np.count_nonzero(good) < 8:
+    def ideal_rays(sl: slice, px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rd = np.hypot(px[:, 0], px[:, 1]) / norm_unit
+        keep = rd > 1e-9  # the centre cell has no direction to undistort along
+        rd = rd[keep]
+        # undistort: solve distort(ru) = rd
+        ru, done = _newton(lambda x: (distort(x), slope(x)), rd, rd, fold)
+        g_u = np.compress(keep, px, axis=0) * (ru / rd)[:, None]
+        theta, ok = _invert_fisheye(entry.projection, np.hypot(*g_u.T) / entry.focal_mm)
+        # cells beyond the rated image circle see nothing; drop them
+        good = done & ok & (theta <= math.radians(entry.fov_deg) / 2.0 + 1e-9)
+        keep[keep] = good
+        g_u, theta = g_u[good], theta[good]
+        azimuth = g_u / np.hypot(*g_u.T)[:, None]
+        return keep, np.column_stack([np.sin(theta)[:, None] * azimuth, np.cos(theta)])
+
+    # the sensor cell centres in mm, origin at the sensor centre
+    sensor = Correspondences._from_grid(u / n_u * w - w / 2.0, v / n_v * h - h / 2.0, ideal_rays)
+    if len(sensor) < 8:
         raise DegenerateGeometry("too few valid sensor cells to fit the lens")
-
-    az_x = gx_u[good] / np.hypot(gx_u[good], gy_u[good])
-    az_y = gy_u[good] / np.hypot(gx_u[good], gy_u[good])
-    th = theta[good]
-    rays = np.stack([np.sin(th) * az_x, np.sin(th) * az_y, np.cos(th)], axis=-1)
-
     # normalized (distorted) image coordinates, origin at the sensor center
-    coords = np.stack([gx[good], gy[good]], axis=-1) / entry.focal_mm
-    corrs = Correspondences(coords, rays)
+    corrs = Correspondences(sensor.pixels / entry.focal_mm, sensor.rays)
     spec0 = fit_linear(ModelId(Family.EUCM, 2), corrs, 1.0, (0.0, 0.0), (1, 1))
     spec = refine(spec0, corrs, free=np.array([0, 1, 4, 5])).spec
 
-    q, ok_q = unproject_masked(spec, coords)
-    residual = float(np.degrees(np.mean(_ray_angle(q[ok_q], rays[ok_q]))))
+    ang = _angular_residuals(spec, corrs)
+    residual = float(np.degrees(np.mean(ang[np.isfinite(ang)])))
     alpha, beta = spec.dist
     f_mm = 0.5 * (spec.fx + spec.fy) * entry.focal_mm
     return float(alpha), float(beta), f_mm, residual

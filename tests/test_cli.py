@@ -497,7 +497,8 @@ class TestInputErrors:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--n", "-1"), ("--n", "0"), ("--noise-deg", "-0.5"), ("--noise-deg", "nan")],
+        [("--n", "-1"), ("--n", "0"), ("--noise-deg", "-0.5"), ("--noise-deg", "nan"),
+         ("--noise-deg", "inf")],
     )
     def test_synth_bad_count_writes_nothing(self, flag, value, tmp_path, capsys):
         argv = {"--n": "2", "--noise-deg": "0", flag: value}

@@ -237,6 +237,33 @@ class TestFitEucm:
         bounds = {_eucm_dist(corrs, g, a, (cx, cy))[1] for g in focals}
         assert bounds == {("beta>0",)}
 
+    @pytest.mark.parametrize(
+        "pixels, theta, phi, want, dist",
+        [
+            # alpha > 1 clamps, gamma <= 0 re-solves alpha back inside [0, 1]
+            ([[0.01, -0.711], [0.673, 0.43], [0.818, -0.91], [-0.14, 0.188],
+              [-0.255, -0.914], [-0.326, 0.99]],
+             [0.178, 2.196, 0.748, 0.617, 0.59, 0.621],
+             [4.347, 4.395, 4.977, 1.396, 4.365, 4.439],
+             ("beta>0",), (0.8894086203661069, 1e-6)),
+            # alpha > 1 clamps, and the gamma = 0 re-solve clamps it again
+            ([[0.354, -0.866], [0.664, 0.551], [-0.932, 0.402], [-0.42, 0.812],
+              [-0.639, -0.043], [0.911, -0.987]],
+             [2.359, 2.194, 0.722, 0.626, 0.24, 0.887],
+             [0.708, 3.077, 3.458, 0.357, 0.764, 3.662],
+             ("alpha<=1", "beta>0"), (1.0, 1e-6)),
+        ],
+        ids=["resolved-inside", "clamped-twice"],
+    )
+    def test_bounds_name_each_bound_the_result_is_on(self, pixels, theta, phi, want, dist):
+        theta, phi = np.array(theta), np.array(phi)
+        s = np.sin(theta)
+        rays = np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], -1)
+        corrs = rc.Correspondences(np.array(pixels), rays)
+        got, bounds = _fit_linear_full(rc.parse_model("eucm"), corrs, 1.0, (0.0, 0.0), (1, 1), 1.0)
+        assert bounds == want
+        assert got.dist == dist
+
 
 # ---------------------------------------------------------------------------
 # refinement

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import raycalib as rc
-from raycalib.metrics import angular_error_counted, reproj_error_counted
+from raycalib.metrics import _grid_errors
 
 from conftest import centered_spec
 
@@ -47,7 +47,7 @@ class TestAngularError:
         # reported error is nonzero and equals an independent grid average
         spec = centered_spec("kb:2", 100.0, 64, dist=(0.06, 0.004))
         conv = rc.convert_model(spec, rc.parse_model("ucm"), fix_focal=True, stride=2)
-        ae, dropped = angular_error_counted(spec, conv, grid_stride=8)
+        (ae, dropped), = _grid_errors(spec, conv, 8, reproj=False)
         assert ae > 0.0
         assert dropped == 0
         total, count = 0.0, 0
@@ -97,7 +97,7 @@ class TestReprojError:
         # an estimate with a much narrower valid cone drops border cells
         gt = centered_spec("eucm", 170.0, 64, dist=(0.7, 1.5))
         est = pinhole(32.0, 64)
-        _, dropped = reproj_error_counted(gt, est, grid_stride=1)
+        (_, dropped), = _grid_errors(gt, est, 1, angles=False)
         assert dropped > 0
 
 

@@ -162,6 +162,16 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             rc.add_noise(rc.FovField(theta=np.zeros((4, 4, 2))), -0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError):
+            rc.add_noise(rc.FovField(theta=np.zeros((16, 16, 2))), sigma, seed=1)
+
+    def test_cells_left_past_pi_raise(self):
+        # at sigma = 1e4 deg a redraw lands below pi with probability 1.6e-4
+        with pytest.raises(rc.ThetaOutOfDomain):
+            rc.add_noise(rc.FovField(theta=np.zeros((16, 16, 2))), 1e4, seed=1)
+
     def test_cells_stay_below_pi(self, rng):
         theta = rng.uniform(3.0, 3.13, (64, 64, 2)) / math.sqrt(2)
         f = rc.FovField(theta=theta)
@@ -210,6 +220,21 @@ class TestLensfun:
             )
             alpha, beta, _, _ = rc.lensfun_to_eucm(entry, grid_stride=4)
             assert 0.0 <= alpha <= 1.0 and beta > 0.0
+
+    def test_sensor_centre_cell_is_dropped(self):
+        # stride 3 on a 36 x 24 mm sensor is an 85 x 57 grid, whose middle
+        # cell sits on the sensor centre (rd = 0); it agrees with stride 2
+        entry = rc.LensfunEntry(
+            model_kind="fisheye_equidistant", coefficients=(), focal_mm=8.0,
+            sensor_width_mm=36.0, sensor_height_mm=24.0,
+        )
+        got = rc.lensfun_to_eucm(entry, grid_stride=3)
+        alpha, beta, focal_mm, _ = rc.lensfun_to_eucm(entry, grid_stride=2)
+        assert np.all(np.isfinite(got))
+        assert got[0] == pytest.approx(alpha, abs=1e-3)
+        assert got[1] == pytest.approx(beta, abs=1e-3)
+        assert got[2] == pytest.approx(focal_mm, rel=1e-4)
+        assert got[3] < 0.05
 
     def test_equisolid_wide_angle_lands_near_published_point(self):
         # idealized stand-in for the published equisolid sample (the exact
