@@ -17,7 +17,7 @@ reproduces every output byte for byte.
 Exit codes: 0 success, 2 input error, 3 numerical failure.  On error a JSON
 object ``{"error": {"kind": ..., "message": ...}}`` is printed to stdout.
 
-The environment variable ``RAYCALIB_THREADS`` caps the per-image worker pool.
+Commands run in the calling thread.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -77,13 +75,6 @@ def _error_kind(exc: Exception) -> str:
         json.JSONDecodeError: "ParseError",
         KeyError: "ParseError",
     }.get(type(exc), exc.kind if isinstance(exc, CalibError) else "InvalidInput")
-
-
-def _worker_count() -> int:
-    env = os.environ.get("RAYCALIB_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -143,17 +134,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     (out / "specs").mkdir(parents=True, exist_ok=True)
     (out / "fields").mkdir(parents=True, exist_ok=True)
 
-    def build(i: int) -> None:
-        spec = specs[i]
+    for i, spec in enumerate(specs):
         field = field_from_spec(spec, stride=1)
         if args.noise_deg > 0:
             noise_seed = int(np.random.SeedSequence([args.seed, i]).generate_state(1)[0])
             field = add_noise(field, args.noise_deg, noise_seed)
         write_spec(out / "specs" / f"{i:04d}.json", spec)
         write_field(out / "fields" / f"{i:04d}.aff1", field)
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        list(pool.map(build, range(args.n)))
 
     config = {
         "kind": args.kind,
@@ -212,11 +199,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 (out / "perpixel").mkdir(parents=True, exist_ok=True)
                 write_field(out / "perpixel" / f"{name}.aff1", diff)
         except (*_INPUT_ERRORS, CalibError) as exc:  # a pair that cannot be scored fails alone
-            return name, exc
-        return name, report
+            return exc
+        return report
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        scored = dict(pool.map(score, names))
+    scored = {name: score(name) for name in names}
     failed = {n: r for n, r in scored.items() if isinstance(r, Exception)}
     if len(failed) == len(names):  # nothing scored: fail as one batch
         raise failed[names[0]]

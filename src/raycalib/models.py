@@ -609,14 +609,18 @@ def _ray_derivatives(
         inv_r = np.where(tiny, 0.0, 1.0 / np.where(tiny, 1.0, r))
         u = np.where(tiny, 1.0, s * inv_r)
         a = (ds / hp - u) * inv_r * inv_r  # (du/dr) / r
-        dz = -s / hp * inv_r if kb else 0.0  # (dgz/dr) / r
+        if kb:
+            dz = -s / hp * inv_r  # (dgz/dr) / r
+            dzx, dzy = dz * mx, dz * my
+        else:
+            dzx = dzy = 0.0  # radial gz = 1
         axy = a * mx * my
         scales, sol2, power = [], sol * sol, sol  # power = sol^(2n+1) by running products
         for _ in range(spec.model.num_dist):
             power = power * sol2
             scales.append(-power / hp)
         ds_r = ds * inv_r
-        return ((u + a * mx * mx, axy, dz * mx), (axy, u + a * my * my, dz * my),
+        return ((u + a * mx * mx, axy, dzx), (axy, u + a * my * my, dzy),
                 (ds_r * mx, ds_r * my, -s if kb else 0.0), scales)
     r2 = r * r
     if fam is Family.UCM:

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import json
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -596,12 +597,12 @@ class TestExitCodesAndWorkers:
         assert reused == outputs(tmp_path / "fresh", fresh=True)
         assert "inlier_ratio" not in json.loads(reused[Path("plain.json")])
 
-    def test_worker_pool_cap_keeps_outputs_identical(self, tmp_path, monkeypatch):
-        args = ("synth", "--kind", "opg", "--n", "5", "--size", "48", "--seed", "21")
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("RAYCALIB_THREADS", "1")
-        assert run(*args, "-o", str(out1)) == 0
-        monkeypatch.setenv("RAYCALIB_THREADS", "4")
-        assert run(*args, "-o", str(out2)) == 0
-        for rel in ["specs/0003.json", "fields/0003.aff1"]:
-            assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
+    def test_commands_run_in_the_calling_thread(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise RuntimeError("a command started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        ds = tmp_path / "ds"
+        assert run("synth", "--kind", "opg", "--n", "5", "--size", "48", "--seed", "21",
+                   "-o", str(ds)) == 0
+        assert run("eval", str(ds), str(ds), "-o", str(tmp_path / "rep")) == 0
