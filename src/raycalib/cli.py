@@ -15,7 +15,9 @@ configuration and the tool version; re-running the recorded command
 reproduces every output byte for byte.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure.  On error a JSON
-object ``{"error": {"kind": ..., "message": ...}}`` is printed to stdout.
+object ``{"error": {"kind": ..., "message": ...}}`` is printed to stdout; a
+command line that does not parse is an input error too, whose usage line
+also goes to stderr.
 
 Commands run in the calling thread.
 """
@@ -27,6 +29,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -85,10 +88,10 @@ def _emit(obj: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _manifest(command: str, config: dict) -> dict:
+def _manifest(args: argparse.Namespace, config: dict) -> dict:
     return {
-        "command": command,
-        "argv": sys.argv[1:],
+        "command": args.command,
+        "argv": args.argv,
         "config": config,
         "seed": config.get("seed"),
         "version": __version__,
@@ -150,7 +153,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "noise_deg": args.noise_deg,
         "edit": bool(args.edit),
     }
-    write_json(out / "manifest.json", _manifest("synth", config))
+    write_json(out / "manifest.json", _manifest(args, config))
     return 0
 
 
@@ -243,7 +246,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "edited": bool(args.edited),
         "dump_per_pixel": bool(args.dump_per_pixel),
     }
-    write_json(out / "manifest.json", _manifest("eval", config))
+    write_json(out / "manifest.json", _manifest(args, config))
     return 0
 
 
@@ -282,8 +285,16 @@ def cmd_lensfun(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are input errors, reported as every other."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="raycalib",
         description="camera intrinsics from per-pixel ray/FoV fields",
     )
@@ -336,8 +347,10 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = _parser().parse_args(argv)
+        args.argv = argv  # what the manifest records
         # looked up by name per call, not bound into the cached parser
         return globals()[f"cmd_{args.command}"](args)
     except _INPUT_ERRORS as exc:

@@ -40,7 +40,8 @@ and ``residual_jacobian``: it contracts the residuals' gradient with respect
 to the unnormalized ray g, built once per block, with dg/dmx, dg/dmy and the
 one direction d that every distortion coefficient moves g along
 (dg/dk_n = scale_n d, ``models._ray_derivatives``).  A pass reads its cells
-component-major, as views of the arrays a fit holds.
+component-major, as views of the arrays a fit holds, and each block builds
+the tangent basis of its own target rays (``_residual_block``).
 
 All linear stages share one kernel and never form normal equations: rows
 are built block by block (``_QR_BLOCK`` cells) as F-ordered arrays, each
@@ -50,7 +51,7 @@ refinement hands the e1 rows and the e2 rows of a block over as two leaves,
 which factor faster than the block at once.  ``_solve`` then takes the
 unknowns from R with lstsq's column equilibration, SVD and rank rule.
 Bound re-solves work on columns of R.  Beyond the correspondences and the
-tangent basis of the targets, a fit so holds one block of rows at a time.
+radial/kb Newton solutions, a fit so holds one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -508,28 +509,21 @@ def _clamp_params(model: ModelId, kappa: np.ndarray) -> np.ndarray:
     return kappa
 
 
-def _tangent_basis(p: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent plane at each unit vector p (n, 3),
-    as one (2, 3, n) array: b1, b2 = _tangent_basis(p), each as rows of
-    components.
+def _tangent_basis(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis b1, b2 of the tangent plane at each unit vector p
+    (m, 3), each as (3, m) rows of components.
 
     b1 = ref x p / |ref x p| with ref = z, or x where |p_z| >= 0.9, and
-    b2 = p x b1, written block by block into the output.
+    b2 = p x b1.
     """
-    basis = np.empty((2, 3, len(p)))
-    b1, b2 = basis
-    for sl in _blocks(len(p)):
-        x, y, z = p[sl].T
-        pole = np.abs(z) >= 0.9
-        # z x p = (-y, x, 0) and x x p = (0, -z, y)
-        c1, c2, c3 = np.where(pole, 0.0, -y), np.where(pole, -z, x), np.where(pole, y, 0.0)
-        norm = np.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
-        np.divide(c1, norm, out=b1[0, sl])
-        np.divide(c2, norm, out=b1[1, sl])
-        np.divide(c3, norm, out=b1[2, sl])
-        c1, c2, c3 = b1[:, sl]
-        b2[0, sl], b2[1, sl], b2[2, sl] = y * c3 - z * c2, z * c1 - x * c3, x * c2 - y * c1
-    return basis
+    x, y, z = p.T
+    pole = np.abs(z) >= 0.9
+    # z x p = (-y, x, 0) and x x p = (0, -z, y)
+    c1, c2, c3 = np.where(pole, 0.0, -y), np.where(pole, -z, x), np.where(pole, y, 0.0)
+    norm = np.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
+    b1 = np.stack([c1, c2, c3]) / norm
+    c1, c2, c3 = b1
+    return b1, np.stack([y * c3 - z * c2, z * c1 - x * c3, x * c2 - y * c1])
 
 
 def _arc_factor(c: np.ndarray) -> np.ndarray:
@@ -570,39 +564,31 @@ class _Block(NamedTuple):
     t: np.ndarray  # (3, m) target rays
     c: np.ndarray  # target . q
     w: np.ndarray  # arc factor of c
+    b1: np.ndarray  # (3, m) tangent basis of the targets
+    b2: np.ndarray
     b1q: np.ndarray
     b2q: np.ndarray
 
 
 def _residual_block(
-    spec: CameraSpec,
-    pixels: np.ndarray,
-    targets: np.ndarray,
-    b1: np.ndarray,
-    b2: np.ndarray,
-    x0: np.ndarray | None = None,
+    spec: CameraSpec, pixels: np.ndarray, targets: np.ndarray, x0: np.ndarray | None = None
 ) -> _Block:
-    """Tangent residuals of some cells (targets (m, 3), basis (3, m) each) and
-    the state behind them; ``x0`` starts the radial/kb Newton solve."""
+    """Tangent residuals of some cells (targets (m, 3)) and the state behind
+    them, with the targets' tangent basis; ``x0`` starts the radial/kb Newton
+    solve."""
     q, ok, ray = _unproject_cells(spec, pixels, x0)
     # component rows: views of the component-major rays and correspondences
     q, t = q.T, targets.T
     c = _contract(t, q)
     w = _arc_factor(c)
+    b1, b2 = _tangent_basis(targets)
     b1q, b2q = _contract(b1, q), _contract(b2, q)
     e1 = np.where(ok, w * b1q, 0.0)
     e2 = np.where(ok, w * b2q, 0.0)
-    return _Block(e1, e2, ok, ray, q, t, c, w, b1q, b2q)
+    return _Block(e1, e2, ok, ray, q, t, c, w, b1, b2, b1q, b2q)
 
 
-def _write_jacobian(
-    spec: CameraSpec,
-    blk: _Block,
-    b1: np.ndarray,
-    b2: np.ndarray,
-    free_idx: np.ndarray,
-    out: np.ndarray,
-) -> None:
+def _write_jacobian(spec: CameraSpec, blk: _Block, free_idx: np.ndarray, out: np.ndarray) -> None:
     """Write d(e1, e2)/d(fx, fy, cx, cy, *dist)[free_idx] of one block: the
     column pair of parameter free_idx[i] into out[i], a (2, m) view.
 
@@ -621,7 +607,7 @@ def _write_jacobian(
     h -= dw * blk.t
     wn = blk.w * inv
     G = np.empty((2, 3, len(blk.ok)))
-    for Gi, b, bq in zip(G, (b1, b2), (blk.b1q, blk.b2q)):
+    for Gi, b, bq in zip(G, (blk.b1, blk.b2), (blk.b1q, blk.b2q)):
         np.multiply(wn, b, out=Gi)
         Gi -= (bq * inv) * h
     del dw, inv, h, wn  # freed before the block's peak: the ray derivatives and contractions
@@ -644,23 +630,21 @@ def residual_jacobian(
 
     Every family is differentiated in closed form; the Newton-inverted ones
     (radial, kb) through implicit derivatives of the converged solve.
-    Shape (n, 2, 4 + num_dist), filled block by block by refinement's
-    column writer.
+    Shape (n, 2, 4 + num_dist), filled block by block with refinement's
+    residuals (``_residual_block``), which build each block's tangent basis
+    from its own targets, and its column writer (``_write_jacobian``).
     """
-    basis = _tangent_basis(targets)
     J = np.empty((len(pixels), 2, 4 + spec.model.num_dist))
     every = np.arange(J.shape[-1])
     for sl in _blocks(len(pixels)):
-        b1, b2 = basis[:, :, sl]
-        blk = _residual_block(spec, pixels[sl], targets[sl], b1, b2)
-        _write_jacobian(spec, blk, b1, b2, every, J[sl].transpose(2, 1, 0))
+        blk = _residual_block(spec, pixels[sl], targets[sl])
+        _write_jacobian(spec, blk, every, J[sl].transpose(2, 1, 0))
     return J
 
 
 def _pass(
     spec: CameraSpec,
     corrs: Correspondences,
-    basis: np.ndarray,
     free_idx: np.ndarray,
     want_r: bool = True,
     x0: np.ndarray | None = None,
@@ -676,7 +660,6 @@ def _pass(
     leaf is factored before the next block overwrites it.
     """
     n, k = len(corrs), len(free_idx)
-    b1, b2 = basis
     sol = np.empty(n) if spec.model.family in _INVERSE_FOCAL else None
     total, valid = 0.0, 0  # squared residuals and valid cells so far
     buffer = np.empty((2, k + 1, min(n, _QR_BLOCK))) if want_r else None
@@ -684,7 +667,7 @@ def _pass(
     def rows() -> Iterator[np.ndarray]:
         nonlocal total, valid
         for sl in _blocks(n):
-            blk = _residual_block(spec, corrs.pixels[sl], corrs.rays[sl], b1[:, sl], b2[:, sl],
+            blk = _residual_block(spec, corrs.pixels[sl], corrs.rays[sl],
                                   None if x0 is None else x0[sl])
             total += float(blk.e1 @ blk.e1 + blk.e2 @ blk.e2)
             valid += int(np.count_nonzero(blk.ok))
@@ -695,7 +678,7 @@ def _pass(
                 m = len(blk.ok)
                 halves = buffer[:, :, :m]
                 cols = halves.transpose(1, 0, 2)
-                _write_jacobian(spec, blk, b1[:, sl], b2[:, sl], free_idx, cols[:k])
+                _write_jacobian(spec, blk, free_idx, cols[:k])
                 np.negative(blk.e1, out=cols[k, 0])
                 np.negative(blk.e2, out=cols[k, 1])
                 del blk  # not needed while the leaves are factored
@@ -722,12 +705,11 @@ def refine(
     a rejected step (the parameters did not move, so every later iteration
     would repeat it); the remaining ``gn_costs`` entries repeat the last cost.
     """
-    basis = _tangent_basis(corrs.rays)
     kappa = _params_of(spec0)
     free_idx = np.arange(len(kappa)) if free is None else np.asarray(free, dtype=int)
     k = len(free_idx)
 
-    cost, valid, R, sol = _pass(spec0, corrs, basis, free_idx)
+    cost, valid, R, sol = _pass(spec0, corrs, free_idx)
     costs = [cost]
     warning = None
 
@@ -751,8 +733,7 @@ def refine(
             cand = _clamp_params(spec0.model, cand)
             if cand[0] > 0.0 and cand[1] > 0.0:
                 # the last iteration's trial needs no next step
-                trial = _pass(_spec_of(spec0, cand), corrs, basis, free_idx,
-                              it < _GN_ITERATIONS - 1, sol)
+                trial = _pass(_spec_of(spec0, cand), corrs, free_idx, it < _GN_ITERATIONS - 1, sol)
                 if trial[0] <= cost:
                     kappa, (cost, valid, R, sol) = cand, trial
                     break
@@ -788,6 +769,13 @@ def _fit_corrs(
     return replace(result, ppoint_residual=ppoint_residual, active_bounds=bounds)
 
 
+def _field_corrs(fov_field: FovField, stride: int) -> tuple[Correspondences, int]:
+    """The correspondences of a field's finite cells and the count of its
+    non-finite cells, both at ``stride``."""
+    corrs = Correspondences.from_field(fov_field, stride)
+    return corrs, fov_field.theta[::stride, ::stride].size // 2 - len(corrs)
+
+
 def calibrate(fov_field: FovField, model: ModelId, stride: int = 1) -> CalibrationResult:
     """Recover intrinsics of ``model`` from a FoV field.
 
@@ -795,8 +783,7 @@ def calibrate(fov_field: FovField, model: ModelId, stride: int = 1) -> Calibrati
     (optionally strided), and passed through the closed-form stages and the
     Gauss-Newton refinement.
     """
-    corrs = Correspondences.from_field(fov_field, stride)
-    holes = fov_field.theta[::stride, ::stride].size // 2 - len(corrs)  # non-finite cells
+    corrs, holes = _field_corrs(fov_field, stride)
     result = _fit_corrs(model, corrs, (fov_field.width, fov_field.height))
     return replace(result, dropped=result.dropped + holes)
 
@@ -832,10 +819,9 @@ def calibrate_ransac(
     """
     if iters < 1 or not thresh > 0:
         raise ValueError(f"need iters >= 1 and thresh > 0, got {iters} and {thresh}")
-    corrs = Correspondences.from_field(fov_field, stride)
+    corrs, holes = _field_corrs(fov_field, stride)
     size = (fov_field.width, fov_field.height)
     n = len(corrs)
-    holes = fov_field.theta[::stride, ::stride].size // 2 - n  # non-finite cells
     sample_size = 3 + 1 + model.num_dist  # (a, cx, cy), then f and dist
     if n < sample_size:
         raise DegenerateGeometry(f"{n} correspondences < minimal sample {sample_size}")

@@ -95,8 +95,6 @@ def residual_jacobian_numeric(
     spec: rc.CameraSpec,
     pixels: np.ndarray,
     targets: np.ndarray,
-    b1: np.ndarray,
-    b2: np.ndarray,
     kappa: np.ndarray,
     free_idx: np.ndarray,
 ) -> np.ndarray:
@@ -111,8 +109,8 @@ def residual_jacobian_numeric(
         kp, km = kappa.copy(), kappa.copy()
         kp[j] += h
         km[j] -= h
-        ep = _residual_block(_spec_of(spec, kp), pixels, targets, b1, b2)
-        em = _residual_block(_spec_of(spec, km), pixels, targets, b1, b2)
+        ep = _residual_block(_spec_of(spec, kp), pixels, targets)
+        em = _residual_block(_spec_of(spec, km), pixels, targets)
         return np.stack([ep.e1 - em.e1, ep.e2 - em.e2], axis=-1) / (2.0 * h)
 
     J = np.zeros((len(pixels), 2, len(kappa)))

@@ -5,7 +5,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import shutil
 import struct
+import sys
 import threading
 from pathlib import Path
 
@@ -55,6 +57,20 @@ class TestSynthCommand:
         first = dir_digest(out)
         assert run(*args) == 0
         assert dir_digest(out) == first
+
+    def test_manifest_records_the_parsed_argv(self, tmp_path, monkeypatch):
+        # an in-process call records its own command line, not the host's;
+        # main(None) parses and records the host's
+        monkeypatch.setattr(sys, "argv", ["host-script.py", "--unrelated"])
+        argv = ["synth", "--kind", "opp", "--n", "1", "--size", "16", "--seed", "1",
+                "-o", str(tmp_path / "ds")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        assert manifest["argv"] == argv and manifest["command"] == "synth"
+        monkeypatch.setattr(sys, "argv", ["raycalib", *argv[:-1], str(tmp_path / "ds2")])
+        assert main() == 0
+        manifest = json.loads((tmp_path / "ds2" / "manifest.json").read_text())
+        assert manifest["argv"] == sys.argv[1:]
 
     def test_noise_flag_changes_fields_deterministically(self, tmp_path):
         base = tmp_path / "clean"
@@ -456,6 +472,11 @@ def _lensfun_string_coefficient(tmp: Path) -> list[str]:
     return ["lensfun", str(_lensfun_entry(tmp, coefficients=["q"]))]
 
 
+def _argv(*argv: str):
+    """A command line that names no file it needs."""
+    return lambda tmp: list(argv)
+
+
 class TestInputErrors:
     @pytest.mark.parametrize(
         "make_argv, kind",
@@ -480,6 +501,9 @@ class TestInputErrors:
             (_lensfun_string_coefficient, "InvalidInput"),
             (functools.partial(_fit_ransac, "--iters", "-3"), "InvalidInput"),
             (functools.partial(_fit_ransac, "--thresh-deg", "-1"), "InvalidInput"),
+            (_argv("fit", "F", "--model", "kb:4", "--stride", "x"), "InvalidInput"),
+            (_argv("eval", "A", "B"), "InvalidInput"),
+            (_argv("calibrate", "F"), "InvalidInput"),
         ],
         ids=["eval-missing-dir", "eval-no-common-name", "convert-invalid-spec",
              "fit-truncated-header", "fit-ragged-payload", "convert-spec-not-an-object",
@@ -487,7 +511,8 @@ class TestInputErrors:
              "fit-stride-negative", "eval-stride-0", "convert-stride-0", "synth-size-0",
              "synth-size-negative", "lensfun-grid-stride-0", "lensfun-grid-stride-negative",
              "convert-string-focal", "lensfun-string-coefficient", "fit-ransac-iters-negative",
-             "fit-ransac-thresh-negative"],
+             "fit-ransac-thresh-negative", "usage-fit-stride-not-an-int",
+             "usage-eval-without-output", "usage-unknown-command"],
     )
     def test_exit_2_with_error_object(self, make_argv, kind, tmp_path, capsys):
         code = run(*make_argv(tmp_path))
@@ -495,6 +520,12 @@ class TestInputErrors:
         assert code == 2
         assert error["kind"] == kind and error["message"]
 
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["fit", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run(*argv)
+        assert exit_.value.code == 0
+        assert not capsys.readouterr().out.startswith("{")
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -584,7 +615,10 @@ class TestExitCodesAndWorkers:
             ("fit", field, "--model", model, "--stride", "2", "-o", "{out}/plain.json"),
         ]
 
-        def outputs(out: Path, fresh: bool) -> dict:
+        out = tmp_path / "out"  # one path for both, as the eval manifest records it
+
+        def outputs(fresh: bool) -> dict:
+            shutil.rmtree(out, ignore_errors=True)
             out.mkdir()
             for argv in calls:
                 if fresh:
@@ -592,9 +626,9 @@ class TestExitCodesAndWorkers:
                 assert run(*(a.format(out=out) for a in argv)) == 0
             return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
-        reused = outputs(tmp_path / "reused", fresh=False)
+        reused = outputs(fresh=False)
         assert raycalib.cli._parser.cache_info().currsize == 1
-        assert reused == outputs(tmp_path / "fresh", fresh=True)
+        assert reused == outputs(fresh=True)
         assert "inlier_ratio" not in json.loads(reused[Path("plain.json")])
 
     def test_commands_run_in_the_calling_thread(self, tmp_path, monkeypatch):

@@ -22,7 +22,6 @@ from raycalib.fit import (
     _residual_block,
     _row_qr,
     _solve,
-    _tangent_basis,
     residual_jacobian,
 )
 
@@ -343,11 +342,11 @@ class TestRefine:
         assert all(b <= a for a, b in zip(costs, costs[1:]))
         assert costs[-1] == costs[-2]
 
-    def test_fit_peak_memory(self):
-        # a fit holds the correspondences, the tangent basis and one block
-        # of rows at a time: about 20 MiB on this 384x384 field; stages that
-        # build whole-field (n, k) arrays take 46 MiB, twice the bound
-        spec = rc.sample_spec_for_model(rc.parse_model("kb:4"), 384, np.random.default_rng(5))
+    @staticmethod
+    def fit_peak(size: int) -> int:
+        """tracemalloc peak (bytes) of the calibrate of a size x size kb:4
+        field at 0.2 deg; every size draws the same camera, scaled."""
+        spec = rc.sample_spec_for_model(rc.parse_model("kb:4"), size, np.random.default_rng(5))
         field = rc.add_noise(rc.field_from_spec(spec), 0.2, seed=5)
         started = not tracemalloc.is_tracing()
         if started:
@@ -356,11 +355,22 @@ class TestRefine:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             rc.calibrate(field, spec.model)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
                 tracemalloc.stop()
-        assert peak <= 23 * 2**20
+
+    def test_fit_peak_memory(self):
+        # a fit holds the correspondences, two Newton solutions and one block
+        # of rows at a time: about 12 MiB on this 384x384 field; stages that
+        # build whole-field (n, k) arrays take 46 MiB, twice the bound
+        assert self.fit_peak(384) <= 23 * 2**20
+
+    def test_fit_peak_grows_at_most_64_bytes_per_cell(self):
+        # per cell, a fit holds the correspondences (40 bytes) and two Newton
+        # solutions (16 bytes); a whole-grid tangent basis would add 48 bytes
+        small, large = self.fit_peak(256), self.fit_peak(512)
+        assert (large - small) / (512**2 - 256**2) <= 64
 
     def test_least_squares_blocks_are_f_ordered(self, monkeypatch):
         # every block _tsqr factors is F-ordered: qr copies a C-ordered block
@@ -415,9 +425,8 @@ class TestJacobians:
         px, targets = px[ok], targets[ok]
         pspec = spec.replace(fx=spec.fx * 1.03, cx=spec.cx + 0.5)
         Ja = residual_jacobian(pspec, px, targets)
-        b1, b2 = _tangent_basis(targets)
         Jn = residual_jacobian_numeric(
-            pspec, px, targets, b1, b2, _params_of(pspec), np.arange(4 + spec.model.num_dist)
+            pspec, px, targets, _params_of(pspec), np.arange(4 + spec.model.num_dist)
         )
         colscale = np.maximum(np.abs(Jn).max(axis=(0, 1)), 1e-12)
         sig = np.abs(Jn) > 1e-3 * colscale
@@ -436,9 +445,8 @@ class TestJacobians:
         px, targets = px[ok], targets[ok]
         pspec = spec.replace(fx=spec.fx * 1.03, cx=spec.cx + 0.5)
         Ja = residual_jacobian(pspec, px, targets)
-        b1, b2 = _tangent_basis(targets)
         kappa = _params_of(pspec)
-        Jn = residual_jacobian_numeric(pspec, px, targets, b1, b2, kappa, np.arange(len(kappa)))
+        Jn = residual_jacobian_numeric(pspec, px, targets, kappa, np.arange(len(kappa)))
         colscale = np.maximum(np.abs(Jn).max(axis=(0, 1)), 1e-12)
         assert np.max(np.abs(Ja - Jn).max(axis=(0, 1)) / colscale) < 1e-5
 
@@ -449,12 +457,11 @@ class TestJacobians:
         spec = rc.sample_spec_for_model(rc.parse_model("radial:2"), 176, rng)
         corrs = rc.Correspondences.from_field(rc.add_noise(rc.field_from_spec(spec), 0.2, seed=3))
         pspec = spec.replace(fx=spec.fx * 1.02, cy=spec.cy - 0.7, dist=(spec.dist[0], -0.3))
-        b1, b2 = _tangent_basis(corrs.rays)
         free = np.arange(4 + spec.model.num_dist)
-        cost, valid, R, _ = _pass(pspec, corrs, (b1, b2), free)
+        cost, valid, R, _ = _pass(pspec, corrs, free)
         assert len(corrs) > 2 * _QR_BLOCK and 0 < valid < len(corrs)
         step = _solve(R, 2 * len(corrs), "step")
-        blk = _residual_block(pspec, corrs.pixels, corrs.rays, b1, b2)
+        blk = _residual_block(pspec, corrs.pixels, corrs.rays)
         e = np.stack([blk.e1, blk.e2], axis=-1)
         assert cost == pytest.approx(np.sum(e * e) / valid, rel=1e-12)
         J = residual_jacobian(pspec, corrs.pixels, corrs.rays).reshape(-1, len(free))
@@ -475,11 +482,10 @@ class TestJacobians:
         corrs = rc.Correspondences.from_field(rc.add_noise(rc.field_from_spec(spec), 0.2, seed=3))
         pspec = spec.replace(fx=spec.fx * 1.02, cy=spec.cy - 0.7,
                              dist=tuple(1.01 * k for k in spec.dist))
-        basis = _tangent_basis(corrs.rays)
         k = 4 + spec.model.num_dist
-        _, valid, R, _ = _pass(pspec, corrs, basis, np.arange(k))
+        _, valid, R, _ = _pass(pspec, corrs, np.arange(k))
         assert len(corrs) > 3 * _QR_BLOCK and valid > 0
-        blk = _residual_block(pspec, corrs.pixels, corrs.rays, *basis)
+        blk = _residual_block(pspec, corrs.pixels, corrs.rays)
         J = residual_jacobian(pspec, corrs.pixels, corrs.rays).reshape(-1, k)
         e = np.stack([blk.e1, blk.e2], axis=-1).reshape(-1)
         dense = np.linalg.qr(np.column_stack([J, -e]), mode="r")
