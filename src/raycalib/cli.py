@@ -42,9 +42,9 @@ from .metrics import angular_error, auc, evaluate
 from .models import (
     CameraSpec,
     _grid_blocks,
+    _unproject_cells,
     parse_model,
     pixel_axes,
-    unproject_masked,
     validate_spec,
 )
 from .synth import (
@@ -168,8 +168,8 @@ def _theta_difference(gt: CameraSpec, est: CameraSpec, stride: int) -> FovField:
     u, v = pixel_axes(gt.width, gt.height, stride)
     diff = np.full((len(v) * len(u), 2), np.nan)
     for sl, px in _grid_blocks(u, v):
-        p, ok_gt = unproject_masked(gt, px)
-        q, ok_est = unproject_masked(est, px)
+        p, ok_gt = _unproject_cells(gt, px)[:2]
+        q, ok_est = _unproject_cells(est, px)[:2]
         ok = ok_gt & ok_est
         diff[sl][ok] = log_map(np.compress(ok, p, axis=0)) - log_map(np.compress(ok, q, axis=0))
     return FovField(theta=diff.reshape(len(v), len(u), 2), stride=stride)

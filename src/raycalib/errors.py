@@ -68,4 +68,5 @@ class EmptyInput(CalibError):
 
 
 class NewtonDivergence(CalibError):
-    """An iterative root solve failed to converge."""
+    """A sampler ran out of redraws without a valid draw (a spec, an edit or
+    a truncated-normal value)."""

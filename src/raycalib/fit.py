@@ -22,18 +22,17 @@ unknowns:
    block: it unprojects, forms the residuals and their share of the cost,
    and then the Jacobian columns and the block's QR factor of [J | -e].  So
    a pass returns its cost together with the factor R of its step, and an
-   accepted trial pass brings the R of the next step; the trial of the last
-   iteration skips the Jacobian.  The factor gives the share of |e|^2 the
-   linearized step removes, |R[:k, k]|^2 of |R[:k, k]|^2 + R[k, k]^2; below
-   _GN_RTOL = 1e-14, under the roundoff of the cost sum, refinement stops
-   without a trial pass (relative-reduction test, Nocedal & Wright,
-   Numerical Optimization, 10.3).  Each step is halved up to four times if
-   the cost would increase, so the recorded per-iteration costs never
-   increase; a step rejected at every length leaves the intrinsics
-   unchanged, so the refinement stops there too, exactly where further
-   iterations would repeat it.  The radial/kb Newton solves of a trial pass
-   start from the accepted pass's solution, the only per-cell state kept
-   between passes.
+   accepted trial pass brings the R of the next step.  The factor gives the
+   share of |e|^2 the linearized step removes, |R[:k, k]|^2 of
+   |R[:k, k]|^2 + R[k, k]^2; below _GN_RTOL = 1e-14, under the roundoff of
+   the cost sum, refinement stops without a trial pass (relative-reduction
+   test, Nocedal & Wright, Numerical Optimization, 10.3).  Each step is
+   halved up to four times if the cost would increase, so the recorded
+   per-iteration costs never increase; a step rejected at every length
+   leaves the intrinsics unchanged, so the refinement stops there too,
+   exactly where further iterations would repeat it.  The radial/kb Newton
+   solves of a trial pass start from the accepted pass's solution, the only
+   per-cell state kept between passes.
 
 One column writer (``_write_jacobian``) fills the Jacobian for refinement
 and ``residual_jacobian``: it contracts the residuals' gradient with respect
@@ -646,23 +645,22 @@ def _pass(
     spec: CameraSpec,
     corrs: Correspondences,
     free_idx: np.ndarray,
-    want_r: bool = True,
     x0: np.ndarray | None = None,
-) -> tuple[float, int, np.ndarray | None, np.ndarray | None]:
+) -> tuple[float, int, np.ndarray, np.ndarray | None]:
     """One residual pass of refinement, block by block.
 
     Returns the mean squared tangent residual over the valid cells (inf if
-    none), their count, the factor R of [J_free | -e] (None without
-    ``want_r``) and the Newton solution of radial/kb (None for the other
-    families), which ``x0`` passes back as the next pass's start.  Each
-    block's rows are written column by column into one buffer of the pass,
-    whose e1 half and e2 half are two column-major leaves of ``_tsqr``; each
-    leaf is factored before the next block overwrites it.
+    none), their count, the factor R of [J_free | -e] and the Newton solution
+    of radial/kb (None for the other families), which ``x0`` passes back as
+    the next pass's start.  Each block's rows are written column by column
+    into one buffer of the pass, whose e1 half and e2 half are two
+    column-major leaves of ``_tsqr``; each leaf is factored before the next
+    block overwrites it.
     """
     n, k = len(corrs), len(free_idx)
     sol = np.empty(n) if spec.model.family in _INVERSE_FOCAL else None
     total, valid = 0.0, 0  # squared residuals and valid cells so far
-    buffer = np.empty((2, k + 1, min(n, _QR_BLOCK))) if want_r else None
+    buffer = np.empty((2, k + 1, min(n, _QR_BLOCK)))
 
     def rows() -> Iterator[np.ndarray]:
         nonlocal total, valid
@@ -673,21 +671,20 @@ def _pass(
             valid += int(np.count_nonzero(blk.ok))
             if sol is not None:
                 sol[sl] = blk.ray.sol
-            if want_r:
-                # halves[i].T is the leaf of e_i; cols[j] is column j of both, (2, m)
-                m = len(blk.ok)
-                halves = buffer[:, :, :m]
-                cols = halves.transpose(1, 0, 2)
-                _write_jacobian(spec, blk, free_idx, cols[:k])
-                np.negative(blk.e1, out=cols[k, 0])
-                np.negative(blk.e2, out=cols[k, 1])
-                del blk  # not needed while the leaves are factored
-                yield halves[0].T
-                yield halves[1].T
+            # halves[i].T is the leaf of e_i; cols[j] is column j of both, (2, m)
+            m = len(blk.ok)
+            halves = buffer[:, :, :m]
+            cols = halves.transpose(1, 0, 2)
+            _write_jacobian(spec, blk, free_idx, cols[:k])
+            np.negative(blk.e1, out=cols[k, 0])
+            np.negative(blk.e2, out=cols[k, 1])
+            del blk  # not needed while the leaves are factored
+            yield halves[0].T
+            yield halves[1].T
 
     R, _ = _tsqr(rows(), k + 1)
     cost = total / valid if valid else math.inf
-    return cost, valid, R if want_r else None, sol
+    return cost, valid, R, sol
 
 
 def refine(
@@ -713,13 +710,13 @@ def refine(
     costs = [cost]
     warning = None
 
-    for it in range(_GN_ITERATIONS):
+    for _ in range(_GN_ITERATIONS):
         if cost <= 1e-30:  # further iterations would only shuffle roundoff
             break
         try:
             delta = _solve(R, 2 * len(corrs), "Gauss-Newton step")
         except DegenerateGeometry:
-            warning = "singular normal matrix; refinement stopped early"
+            warning = "singular Gauss-Newton step; refinement stopped early"
             break
         # the step removes |R[:k, k]|^2 of |e|^2 = |R[:k, k]|^2 + R[k, k]^2
         pred = float(R[:k, k] @ R[:k, k])
@@ -732,8 +729,7 @@ def refine(
             cand[free_idx] += step * delta
             cand = _clamp_params(spec0.model, cand)
             if cand[0] > 0.0 and cand[1] > 0.0:
-                # the last iteration's trial needs no next step
-                trial = _pass(_spec_of(spec0, cand), corrs, free_idx, it < _GN_ITERATIONS - 1, sol)
+                trial = _pass(_spec_of(spec0, cand), corrs, free_idx, sol)
                 if trial[0] <= cost:
                     kappa, (cost, valid, R, sol) = cand, trial
                     break

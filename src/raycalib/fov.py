@@ -28,11 +28,10 @@ from .errors import (
 )
 from .models import (
     CameraSpec,
-    _blocks,
     _grid_blocks,
+    _unproject_cells,
     pixel_axes,
     pixel_centers,
-    unproject_masked,
 )
 
 _SERIES_CUTOVER = 1e-6
@@ -127,28 +126,6 @@ class FovField:
         return pixel_centers(self.width, self.height, self.stride)
 
 
-@dataclass(frozen=True)
-class RayGrid:
-    """Dense grid of unit ray directions, shape (h, w, 3)."""
-
-    rays: np.ndarray
-    stride: int = 1
-
-    def __post_init__(self) -> None:
-        rays = np.asarray(self.rays, dtype=np.float64)
-        if rays.ndim != 3 or rays.shape[-1] != 3:
-            raise DimensionMismatch(f"rays must be (h, w, 3), got {rays.shape}")
-        object.__setattr__(self, "rays", rays)
-
-    @property
-    def width(self) -> int:
-        return self.rays.shape[1] * self.stride
-
-    @property
-    def height(self) -> int:
-        return self.rays.shape[0] * self.stride
-
-
 def field_from_spec(spec: CameraSpec, stride: int = 1) -> FovField:
     """Ground-truth FoV field of a camera, sampled at pixel centers.
 
@@ -165,7 +142,8 @@ def field_from_spec(spec: CameraSpec, stride: int = 1) -> FovField:
     theta = np.empty((len(v) * len(u), 2))
     n_bad = 0
     for sl, px in _grid_blocks(u, v):
-        rays, ok = unproject_masked(spec, px)
+        # the per-cell state goes at once, not held while the block is log-mapped
+        rays, ok = _unproject_cells(spec, px)[:2]
         n_bad += ok.size - int(np.count_nonzero(ok))
         if not n_bad:  # past a bad cell only the count is wanted
             theta[sl] = log_map(rays)
@@ -173,20 +151,3 @@ def field_from_spec(spec: CameraSpec, stride: int = 1) -> FovField:
         raise NonInvertiblePixel(f"{n_bad} grid pixels not invertible for {spec.model}")
     return FovField(theta=theta.reshape(len(v), len(u), 2), stride=stride)
 
-
-def rays_from_field(field: FovField) -> RayGrid:
-    """Elementwise exp map of a field's tangent vectors, block by block."""
-    theta = field.theta.reshape(-1, 2)
-    rays = np.empty((len(theta), 3))
-    for sl in _blocks(len(theta)):
-        rays[sl] = exp_map(theta[sl])
-    return RayGrid(rays=rays.reshape(field.theta.shape[:-1] + (3,)), stride=field.stride)
-
-
-def field_l1(a: FovField, b: FovField) -> float:
-    """Mean elementwise L1 distance between two fields, in radians."""
-    if a.theta.shape != b.theta.shape:
-        raise DimensionMismatch(
-            f"field shapes differ: {a.theta.shape} vs {b.theta.shape}"
-        )
-    return float(np.mean(np.sum(np.abs(a.theta - b.theta), axis=-1)))

@@ -98,8 +98,6 @@ def focal_from_fov(
     if not 0.0 < fov_deg < 360.0:
         raise FovOutOfRange(f"fov must be in (0, 360) degrees, got {fov_deg}")
     half = math.radians(fov_deg) / 2.0
-    if half >= math.pi:
-        raise FovOutOfRange(f"half angle {half:.3f} rad is not representable")
     probe = _centered_square(model, 1.0, tuple(dist), max(height, 1))
     r = float(radial_profile(probe, np.array(half)))
     if not math.isfinite(r) or r <= 0.0:
@@ -161,14 +159,6 @@ class IntrinsicsSampler:
             u = rng.uniform()
             name = "pinhole" if u < 0.34 else ("radial:1" if u < 0.67 else "eucm")
         return sample_spec_for_model(parse_model(name), self.cfg.size, rng)
-
-    def draw_many(self, n: int) -> list[CameraSpec]:
-        return [self.draw() for _ in range(n)]
-
-
-def sample_intrinsics(cfg: SamplerConfig) -> CameraSpec:
-    """First spec of the deterministic stream defined by ``cfg``."""
-    return IntrinsicsSampler(cfg).draw()
 
 
 def _radial_slope_floor(spec: CameraSpec) -> float:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import shutil
 import struct
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -378,6 +380,11 @@ def _eval_missing_dir(tmp: Path) -> list[str]:
     return ["eval", str(tmp / "missing"), str(tmp / "gt"), "-o", str(tmp / "rep")]
 
 
+def _eval_missing_gt_dir(tmp: Path) -> list[str]:
+    (tmp / "est").mkdir()
+    return ["eval", str(tmp / "est"), str(tmp / "missing"), "-o", str(tmp / "rep")]
+
+
 def _eval_no_common_name(tmp: Path) -> list[str]:
     spec = centered_spec("pinhole", 60.0, 32)
     for side, name in (("est", "0000"), ("gt", "0001")):
@@ -472,6 +479,16 @@ def _lensfun_string_coefficient(tmp: Path) -> list[str]:
     return ["lensfun", str(_lensfun_entry(tmp, coefficients=["q"]))]
 
 
+def _lensfun_unknown_projection(tmp: Path) -> list[str]:
+    return ["lensfun", str(_lensfun_entry(tmp, projection="thoby"))]
+
+
+def _convert_dist_length(tmp: Path) -> list[str]:
+    data = centered_spec("kb:2", 100.0, 32, dist=(0.05, -0.01)).to_dict()
+    (tmp / "spec.json").write_text(json.dumps({**data, "dist": [0.05]}))
+    return ["convert", str(tmp / "spec.json"), "--to", "pinhole"]
+
+
 def _argv(*argv: str):
     """A command line that names no file it needs."""
     return lambda tmp: list(argv)
@@ -504,6 +521,8 @@ class TestInputErrors:
             (_argv("fit", "F", "--model", "kb:4", "--stride", "x"), "InvalidInput"),
             (_argv("eval", "A", "B"), "InvalidInput"),
             (_argv("calibrate", "F"), "InvalidInput"),
+            (_eval_missing_gt_dir, "FileNotFound"),
+            (_lensfun_unknown_projection, "InvalidInput"),
         ],
         ids=["eval-missing-dir", "eval-no-common-name", "convert-invalid-spec",
              "fit-truncated-header", "fit-ragged-payload", "convert-spec-not-an-object",
@@ -512,7 +531,8 @@ class TestInputErrors:
              "synth-size-negative", "lensfun-grid-stride-0", "lensfun-grid-stride-negative",
              "convert-string-focal", "lensfun-string-coefficient", "fit-ransac-iters-negative",
              "fit-ransac-thresh-negative", "usage-fit-stride-not-an-int",
-             "usage-eval-without-output", "usage-unknown-command"],
+             "usage-eval-without-output", "usage-unknown-command", "eval-missing-gt-dir",
+             "lensfun-unknown-projection"],
     )
     def test_exit_2_with_error_object(self, make_argv, kind, tmp_path, capsys):
         code = run(*make_argv(tmp_path))
@@ -549,8 +569,8 @@ class TestInputErrors:
         assert str(path) in error["message"] and "0.5,0.5,abc,0.1" in error["message"]
 
     @pytest.mark.parametrize(
-        "make_argv", [_convert_string_focal, _lensfun_string_coefficient],
-        ids=["convert", "lensfun"],
+        "make_argv", [_convert_string_focal, _lensfun_string_coefficient, _convert_dist_length],
+        ids=["convert", "lensfun", "convert-dist-length"],
     )
     def test_bad_json_value_names_the_file(self, make_argv, tmp_path, capsys):
         argv = make_argv(tmp_path)
@@ -640,3 +660,23 @@ class TestExitCodesAndWorkers:
         assert run("synth", "--kind", "opg", "--n", "5", "--size", "48", "--seed", "21",
                    "-o", str(ds)) == 0
         assert run("eval", str(ds), str(ds), "-o", str(tmp_path / "rep")) == 0
+
+
+def test_imports_load_no_dependency_but_numpy():
+    # numpy is the only runtime dependency: importing the package, its CLI
+    # and its file formats in a fresh interpreter brings in no other
+    # top-level module outside the standard library (modules the
+    # interpreter's own start-up loaded are not counted)
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import raycalib, raycalib.cli, raycalib.fileio\n"
+        "print('\\n'.join(sorted({m.partition('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    src = str(Path(rc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True, timeout=120)
+    loaded = set(out.stdout.split())
+    assert {"numpy", "raycalib"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) - {"numpy", "raycalib"} == set()

@@ -95,6 +95,16 @@ class TestFitPpointAspect:
         with pytest.raises(rc.DegenerateGeometry):
             rc.fit_ppoint_aspect(corrs)
 
+    def test_rays_in_the_xz_plane_leave_a_zero_column(self):
+        # Y = 0 in every row zeroes the u*Y and -Y columns
+        x = np.linspace(-0.5, 0.5, 9)
+        corrs = rc.Correspondences(
+            np.stack([10.0 * np.arange(9), np.full(9, 5.0)], axis=-1),
+            np.stack([x, np.zeros(9), np.sqrt(1.0 - x * x)], axis=-1),
+        )
+        with pytest.raises(rc.DegenerateGeometry, match="zero or non-finite column"):
+            rc.fit_ppoint_aspect(corrs)
+
 
 # ---------------------------------------------------------------------------
 # stage 2: linear rows
@@ -408,7 +418,7 @@ class TestRefine:
         res = rc.refine(spec.replace(fx=spec.fx * 1.1, fy=spec.fy * 1.1), few)
         data = res.to_dict()
         assert data["warning"] == res.warning
-        assert data["warning"] == "singular normal matrix; refinement stopped early"
+        assert data["warning"] == "singular Gauss-Newton step; refinement stopped early"
         assert "inlier_ratio" not in data
         assert "warning" not in rc.refine(spec, rc.Correspondences.from_spec(spec, 8)).to_dict()
 
@@ -631,6 +641,12 @@ class TestRansac:
         field = rc.field_from_spec(centered_spec("pinhole", 60.0, 16))
         with pytest.raises(ValueError, match="iters >= 1 and thresh > 0"):
             rc.calibrate_ransac(field, rc.parse_model("pinhole"), iters=iters, thresh=thresh)
+
+    def test_fewer_cells_than_a_minimal_sample_raise(self):
+        # kb:4's minimal sample is 3 + 1 + 4 = 8 cells; a 2 x 2 field has 4
+        field = rc.field_from_spec(centered_spec("pinhole", 60.0, 2))
+        with pytest.raises(rc.DegenerateGeometry, match="4 correspondences < minimal sample 8"):
+            rc.calibrate_ransac(field, rc.parse_model("kb:4"))
 
     def test_no_consensus_raises(self, rng):
         # a field of directionally random cells admits no camera model

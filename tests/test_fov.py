@@ -156,51 +156,6 @@ class TestFieldFromSpec:
             rc.field_from_spec(spec.replace(fx=0.6 * f_min, fy=0.6 * f_min))
 
 
-class TestRaysFromField:
-    def test_zero_field(self):
-        f = rc.FovField(theta=np.zeros((4, 5, 2)))
-        grid = rc.rays_from_field(f)
-        np.testing.assert_allclose(grid.rays, np.broadcast_to([0, 0, 1.0], (4, 5, 3)))
-
-    def test_single_cell_quarter_turn(self):
-        f = rc.FovField(theta=np.array([[[math.pi / 2, 0.0]]]))
-        np.testing.assert_allclose(rc.rays_from_field(f).rays[0, 0], [1, 0, 0], atol=1e-15)
-
-    def test_matches_direct_unprojection(self, rng):
-        spec = rc.sample_spec_for_model(rc.parse_model("kb:2"), 48, rng)
-        f = rc.field_from_spec(spec)
-        grid = rc.rays_from_field(f)
-        direct = rc.unproject(spec, f.pixel_grid().reshape(-1, 2)).reshape(48, 48, 3)
-        np.testing.assert_allclose(grid.rays, direct, atol=1e-12)
-
-
-class TestFieldL1:
-    def test_identical_fields(self, rng):
-        f = rc.FovField(theta=rng.uniform(-1, 1, (6, 7, 2)))
-        assert rc.field_l1(f, f) == 0.0
-
-    def test_constant_offset(self, rng):
-        theta = rng.uniform(-1, 1, (6, 7, 2))
-        a = rc.FovField(theta=theta)
-        b = rc.FovField(theta=theta + np.array([0.1, 0.0]))
-        assert rc.field_l1(a, b) == pytest.approx(0.1, abs=1e-15)
-
-    def test_matches_double_loop(self, rng):
-        ta = rng.uniform(-1, 1, (5, 4, 2))
-        tb = rng.uniform(-1, 1, (5, 4, 2))
-        total = 0.0
-        for j in range(5):
-            for i in range(4):
-                total += abs(ta[j, i, 0] - tb[j, i, 0]) + abs(ta[j, i, 1] - tb[j, i, 1])
-        expected = total / 20.0
-        got = rc.field_l1(rc.FovField(theta=ta), rc.FovField(theta=tb))
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(rc.DimensionMismatch):
-            rc.field_l1(rc.FovField(theta=np.zeros((2, 2, 2))), rc.FovField(theta=np.zeros((3, 2, 2))))
-
-
 class TestFieldFiles:
     def test_aff1_round_trip(self, tmp_path, rng):
         theta = rng.uniform(-1.5, 1.5, (13, 9, 2))
@@ -301,8 +256,6 @@ class TestContainers:
     def test_field_shape_validation(self):
         with pytest.raises(rc.DimensionMismatch):
             rc.FovField(theta=np.zeros((4, 5)))
-        with pytest.raises(rc.DimensionMismatch):
-            rc.RayGrid(rays=np.zeros((4, 5, 2)))
 
     def test_strided_field_dimensions(self):
         spec = centered_spec("pinhole", 70.0, 64)
@@ -312,9 +265,3 @@ class TestContainers:
         grid = f.pixel_grid()
         np.testing.assert_allclose(grid[0, 0], [2.0, 2.0])
         np.testing.assert_allclose(grid[-1, -1], [62.0, 62.0])
-
-    def test_ray_grid_dimensions(self):
-        spec = centered_spec("pinhole", 70.0, 64)
-        grid = rc.rays_from_field(rc.field_from_spec(spec, stride=2))
-        assert (grid.width, grid.height) == (64, 64)
-        assert grid.rays.shape == (32, 32, 3)

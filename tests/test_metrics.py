@@ -64,6 +64,13 @@ class TestAngularError:
         with pytest.raises(rc.DimensionMismatch):
             rc.angular_error(pinhole(500.0, 64), pinhole(500.0, 128))
 
+    def test_estimate_that_unprojects_no_cell_raises(self):
+        # ucm with xi = 3 unprojects only r <= 1 / sqrt(8) focal units; at
+        # f = 1 every pixel centre lies at least 0.5 from the principal point
+        est = rc.CameraSpec(rc.parse_model("ucm"), 1.0, 1.0, 32.0, 32.0, (3.0,), 64, 64)
+        with pytest.raises(rc.EmptyInput, match="no grid cell is unprojectable"):
+            rc.angular_error(pinhole(500.0, 64), est, grid_stride=4)
+
 
 class TestReprojError:
     def test_zero_for_identical_specs(self):

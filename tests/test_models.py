@@ -466,6 +466,20 @@ class TestValidateSpec:
         spec = pinhole_spec(f=240.0).replace(fx=-1.0)
         assert not rc.validate_spec(spec).ok
 
+    @pytest.mark.parametrize(
+        "name, change, violation",
+        [("pinhole", {"fy": 0.0}, "fy must be positive, got 0.0"),
+         ("pinhole", {"width": 0}, "image size must be positive"),
+         ("eucm", {"dist": (0.6, -1.0)}, "beta must be > 0, got -1.0"),
+         ("eucm", {"dist": (0.6, 0.0)}, "beta must be > 0, got 0.0")],
+        ids=["fy-0", "width-0", "beta-negative", "beta-0"],
+    )
+    def test_each_violation_is_reported(self, name, change, violation):
+        dist = (0.6, 1.1) if name == "eucm" else ()
+        spec = rc.CameraSpec(rc.parse_model(name), 400, 400, 240, 240, dist, 480, 480)
+        assert rc.validate_spec(spec).ok
+        assert rc.validate_spec(spec.replace(**change)).violations == (violation,)
+
 
 class TestSpecSerialization:
     @pytest.mark.parametrize("name", ["pinhole", "kb:3", "eucm"])

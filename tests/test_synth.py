@@ -71,7 +71,8 @@ class TestFocalFromFov:
 class TestIntrinsicsSampler:
     def test_opp_always_pinhole_in_range(self):
         sampler = rc.IntrinsicsSampler(rc.SamplerConfig(rc.DatasetKind.OPP, 64, 5))
-        for spec in sampler.draw_many(50):
+        for _ in range(50):
+            spec = sampler.draw()
             assert spec.model.family is rc.Family.PINHOLE
             h, v = rc.fov_agnostic(spec)
             assert 20.0 - 1e-9 <= v <= 105.0 + 1e-9
@@ -82,7 +83,8 @@ class TestIntrinsicsSampler:
         sampler = rc.IntrinsicsSampler(rc.SamplerConfig(rc.DatasetKind.OPG, 64, 11))
         counts = {"pinhole": 0, "radial": 0, "eucm": 0}
         n = 10000
-        for spec in sampler.draw_many(n):
+        for _ in range(n):
+            spec = sampler.draw()
             counts[spec.model.family.value] += 1
         assert counts["pinhole"] / n == pytest.approx(0.34, abs=0.02)
         assert counts["radial"] / n == pytest.approx(0.33, abs=0.02)
@@ -90,7 +92,8 @@ class TestIntrinsicsSampler:
 
     def test_radial_normalized_coefficient_in_bounds(self):
         sampler = rc.IntrinsicsSampler(rc.SamplerConfig(rc.DatasetKind.OPR, 64, 3))
-        for spec in sampler.draw_many(200):
+        for _ in range(200):
+            spec = sampler.draw()
             k_hat = spec.dist[0] * spec.height / spec.fx
             assert -0.3 - 1e-9 <= k_hat <= 0.3 + 1e-9
 
@@ -117,12 +120,14 @@ class TestIntrinsicsSampler:
     def test_all_sampled_specs_validate(self):
         for kind in rc.DatasetKind:
             sampler = rc.IntrinsicsSampler(rc.SamplerConfig(kind, 64, 17))
-            for spec in sampler.draw_many(50):
+            for _ in range(50):
+                spec = sampler.draw()
                 assert rc.validate_spec(spec).ok
 
     def test_empirical_fov_inside_configured_range(self):
         sampler = rc.IntrinsicsSampler(rc.SamplerConfig(rc.DatasetKind.OPG, 64, 23))
-        for spec in sampler.draw_many(100):
+        for _ in range(100):
+            spec = sampler.draw()
             _, vfov = rc.fov_agnostic(spec)
             if spec.model.family is rc.Family.EUCM:
                 assert 50.0 - 1e-6 <= vfov <= 180.0 + 1e-6
@@ -130,13 +135,9 @@ class TestIntrinsicsSampler:
                 assert 20.0 - 1e-6 <= vfov <= 105.0 + 1e-6
 
     def test_determinism(self):
-        a = rc.IntrinsicsSampler(rc.SamplerConfig(rc.DatasetKind.OPD, 64, 99)).draw_many(20)
-        b = rc.IntrinsicsSampler(rc.SamplerConfig(rc.DatasetKind.OPD, 64, 99)).draw_many(20)
-        assert a == b
-
-    def test_sample_intrinsics_is_first_draw(self):
-        cfg = rc.SamplerConfig(rc.DatasetKind.OPG, 64, 123)
-        assert rc.sample_intrinsics(cfg) == rc.IntrinsicsSampler(cfg).draw()
+        a, b = (rc.IntrinsicsSampler(rc.SamplerConfig(rc.DatasetKind.OPD, 64, 99))
+                for _ in range(2))
+        assert [a.draw() for _ in range(20)] == [b.draw() for _ in range(20)]
 
 
 class TestAddNoise:
