@@ -34,13 +34,13 @@ unknowns:
    solves of a trial pass start from the accepted pass's solution, the only
    per-cell state kept between passes.
 
-One column writer (``_write_jacobian``) fills the Jacobian for refinement
-and ``residual_jacobian``: it contracts the residuals' gradient with respect
-to the unnormalized ray g, built once per block, with dg/dmx, dg/dmy and the
-one direction d that every distortion coefficient moves g along
-(dg/dk_n = scale_n d, ``models._ray_derivatives``).  A pass reads its cells
-component-major, as views of the arrays a fit holds, and each block builds
-the tangent basis of its own target rays (``_residual_block``).
+One row writer (``_block_rows``) fills a block's rows [J | -e] for
+refinement and ``residual_jacobian``: it unprojects the block, forms the
+residuals in the tangent basis of the block's own target rays, and contracts
+their gradient with respect to the unnormalized ray g, built once per block,
+with dg/dmx, dg/dmy and the one direction d that every distortion
+coefficient moves g along (dg/dk_n = scale_n d, ``models._ray_derivatives``).
+A pass reads its cells component-major, as views of the arrays a fit holds.
 
 All linear stages share one kernel and never form normal equations: rows
 are built block by block (``_QR_BLOCK`` cells) as F-ordered arrays, each
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -74,7 +74,6 @@ from .models import (  # _QR_BLOCK: the kernel's block, under the name tests imp
     _grid_blocks,
     _ray_angle,
     _ray_derivatives,
-    _RayCells,
     _unproject_cells,
     pixel_axes,
 )
@@ -525,20 +524,15 @@ def _tangent_basis(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b1, np.stack([y * c3 - z * c2, z * c1 - x * c3, x * c2 - y * c1])
 
 
-def _arc_factor(c: np.ndarray) -> np.ndarray:
-    """theta / sin(theta) expressed through c = cos(theta), series near 1."""
-    s2 = np.maximum(1.0 - c * c, 0.0)
-    small = s2 < 1e-16
-    return np.where(
-        small, 1.0, np.arccos(np.clip(c, -1.0, 1.0)) / np.sqrt(np.where(small, 1.0, s2))
-    )
-
-
-def _arc_factor_deriv(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """d/dc of the arc factor: (c w - 1) / (1 - c^2), -> -1/3 as c -> 1."""
+def _arc_factor(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """theta / sin(theta) expressed through c = cos(theta), and its derivative
+    d/dc = (c w - 1) / (1 - c^2); near c = 1 they switch to their limits 1
+    and -1/3."""
     s2 = 1.0 - c * c
+    small = s2 < 1e-16
+    w = np.where(small, 1.0, np.arccos(np.clip(c, -1.0, 1.0)) / np.sqrt(np.where(small, 1.0, s2)))
     small = s2 < 1e-8
-    return np.where(small, -1.0 / 3.0, (c * w - 1.0) / np.where(small, 1.0, s2))
+    return w, np.where(small, -1.0 / 3.0, (c * w - 1.0) / np.where(small, 1.0, s2))
 
 
 def _contract(a: np.ndarray, v) -> np.ndarray:
@@ -552,93 +546,82 @@ def _contract(a: np.ndarray, v) -> np.ndarray:
     return acc
 
 
-class _Block(NamedTuple):
-    """Residual state of one block of cells; its Jacobian reuses it."""
+def _block_rows(
+    spec: CameraSpec,
+    pixels: np.ndarray,
+    targets: np.ndarray,
+    free_idx: np.ndarray,
+    out: np.ndarray,
+    x0: np.ndarray | None = None,
+) -> tuple[float, int, np.ndarray | None]:
+    """Write the rows [J_free | -e] of some cells (targets (m, 3)) into out, a
+    (k + 1, 2, m) view: the column pair of d(e1, e2)/d(fx, fy, cx, cy,
+    *dist)[free_idx[i]] into out[i] and -(e1, e2) into out[k].  Returns the
+    sum of squared residuals, the count of valid cells and the radial/kb
+    Newton solution (None for the other families), which ``x0`` starts.
 
-    e1: np.ndarray  # tangent residual along b1, 0 where invalid
-    e2: np.ndarray  # tangent residual along b2, 0 where invalid
-    ok: np.ndarray
-    ray: _RayCells
-    q: np.ndarray  # (3, m) unit rays
-    t: np.ndarray  # (3, m) target rays
-    c: np.ndarray  # target . q
-    w: np.ndarray  # arc factor of c
-    b1: np.ndarray  # (3, m) tangent basis of the targets
-    b2: np.ndarray
-    b1q: np.ndarray
-    b2q: np.ndarray
-
-
-def _residual_block(
-    spec: CameraSpec, pixels: np.ndarray, targets: np.ndarray, x0: np.ndarray | None = None
-) -> _Block:
-    """Tangent residuals of some cells (targets (m, 3)) and the state behind
-    them, with the targets' tangent basis; ``x0`` starts the radial/kb Newton
-    solve."""
-    q, ok, ray = _unproject_cells(spec, pixels, x0)
-    # component rows: views of the component-major rays and correspondences
-    q, t = q.T, targets.T
-    c = _contract(t, q)
-    w = _arc_factor(c)
-    b1, b2 = _tangent_basis(targets)
-    b1q, b2q = _contract(b1, q), _contract(b2, q)
-    e1 = np.where(ok, w * b1q, 0.0)
-    e2 = np.where(ok, w * b2q, 0.0)
-    return _Block(e1, e2, ok, ray, q, t, c, w, b1, b2, b1q, b2q)
-
-
-def _write_jacobian(spec: CameraSpec, blk: _Block, free_idx: np.ndarray, out: np.ndarray) -> None:
-    """Write d(e1, e2)/d(fx, fy, cx, cy, *dist)[free_idx] of one block: the
-    column pair of parameter free_idx[i] into out[i], a (2, m) view.
-
-    The residual e_i = w(c) (b_i . q) of q = g / |g| and c = target . q has the
-    gradient G_i = (w b_i - (b_i . q) h) / |g| with respect to g, where
+    The residual e_i = w(c) (b_i . q) of q = g / |g| and c = target . q, with
+    b1, b2 the tangent basis of the block's own targets, has the gradient
+    G_i = (w b_i - (b_i . q) h) / |g| with respect to g, where
     h = (w + c w') q - w' target.  G is built once, as (2, 3, m), and taken
     against three ray derivatives: dg/dmx, dg/dmy and the direction d of
     dg/dk_n = scale_n d (``_ray_derivatives``).  The intrinsics enter g only
     through m = ((u - cx) / fx, (v - cy) / fy), so every column is one of the
-    three contractions times a per-cell or constant factor.  Rows the
-    residual marked invalid are zero.
+    three contractions times a per-cell or constant factor.  Invalid cells
+    have zero rows.
     """
-    dw = _arc_factor_deriv(blk.c, blk.w)
-    inv = 1.0 / blk.ray.norm
-    h = (blk.w + blk.c * dw) * blk.q
-    h -= dw * blk.t
-    wn = blk.w * inv
-    G = np.empty((2, 3, len(blk.ok)))
-    for Gi, b, bq in zip(G, (blk.b1, blk.b2), (blk.b1q, blk.b2q)):
+    q, ok, ray = _unproject_cells(spec, pixels, x0)
+    # component rows: views of the component-major rays and correspondences
+    q, t = q.T, targets.T
+    c = _contract(t, q)
+    w, dw = _arc_factor(c)
+    b1, b2 = _tangent_basis(targets)
+    b1q, b2q = _contract(b1, q), _contract(b2, q)
+    e1 = np.where(ok, w * b1q, 0.0)
+    e2 = np.where(ok, w * b2q, 0.0)
+    k = len(free_idx)
+    np.negative(e1, out=out[k, 0])
+    np.negative(e2, out=out[k, 1])
+    sq = float(e1 @ e1 + e2 @ e2)
+    inv = 1.0 / ray.norm
+    h = (w + c * dw) * q
+    h -= dw * t
+    wn = w * inv
+    G = np.empty((2, 3, len(ok)))
+    for Gi, b, bq in zip(G, (b1, b2), (b1q, b2q)):
         np.multiply(wn, b, out=Gi)
         Gi -= (bq * inv) * h
-    del dw, inv, h, wn  # freed before the block's peak: the ray derivatives and contractions
-    dgx, dgy, d, scales = _ray_derivatives(spec, blk.ray)
+    # freed before the block's peak: the ray derivatives and contractions
+    del e1, e2, q, c, w, dw, b1, b2, b1q, b2q, inv, h, wn
+    dgx, dgy, d, scales = _ray_derivatives(spec, ray)
     jx, jy = _contract(G, dgx), _contract(G, dgy)
     jd = [] if d is None else [_contract(G, d)] * len(scales)
     sources = [jx, jy, jx, jy, *jd]
     fx, fy = spec.fx, spec.fy
-    factors = [-blk.ray.mx / fx, -blk.ray.my / fy, -1.0 / fx, -1.0 / fy, *scales]
+    factors = [-ray.mx / fx, -ray.my / fy, -1.0 / fx, -1.0 / fy, *scales]
     for col, j in zip(out, free_idx):
         np.multiply(sources[j], factors[j], out=col)
-    if not blk.ok.all():
-        out[..., ~blk.ok] = 0.0
+    if not ok.all():
+        out[:k, :, ~ok] = 0.0
+    return sq, int(np.count_nonzero(ok)), ray.sol
 
 
 def residual_jacobian(
     spec: CameraSpec, pixels: np.ndarray, targets: np.ndarray
-) -> np.ndarray:
-    """Analytic Jacobian of the tangent residuals w.r.t. (fx, fy, cx, cy, *dist).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic Jacobian of the tangent residuals w.r.t. (fx, fy, cx, cy, *dist),
+    and the residuals: shapes (n, 2, 4 + num_dist) and (n, 2).
 
     Every family is differentiated in closed form; the Newton-inverted ones
-    (radial, kb) through implicit derivatives of the converged solve.
-    Shape (n, 2, 4 + num_dist), filled block by block with refinement's
-    residuals (``_residual_block``), which build each block's tangent basis
-    from its own targets, and its column writer (``_write_jacobian``).
+    (radial, kb) through implicit derivatives of the converged solve.  Filled
+    block by block with refinement's row writer (``_block_rows``).
     """
-    J = np.empty((len(pixels), 2, 4 + spec.model.num_dist))
-    every = np.arange(J.shape[-1])
+    k = 4 + spec.model.num_dist
+    rows = np.empty((len(pixels), 2, k + 1))
+    every = np.arange(k)
     for sl in _blocks(len(pixels)):
-        blk = _residual_block(spec, pixels[sl], targets[sl])
-        _write_jacobian(spec, blk, every, J[sl].transpose(2, 1, 0))
-    return J
+        _block_rows(spec, pixels[sl], targets[sl], every, rows[sl].transpose(2, 1, 0))
+    return rows[..., :k], -rows[..., k]
 
 
 def _pass(
@@ -652,10 +635,9 @@ def _pass(
     Returns the mean squared tangent residual over the valid cells (inf if
     none), their count, the factor R of [J_free | -e] and the Newton solution
     of radial/kb (None for the other families), which ``x0`` passes back as
-    the next pass's start.  Each block's rows are written column by column
-    into one buffer of the pass, whose e1 half and e2 half are two
-    column-major leaves of ``_tsqr``; each leaf is factored before the next
-    block overwrites it.
+    the next pass's start.  ``_block_rows`` writes each block's rows into one
+    buffer of the pass, whose e1 half and e2 half are two column-major leaves
+    of ``_tsqr``; each leaf is factored before the next block overwrites it.
     """
     n, k = len(corrs), len(free_idx)
     sol = np.empty(n) if spec.model.family in _INVERSE_FOCAL else None
@@ -665,20 +647,16 @@ def _pass(
     def rows() -> Iterator[np.ndarray]:
         nonlocal total, valid
         for sl in _blocks(n):
-            blk = _residual_block(spec, corrs.pixels[sl], corrs.rays[sl],
-                                  None if x0 is None else x0[sl])
-            total += float(blk.e1 @ blk.e1 + blk.e2 @ blk.e2)
-            valid += int(np.count_nonzero(blk.ok))
+            # halves[i].T is the leaf of e_i; its transpose (1, 0, 2) holds
+            # column j of both halves at [j], (2, m)
+            halves = buffer[:, :, : sl.stop - sl.start]
+            sq, ok, block_sol = _block_rows(spec, corrs.pixels[sl], corrs.rays[sl], free_idx,
+                                            halves.transpose(1, 0, 2),
+                                            None if x0 is None else x0[sl])
+            total += sq
+            valid += ok
             if sol is not None:
-                sol[sl] = blk.ray.sol
-            # halves[i].T is the leaf of e_i; cols[j] is column j of both, (2, m)
-            m = len(blk.ok)
-            halves = buffer[:, :, :m]
-            cols = halves.transpose(1, 0, 2)
-            _write_jacobian(spec, blk, free_idx, cols[:k])
-            np.negative(blk.e1, out=cols[k, 0])
-            np.negative(blk.e2, out=cols[k, 1])
-            del blk  # not needed while the leaves are factored
+                sol[sl] = block_sol
             yield halves[0].T
             yield halves[1].T
 

@@ -201,7 +201,7 @@ def test_criterion_4_jacobian_checks():
         targets, ok_mask = rc.unproject_masked(spec, px)
         px, targets = px[ok_mask][:100], targets[ok_mask][:100]
         pspec = spec.replace(fx=spec.fx * 1.02, cx=spec.cx + 0.4)
-        Ja = residual_jacobian(pspec, px, targets)
+        Ja, _ = residual_jacobian(pspec, px, targets)
         Jn = residual_jacobian_numeric(
             pspec, px, targets, _params_of(pspec), np.arange(4 + pspec.model.num_dist)
         )

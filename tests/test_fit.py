@@ -19,7 +19,6 @@ from raycalib.fit import (
     _params_of,
     _pass,
     _ppoint_rows,
-    _residual_block,
     _row_qr,
     _solve,
     residual_jacobian,
@@ -434,7 +433,7 @@ class TestJacobians:
         targets, ok = rc.unproject_masked(spec, px)
         px, targets = px[ok], targets[ok]
         pspec = spec.replace(fx=spec.fx * 1.03, cx=spec.cx + 0.5)
-        Ja = residual_jacobian(pspec, px, targets)
+        Ja, _ = residual_jacobian(pspec, px, targets)
         Jn = residual_jacobian_numeric(
             pspec, px, targets, _params_of(pspec), np.arange(4 + spec.model.num_dist)
         )
@@ -454,7 +453,7 @@ class TestJacobians:
         targets, ok = rc.unproject_masked(spec, px)
         px, targets = px[ok], targets[ok]
         pspec = spec.replace(fx=spec.fx * 1.03, cx=spec.cx + 0.5)
-        Ja = residual_jacobian(pspec, px, targets)
+        Ja, _ = residual_jacobian(pspec, px, targets)
         kappa = _params_of(pspec)
         Jn = residual_jacobian_numeric(pspec, px, targets, kappa, np.arange(len(kappa)))
         colscale = np.maximum(np.abs(Jn).max(axis=(0, 1)), 1e-12)
@@ -471,10 +470,9 @@ class TestJacobians:
         cost, valid, R, _ = _pass(pspec, corrs, free)
         assert len(corrs) > 2 * _QR_BLOCK and 0 < valid < len(corrs)
         step = _solve(R, 2 * len(corrs), "step")
-        blk = _residual_block(pspec, corrs.pixels, corrs.rays)
-        e = np.stack([blk.e1, blk.e2], axis=-1)
+        J, e = residual_jacobian(pspec, corrs.pixels, corrs.rays)
         assert cost == pytest.approx(np.sum(e * e) / valid, rel=1e-12)
-        J = residual_jacobian(pspec, corrs.pixels, corrs.rays).reshape(-1, len(free))
+        J = J.reshape(-1, len(free))
         scale = np.linalg.norm(J, axis=0)
         dense, *_ = np.linalg.lstsq(J / scale, -e.reshape(-1), rcond=1e-12)
         dense /= scale
@@ -495,9 +493,8 @@ class TestJacobians:
         k = 4 + spec.model.num_dist
         _, valid, R, _ = _pass(pspec, corrs, np.arange(k))
         assert len(corrs) > 3 * _QR_BLOCK and valid > 0
-        blk = _residual_block(pspec, corrs.pixels, corrs.rays)
-        J = residual_jacobian(pspec, corrs.pixels, corrs.rays).reshape(-1, k)
-        e = np.stack([blk.e1, blk.e2], axis=-1).reshape(-1)
+        J, e = residual_jacobian(pspec, corrs.pixels, corrs.rays)
+        J, e = J.reshape(-1, k), e.reshape(-1)
         dense = np.linalg.qr(np.column_stack([J, -e]), mode="r")
         dense *= (np.sign(np.diag(R)) * np.sign(np.diag(dense)))[:, None]
         colnorm = np.linalg.norm(R, axis=0)
