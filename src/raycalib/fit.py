@@ -527,8 +527,10 @@ def _tangent_basis(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _arc_factor(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """theta / sin(theta) expressed through c = cos(theta), and its derivative
     d/dc = (c w - 1) / (1 - c^2); near c = 1 they switch to their limits 1
-    and -1/3."""
-    s2 = 1.0 - c * c
+    and -1/3.  1 - c^2 is formed as (1 - c)(1 + c): 1 - c is exact there, and
+    1 - c * c would lose the digits that w and the quotient's small
+    numerator c w - 1 depend on."""
+    s2 = (1.0 - c) * (1.0 + c)
     small = s2 < 1e-16
     w = np.where(small, 1.0, np.arccos(np.clip(c, -1.0, 1.0)) / np.sqrt(np.where(small, 1.0, s2)))
     small = s2 < 1e-8

@@ -12,6 +12,7 @@ import pytest
 import raycalib as rc
 from raycalib.fit import (
     _QR_BLOCK,
+    _arc_factor,
     _eucm_dist,
     _family_rows,
     _fit_linear_full,
@@ -420,6 +421,35 @@ class TestRefine:
         assert data["warning"] == "singular Gauss-Newton step; refinement stopped early"
         assert "inlier_ratio" not in data
         assert "warning" not in rc.refine(spec, rc.Correspondences.from_spec(spec, 8)).to_dict()
+
+
+class TestArcFactor:
+    # theta from 1e-9 to 3.1 rad, dense on both sides of the switches at
+    # 1 - c^2 = 1e-16 (theta = 1e-8) and 1e-8 (theta = 1e-4)
+    THETA = np.concatenate([np.geomspace(1e-9, 3.1, 4001),
+                            1e-8 * np.geomspace(0.5, 2.0, 401),
+                            1e-4 * np.geomspace(0.5, 2.0, 401)])
+
+    def test_matches_its_closed_forms(self):
+        # w = theta / sin(theta) and w' = dw/dc = -(sin - theta cos) / sin^3,
+        # at the angle of the rounded cosine; below 1e-2 rad, where the closed
+        # form of w' cancels, its series -1/3 - 2 theta^2 / 15 (truncation
+        # 2 theta^4 / 63, 1e-9 relative at 1e-2).  The tolerances sit above
+        # the largest errors measured: 4.4e-15 for w, 7.0e-8 for w' at
+        # 1.05e-4 rad, just past the switch to -1/3, and 9.0e-12 above 1e-2.
+        # Forming 1 - c^2 as 1 - c * c made w' 37% wrong there
+        c = np.cos(self.THETA)
+        t = np.arccos(c)
+        w, dw = _arc_factor(c)
+        series = t < 1e-2
+        s = np.sin(np.where(series, 1.0, t))
+        w_ref = np.where(t == 0.0, 1.0, t / np.where(t == 0.0, 1.0, np.sin(t)))
+        dw_ref = np.where(series, -1.0 / 3.0 - 2.0 * t * t / 15.0,
+                          -(s - t * np.cos(t)) / s**3)
+        assert np.max(np.abs(w - w_ref) / w_ref) <= 1e-14
+        err = np.abs(dw - dw_ref) / np.abs(dw_ref)
+        assert np.max(err[series]) <= 1e-7
+        assert np.max(err[~series]) <= 1e-10
 
 
 class TestJacobians:
