@@ -652,11 +652,11 @@ def _pass(
             # halves[i].T is the leaf of e_i; its transpose (1, 0, 2) holds
             # column j of both halves at [j], (2, m)
             halves = buffer[:, :, : sl.stop - sl.start]
-            sq, ok, block_sol = _block_rows(spec, corrs.pixels[sl], corrs.rays[sl], free_idx,
-                                            halves.transpose(1, 0, 2),
-                                            None if x0 is None else x0[sl])
+            sq, block_valid, block_sol = _block_rows(
+                spec, corrs.pixels[sl], corrs.rays[sl], free_idx, halves.transpose(1, 0, 2),
+                None if x0 is None else x0[sl])
             total += sq
-            valid += ok
+            valid += block_valid
             if sol is not None:
                 sol[sl] = block_sol
             yield halves[0].T

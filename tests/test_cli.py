@@ -619,6 +619,20 @@ class TestExitCodesAndWorkers:
         assert code == 3
         assert out["error"]["kind"] in ("NoConsensus", "DegenerateGeometry")
 
+    def test_negative_focal_exit_code(self, tmp_path, capsys):
+        # a pinhole field turned inside out: each cell's angle becomes half
+        # its distance below the widest one, so the angle falls with the
+        # radius and the division rows solve for a negative focal
+        spec = rc.sample_spec_for_model(rc.parse_model("pinhole"), 64, np.random.default_rng(0))
+        theta = rc.field_from_spec(spec).theta
+        norm = np.linalg.norm(theta, axis=-1, keepdims=True)
+        path = tmp_path / "inverted.aff1"
+        write_field(path, rc.FovField(theta=theta / norm * 0.5 * (norm.max() - norm) + 1e-3))
+        code = run("fit", str(path), "--model", "division:1")
+        assert code == 3
+        assert json.loads(capsys.readouterr().out) == {"error": {
+            "kind": "InvalidFocal", "message": "solved focal length -17.2066 is not positive"}}
+
     def test_reused_parser_gives_fresh_outputs(self, tmp_path):
         # main builds its parser once: a RANSAC fit, an eval and a plain fit
         # with other flags, in one process, write what each writes after a

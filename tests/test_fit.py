@@ -436,8 +436,7 @@ class TestArcFactor:
         # form of w' cancels, its series -1/3 - 2 theta^2 / 15 (truncation
         # 2 theta^4 / 63, 1e-9 relative at 1e-2).  The tolerances sit above
         # the largest errors measured: 4.4e-15 for w, 7.0e-8 for w' at
-        # 1.05e-4 rad, just past the switch to -1/3, and 9.0e-12 above 1e-2.
-        # Forming 1 - c^2 as 1 - c * c made w' 37% wrong there
+        # 1.05e-4 rad, just past the switch to -1/3, and 9.0e-12 above 1e-2
         c = np.cos(self.THETA)
         t = np.arccos(c)
         w, dw = _arc_factor(c)
