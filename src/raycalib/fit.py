@@ -39,7 +39,8 @@ refinement and ``residual_jacobian``: it unprojects the block, forms the
 residuals in the tangent basis of the block's own target rays, and contracts
 their gradient with respect to the unnormalized ray g, built once per block,
 with dg/dmx, dg/dmy and the one direction d that every distortion
-coefficient moves g along (dg/dk_n = scale_n d, ``models._ray_derivatives``).
+coefficient moves g along (dg/dk_n = scale_n d).  Each family's branch of
+``models._unproject_cells`` builds these derivatives next to its ray g.
 A pass reads its cells component-major, as views of the arrays a fit holds.
 
 All linear stages share one kernel and never form normal equations: rows
@@ -73,7 +74,6 @@ from .models import (  # _QR_BLOCK: the kernel's block, under the name tests imp
     _blocks,
     _grid_blocks,
     _ray_angle,
-    _ray_derivatives,
     _unproject_cells,
     pixel_axes,
 )
@@ -539,7 +539,7 @@ def _arc_factor(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _contract(a: np.ndarray, v) -> np.ndarray:
     """sum_i a[..., i, :] * v[i] of a (..., 3, m) and a 3-vector v per cell,
-    whose components may be the constants 0.0 and 1.0 (``_ray_derivatives``)."""
+    whose components may be the constants 0.0 and 1.0 (``_RayCells.derivatives``)."""
     terms = [a[..., i, :] * vi if np.ndim(vi) else a[..., i, :] for i, vi in enumerate(v)
              if np.ndim(vi) or vi]
     acc = terms[0] + terms[1] if len(terms) > 1 else terms[0]
@@ -566,11 +566,12 @@ def _block_rows(
     b1, b2 the tangent basis of the block's own targets, has the gradient
     G_i = (w b_i - (b_i . q) h) / |g| with respect to g, where
     h = (w + c w') q - w' target.  G is built once, as (2, 3, m), and taken
-    against three ray derivatives: dg/dmx, dg/dmy and the direction d of
-    dg/dk_n = scale_n d (``_ray_derivatives``).  The intrinsics enter g only
-    through m = ((u - cx) / fx, (v - cy) / fy), so every column is one of the
-    three contractions times a per-cell or constant factor.  Invalid cells
-    have zero rows.
+    against three ray derivatives from the unprojection's ``derivatives``
+    (``models._RayCells``): dg/dmx, dg/dmy and the direction d of
+    dg/dk_n = scale_n d.  The intrinsics enter g only through
+    m = ((u - cx) / fx, (v - cy) / fy), so every column is one of the three
+    contractions times a per-cell or constant factor.  Invalid cells have
+    zero rows.
     """
     q, ok, ray = _unproject_cells(spec, pixels, x0)
     # component rows: views of the component-major rays and correspondences
@@ -595,7 +596,7 @@ def _block_rows(
         Gi -= (bq * inv) * h
     # freed before the block's peak: the ray derivatives and contractions
     del e1, e2, q, c, w, dw, b1, b2, b1q, b2q, inv, h, wn
-    dgx, dgy, d, scales = _ray_derivatives(spec, ray)
+    dgx, dgy, d, scales = ray.derivatives()
     jx, jy = _contract(G, dgx), _contract(G, dgy)
     jd = [] if d is None else [_contract(G, d)] * len(scales)
     sources = [jx, jy, jx, jy, *jd]

@@ -23,6 +23,10 @@ these radial/kb unprojections, the division projection and the LensFun
 undistortion in ``synth``, with one contract per cell: the root in a bracket
 [0, hi], or none (the bracket end first, then Newton, then bisection).
 
+Unprojection (``_unproject_cells``) has one branch per family, which holds
+the family's unnormalized ray g and, next to it, the derivatives of g that
+refinement's Jacobian takes (``_RayCells.derivatives``).
+
 Each family's image ends at one closed-form normalized radius,
 ``_domain_radius`` (Usenko et al., Double Sphere, 3DV 2018, tabulate these
 domains).  Only the ``_CLAMPED`` families, radial and eucm, clamp the focal
@@ -46,7 +50,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -244,20 +248,13 @@ def _grid_blocks(u: np.ndarray, v: np.ndarray) -> Iterator[tuple[slice, np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _even_poly(ks: tuple[float, ...], x2: np.ndarray) -> np.ndarray:
-    """1 + k_1 x^2 + k_2 x^4 + ... evaluated from x^2 (Horner)."""
-    acc = np.zeros_like(x2)
-    for k in reversed(ks):
-        acc = (acc + k) * x2
-    return 1.0 + acc
-
-
-def _even_poly_deriv(ks: tuple[float, ...], x2: np.ndarray) -> np.ndarray:
-    """d/dx2 of ``_even_poly``: sum_n n k_n x^(2n-2)."""
-    acc = np.zeros_like(x2)
+def _even_poly(ks: tuple[float, ...], x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p = 1 + k_1 x^2 + ... + k_N x^(2N) and dp/dx2 = k_1 + 2 k_2 x^2 + ...
+    + N k_N x^(2N-2), evaluated from x^2 in one Horner loop."""
+    acc = acc_p = np.zeros_like(x2)
     for n in range(len(ks), 0, -1):
-        acc = acc * x2 + n * ks[n - 1]
-    return acc
+        acc, acc_p = (acc + ks[n - 1]) * x2, acc_p * x2 + n * ks[n - 1]
+    return 1.0 + acc, acc_p
 
 
 def _odd_poly(ks: tuple[float, ...], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -393,17 +390,17 @@ def _division_forward_radius(
     else:
         hi = 2.0 * theta + 1.0
         for _ in range(200):
-            short = np.arctan2(hi, _even_poly(ks, hi * hi)) < theta
+            short = np.arctan2(hi, _even_poly(ks, hi * hi)[0]) < theta
             if not short.any():
                 break
             hi = np.where(short, 2.0 * hi, hi)
 
     def fun(r):
         r2 = r * r
-        psi = _even_poly(ks, r2)
+        psi, dpsi = _even_poly(ks, r2)
         # d/dr atan2(r, psi) = (psi - r psi') / (r^2 + psi^2), positive on the
         # monotone domain
-        gp = (psi - 2.0 * r2 * _even_poly_deriv(ks, r2)) / (r2 + psi * psi)
+        gp = (psi - 2.0 * r2 * dpsi) / (r2 + psi * psi)
         return np.arctan2(r, psi), gp
 
     r0 = np.clip(np.where(Z > 0.2, R / np.where(Z > 0.2, Z, 1.0), theta), 0.0, hi)
@@ -422,7 +419,7 @@ def _projection_scale(spec: CameraSpec, X, Y, Z) -> tuple[np.ndarray, np.ndarray
         safe_z = np.where(Z > 1e-12, Z, 1.0)
         scale = 1.0 / safe_z
         if fam is Family.BROWN_CONRADY:
-            scale = scale * _even_poly(spec.dist, (R / safe_z) ** 2)
+            scale = scale * _even_poly(spec.dist, (R / safe_z) ** 2)[0]
         ok = Z > 1e-12
     elif fam is Family.KANNALA_BRANDT:
         poly = _odd_poly(spec.dist, theta)[0]
@@ -518,11 +515,13 @@ class _RayCells(NamedTuple):
 
     mx: np.ndarray  # normalized coordinates ((u - cx) / fx, (v - cy) / fy)
     my: np.ndarray
-    r: np.ndarray  # hypot(mx, my)
     norm: np.ndarray  # |g| of the unnormalized ray g
-    sol: np.ndarray | None  # Newton solution: rho (radial), theta (kb)
-    s: np.ndarray | None  # rho (radial), sin(theta) (kb)
-    ds: np.ndarray | float | None  # ds/dsol: 1.0 (radial), cos(theta) (kb)
+    sol: np.ndarray | None  # Newton solution of radial/kb, the next solve's start
+    # () -> (dg/dmx, dg/dmy, d, scales): the distortion part of dg as one
+    # direction d and one scale per coefficient, dg/dk_n = scales[n - 1] * d.
+    # A vector is an (x, y, z) triple whose components are (n,) arrays or the
+    # constants 0.0 and 1.0; pinhole has no distortion part (d None)
+    derivatives: Callable[[], tuple[tuple, tuple, tuple | None, list]]
 
 
 def _unproject_cells(
@@ -532,7 +531,9 @@ def _unproject_cells(
     behind them.  The rays are held component-major: ``rays.T`` is a view
     whose component rows are contiguous.
 
-    ``x0`` is the start of the radial/kb Newton solve (``_odd_poly_solve``).
+    Each family's branch builds the unnormalized ray g and, next to it, the
+    ``derivatives`` of g (``_RayCells``), which refinement calls.  ``x0`` is
+    the start of the radial/kb Newton solve (``_odd_poly_solve``).
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     fam = spec.model.family
@@ -540,11 +541,14 @@ def _unproject_cells(
     my = (pixels[..., 1] - spec.cy) / spec.fy
     r = np.hypot(mx, my)
     valid = np.isfinite(r)
-    sol = s = ds = None
+    sol = None
 
     # g = (gx, gy, gz); a constant component stays a scalar
     if fam is Family.PINHOLE:
         g = (mx, my, 1.0)
+
+        def derivatives():
+            return (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), None, []
     elif fam in (Family.BROWN_CONRADY, Family.KANNALA_BRANDT):
         # g = (s mx / r, s my / r, gz) with s = rho, gz = 1 or s = sin, gz = cos
         kb = fam is Family.KANNALA_BRANDT
@@ -553,24 +557,78 @@ def _unproject_cells(
         s, ds = (np.sin(sol), np.cos(sol)) if kb else (sol, 1.0)
         sc = np.where(r > 1e-12, s / np.where(r > 1e-12, r, 1.0), 1.0)
         g = (sc * mx, sc * my, ds)
+
+        def derivatives():
+            # sol solves sol + sum k_n sol^(2n+1) = r, so dsol/dr = 1/h' and
+            # dsol/dk_n = -sol^(2n+1)/h'; ds/dsol = gz, so dg/dsol is
+            # (ds mx / r, ds my / r, -s or 0)
+            hp = _odd_poly(spec.dist, sol)[1]
+            hp = np.where(np.abs(hp) > 1e-12, hp, 1e-12)
+            tiny = r < 1e-9
+            inv_r = np.where(tiny, 0.0, 1.0 / np.where(tiny, 1.0, r))
+            u = np.where(tiny, 1.0, s * inv_r)
+            a = (ds / hp - u) * inv_r * inv_r  # (du/dr) / r
+            if kb:
+                dz = -s / hp * inv_r  # (dgz/dr) / r
+                dzx, dzy = dz * mx, dz * my
+            else:
+                dzx = dzy = 0.0  # radial gz = 1
+            axy = a * mx * my
+            scales, sol2, power = [], sol * sol, sol  # power = sol^(2n+1) by running products
+            for _ in range(spec.model.num_dist):
+                power = power * sol2
+                scales.append(-power / hp)
+            ds_r = ds * inv_r
+            return ((u + a * mx * mx, axy, dzx), (axy, u + a * my * my, dzy),
+                    (ds_r * mx, ds_r * my, -s if kb else 0.0), scales)
     elif fam is Family.UCM:
         xi = spec.dist[0]
         r2 = r * r
         arg = 1.0 + (1.0 - xi * xi) * r2
         valid &= arg >= 0.0
-        s = (xi + np.sqrt(np.maximum(arg, 0.0))) / (1.0 + r2)
+        root = np.sqrt(np.maximum(arg, 0.0))
+        s = (xi + root) / (1.0 + r2)
         g = (s * mx, s * my, s - xi)
+
+        def derivatives():
+            t = np.maximum(root, 1e-6)  # sqrt(max(arg, 1e-12)): the derivatives divide by it
+            s = (xi + t) / (1.0 + r2)
+            ds_dr2 = ((1.0 - xi * xi) / (2.0 * t) * (1.0 + r2) - (xi + t)) / (1.0 + r2) ** 2
+            ds_dxi = (1.0 - xi * r2 / t) / (1.0 + r2)
+            sx, sy = 2.0 * mx * ds_dr2, 2.0 * my * ds_dr2
+            return ((s + mx * sx, my * sx, sx), (mx * sy, s + my * sy, sy),
+                    (mx * ds_dxi, my * ds_dxi, ds_dxi - 1.0), [1.0])
     elif fam is Family.EUCM:
         alpha, beta = spec.dist
         r2 = r * r
         arg = 1.0 - (2.0 * alpha - 1.0) * beta * r2
         valid &= arg >= 0.0
-        den = alpha * np.sqrt(np.maximum(arg, 0.0)) + (1.0 - alpha)
+        root = np.sqrt(np.maximum(arg, 0.0))
+        den = alpha * root + (1.0 - alpha)
         valid &= den > 1e-12
         g = (mx, my, (1.0 - beta * alpha * alpha * r2) / np.where(den > 1e-12, den, 1.0))
+
+        def derivatives():
+            # only gz moves: d = e_z
+            t = np.maximum(root, 1e-6)  # sqrt(max(arg, 1e-12)): the derivatives divide by it
+            den = alpha * t + (1.0 - alpha)
+            mz = (1.0 - beta * alpha * alpha * r2) / den
+            dt = -(2.0 * alpha - 1.0) / (2.0 * t)  # dt/dr2 = beta dt, dt/dbeta = r2 dt
+            dz_dr2 = (-beta * alpha * alpha - mz * alpha * beta * dt) / den
+            dmz_da = (-2.0 * alpha * beta * r2 - mz * (t - beta * alpha * r2 / t - 1.0)) / den
+            dmz_db = (-alpha * alpha * r2 - mz * alpha * r2 * dt) / den
+            return ((1.0, 0.0, 2.0 * mx * dz_dr2), (0.0, 1.0, 2.0 * my * dz_dr2),
+                    (0.0, 0.0, 1.0), [dmz_da, dmz_db])
     elif fam is Family.DIVISION:
         valid &= r <= _division_fold_radius(spec.dist)
-        g = (mx, my, _even_poly(spec.dist, r * r))
+        r2 = r * r
+        psi, dpsi = _even_poly(spec.dist, r2)
+        g = (mx, my, psi)
+
+        def derivatives():
+            # only gz = psi moves: d = e_z, dpsi/dk_n = r^(2n)
+            return ((1.0, 0.0, 2.0 * mx * dpsi), (0.0, 1.0, 2.0 * my * dpsi), (0.0, 0.0, 1.0),
+                    [r2**n for n in range(1, spec.model.num_dist + 1)])
     else:
         raise UnsupportedFamily(f"no unprojection for family {fam!r}")
 
@@ -581,74 +639,7 @@ def _unproject_cells(
     rays = np.empty((3,) + mx.shape)
     for i in range(3):
         np.divide(g[i], safe, out=rays[i, ...])
-    return np.moveaxis(rays, 0, -1), valid, _RayCells(mx, my, r, norm, sol, s, ds)
-
-
-def _ray_derivatives(
-    spec: CameraSpec, cells: _RayCells
-) -> tuple[tuple, tuple, tuple | None, list]:
-    """dg/dmx and dg/dmy of the unnormalized ray g of ``_unproject_cells``,
-    and its distortion part as one direction d and one scale per coefficient:
-    dg/dk_n = scales[n - 1] * d, so the coefficients share one direction.  A
-    vector is an (x, y, z) triple whose components are (n,) arrays or the
-    constants 0.0 and 1.0; pinhole has no distortion part (d None)."""
-    fam = spec.model.family
-    mx, my, r = cells.mx, cells.my, cells.r
-    if fam is Family.PINHOLE:
-        return (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), None, []
-    if fam in (Family.BROWN_CONRADY, Family.KANNALA_BRANDT):
-        # sol solves sol + sum k_n sol^(2n+1) = r (rho for radial, theta for
-        # kb), so dsol/dr = 1/h' and dsol/dk_n = -sol^(2n+1)/h'.  g is
-        # (s mx / r, s my / r, gz) with s = rho, gz = 1 or s = sin, gz = cos,
-        # and ds/dsol = gz, so dg/dsol = (ds mx / r, ds my / r, -s or 0)
-        kb = fam is Family.KANNALA_BRANDT
-        sol, s, ds = cells.sol, cells.s, cells.ds
-        hp = _odd_poly(spec.dist, sol)[1]
-        hp = np.where(np.abs(hp) > 1e-12, hp, 1e-12)
-        tiny = r < 1e-9
-        inv_r = np.where(tiny, 0.0, 1.0 / np.where(tiny, 1.0, r))
-        u = np.where(tiny, 1.0, s * inv_r)
-        a = (ds / hp - u) * inv_r * inv_r  # (du/dr) / r
-        if kb:
-            dz = -s / hp * inv_r  # (dgz/dr) / r
-            dzx, dzy = dz * mx, dz * my
-        else:
-            dzx = dzy = 0.0  # radial gz = 1
-        axy = a * mx * my
-        scales, sol2, power = [], sol * sol, sol  # power = sol^(2n+1) by running products
-        for _ in range(spec.model.num_dist):
-            power = power * sol2
-            scales.append(-power / hp)
-        ds_r = ds * inv_r
-        return ((u + a * mx * mx, axy, dzx), (axy, u + a * my * my, dzy),
-                (ds_r * mx, ds_r * my, -s if kb else 0.0), scales)
-    r2 = r * r
-    if fam is Family.UCM:
-        xi = spec.dist[0]
-        t = np.sqrt(np.maximum(1.0 + (1.0 - xi * xi) * r2, 1e-12))
-        s = (xi + t) / (1.0 + r2)
-        ds_dr2 = ((1.0 - xi * xi) / (2.0 * t) * (1.0 + r2) - (xi + t)) / (1.0 + r2) ** 2
-        ds_dxi = (1.0 - xi * r2 / t) / (1.0 + r2)
-        sx, sy = 2.0 * mx * ds_dr2, 2.0 * my * ds_dr2
-        return ((s + mx * sx, my * sx, sx), (mx * sy, s + my * sy, sy),
-                (mx * ds_dxi, my * ds_dxi, ds_dxi - 1.0), [1.0])
-    # eucm and division move only gz: d = e_z
-    if fam is Family.EUCM:
-        alpha, beta = spec.dist
-        t = np.sqrt(np.maximum(1.0 - (2.0 * alpha - 1.0) * beta * r2, 1e-12))
-        den = alpha * t + (1.0 - alpha)
-        mz = (1.0 - beta * alpha * alpha * r2) / den
-        dt = -(2.0 * alpha - 1.0) / (2.0 * t)  # dt/dr2 = beta dt, dt/dbeta = r2 dt
-        dz_dr2 = (-beta * alpha * alpha - mz * alpha * beta * dt) / den
-        dmz_da = (-2.0 * alpha * beta * r2 - mz * (t - beta * alpha * r2 / t - 1.0)) / den
-        dmz_db = (-alpha * alpha * r2 - mz * alpha * r2 * dt) / den
-        scales = [dmz_da, dmz_db]
-    elif fam is Family.DIVISION:
-        dz_dr2 = _even_poly_deriv(spec.dist, r2)
-        scales = [r2**n for n in range(1, spec.model.num_dist + 1)]
-    else:
-        raise UnsupportedFamily(f"no ray derivatives for family {fam!r}")
-    return (1.0, 0.0, 2.0 * mx * dz_dr2), (0.0, 1.0, 2.0 * my * dz_dr2), (0.0, 0.0, 1.0), scales
+    return np.moveaxis(rays, 0, -1), valid, _RayCells(mx, my, norm, sol, derivatives)
 
 
 def _ray_angle(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -83,7 +83,7 @@ def stacked_unproject(spec: rc.CameraSpec, pixels: np.ndarray):
         g = np.stack([mx, my, mz], axis=-1)
     else:
         valid &= r <= _division_fold_radius(spec.dist)
-        g = np.stack([mx, my, _even_poly(spec.dist, r * r)], axis=-1)
+        g = np.stack([mx, my, _even_poly(spec.dist, r * r)[0]], axis=-1)
     norm = np.linalg.norm(g, axis=-1, keepdims=True)
     valid &= norm[..., 0] > 1e-12
     rays = g / np.where(norm > 1e-12, norm, 1.0)
