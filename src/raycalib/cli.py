@@ -38,7 +38,7 @@ from .errors import CalibError, DimensionMismatch, EmptyInput, FovOutOfRange, Un
 from .fileio import dump_json, read_field, read_spec, write_field, write_json, write_spec
 from .fit import calibrate, calibrate_ransac, convert_model
 from .fov import FovField, field_from_spec, log_map
-from .metrics import angular_error, auc, evaluate
+from .metrics import EvalReport, angular_error, auc, evaluate
 from .models import (
     CameraSpec,
     _grid_blocks,
@@ -213,31 +213,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     per_image = {name: scored[name].to_dict() for name in names}
-    hfov_errs = [scored[n].hfov_err for n in names]
-    vfov_errs = [scored[n].vfov_err for n in names]
-    medians = {
-        "ae_mean_deg": float(np.median([scored[n].ae_mean for n in names])),
-        "re_mean_px": float(np.median([scored[n].re_mean for n in names])),
-        "hfov_err_deg": float(np.median(hfov_errs)),
-        "vfov_err_deg": float(np.median(vfov_errs)),
-    }
-    if args.edited:
-        medians["ef"] = float(np.median([scored[n].ef for n in names]))
-        medians["ec"] = float(np.median([scored[n].ec for n in names]))
+    columns = {key: [per_image[n][key] for n in names] for key in EvalReport.KEYS}
+    # ef and ec measure an edit, so only an edited set reports their medians
+    median_keys = EvalReport.KEYS if args.edited else EvalReport.KEYS[:4]
     report = {
         "n_pairs": len(names),
         "missing": missing,
         "failed": {n: {"kind": _error_kind(exc), "message": str(exc)} for n, exc in failed.items()},
-        "medians": medians,
+        "medians": {key: float(np.median(columns[key])) for key in median_keys},
         "auc": {
-            "hfov": dict(zip(("1", "5", "10"), auc(hfov_errs))),
-            "vfov": dict(zip(("1", "5", "10"), auc(vfov_errs))),
+            "hfov": dict(zip(("1", "5", "10"), auc(columns["hfov_err_deg"]))),
+            "vfov": dict(zip(("1", "5", "10"), auc(columns["vfov_err_deg"]))),
         },
         "per_image": per_image,
     }
     write_json(out / "report.json", report)
-    csv_lines = ["name," + scored[names[0]].CSV_HEADER]
-    csv_lines += [f"{n},{scored[n].to_csv_row()}" for n in names]
+    csv_lines = [",".join(("name", *EvalReport.KEYS))]
+    csv_lines += [",".join((n, *(repr(per_image[n][key]) for key in EvalReport.KEYS)))
+                  for n in names]
     (out / "report.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
     config = {
         "est_dir": str(args.est_dir),

@@ -44,7 +44,7 @@ coefficient moves g along (dg/dk_n = scale_n d).  Each family's branch of
 A pass reads its cells component-major, as views of the arrays a fit holds.
 
 All linear stages share one kernel and never form normal equations: rows
-are built block by block (``_QR_BLOCK`` cells) as F-ordered arrays, each
+are built block by block (``_BLOCK`` cells) as F-ordered arrays, each
 block is reduced to the triangular factor of [A | b] and the stacked factors
 once more, a tall-skinny QR (Demmel et al., SIAM J. Sci. Comput. 2012);
 refinement hands the e1 rows and the e2 rows of a block over as two leaves,
@@ -66,8 +66,8 @@ from .errors import (
     BoundInfeasible, DegenerateGeometry, InvalidFocal, NoConsensus, UnsupportedFamily
 )
 from .fov import FovField, exp_map
-from .models import (  # _QR_BLOCK: the kernel's block, under the name tests import
-    _BLOCK as _QR_BLOCK,
+from .models import (
+    _BLOCK,
     CameraSpec,
     Family,
     ModelId,
@@ -276,8 +276,6 @@ def _ppoint_rows(pixels: np.ndarray, rays: np.ndarray) -> np.ndarray:
 
 def _fit_ppoint_full(corrs: Correspondences) -> tuple[float, float, float, float]:
     R, m = _row_qr(corrs, _ppoint_rows, 4)
-    if m < 3:
-        raise DegenerateGeometry("need at least 3 off-axis correspondences")
     a, a_cx, cy = _solve(R, m, "principal point / aspect solve")
     if a <= 0:
         raise DegenerateGeometry(f"recovered nonpositive aspect ratio {a:.6g}")
@@ -645,7 +643,7 @@ def _pass(
     n, k = len(corrs), len(free_idx)
     sol = np.empty(n) if spec.model.family in _INVERSE_FOCAL else None
     total, valid = 0.0, 0  # squared residuals and valid cells so far
-    buffer = np.empty((2, k + 1, min(n, _QR_BLOCK)))
+    buffer = np.empty((2, k + 1, min(n, _BLOCK)))
 
     def rows() -> Iterator[np.ndarray]:
         nonlocal total, valid

@@ -46,25 +46,14 @@ class EvalReport:
     dropped_ae: int = 0
     dropped_re: int = 0
 
+    # the error keys of ``to_dict``, in the order of report.json's medians
+    # and report.csv's columns
+    KEYS = ("ae_mean_deg", "re_mean_px", "hfov_err_deg", "vfov_err_deg", "ef", "ec")
+
     def to_dict(self) -> dict:
-        return {
-            "ae_mean_deg": self.ae_mean,
-            "re_mean_px": self.re_mean,
-            "hfov_err_deg": self.hfov_err,
-            "vfov_err_deg": self.vfov_err,
-            "ef": self.ef,
-            "ec": self.ec,
-            "dropped_ae": self.dropped_ae,
-            "dropped_re": self.dropped_re,
-        }
-
-    CSV_HEADER = "ae_mean_deg,re_mean_px,hfov_err_deg,vfov_err_deg,ef,ec"
-
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.ae_mean!r},{self.re_mean!r},{self.hfov_err!r},"
-            f"{self.vfov_err!r},{self.ef!r},{self.ec!r}"
-        )
+        errors = (self.ae_mean, self.re_mean, self.hfov_err, self.vfov_err, self.ef, self.ec)
+        return {**dict(zip(self.KEYS, errors)),
+                "dropped_ae": self.dropped_ae, "dropped_re": self.dropped_re}
 
 
 def _check_same_size(gt: CameraSpec, est: CameraSpec) -> None:

@@ -258,6 +258,29 @@ class TestEvalCommand:
         a = report["auc"]["vfov"]
         assert a["1"] <= a["5"] <= a["10"]
 
+    def test_csv_rows_hold_the_json_values(self, tmp_path):
+        # report.csv has one row per per_image entry, in its order, whose
+        # values read back as the report.json values bit for bit
+        gt = tmp_path / "gt"
+        run("synth", "--kind", "opp", "--n", "4", "--size", "48", "--seed", "8", "-o", str(gt))
+        est = tmp_path / "est" / "specs"
+        est.mkdir(parents=True)
+        rng = np.random.default_rng(1)
+        for i in range(4):
+            spec = read_spec(gt / "specs" / f"{i:04d}.json")
+            write_spec(est / f"{i:04d}.json",
+                       spec.replace(fx=spec.fx * rng.uniform(1.01, 1.3), cy=spec.cy + 0.5))
+        rep = tmp_path / "rep"
+        assert run("eval", str(tmp_path / "est"), str(gt), "-o", str(rep), "--stride", "8") == 0
+        per_image = json.loads((rep / "report.json").read_text())["per_image"]
+        header, *rows = [line.split(",") for line in (rep / "report.csv").read_text().splitlines()]
+        keys = ["ae_mean_deg", "re_mean_px", "hfov_err_deg", "vfov_err_deg", "ef", "ec"]
+        assert header == ["name", *keys]
+        assert [row[0] for row in rows] == list(per_image) == ["0000", "0001", "0002", "0003"]
+        for name, *values in rows:
+            assert [float(v) for v in values] == [per_image[name][k] for k in keys]
+            assert all(per_image[name][k] > 0.0 for k in ("ae_mean_deg", "ef", "ec"))
+
     def test_edited_medians_present_with_flag(self, tmp_path):
         ds = tmp_path / "ds"
         run("synth", "--kind", "opp", "--n", "2", "--size", "48", "--seed", "3", "-o", str(ds))

@@ -11,7 +11,6 @@ import pytest
 
 import raycalib as rc
 from raycalib.fit import (
-    _QR_BLOCK,
     _arc_factor,
     _eucm_dist,
     _family_rows,
@@ -24,6 +23,7 @@ from raycalib.fit import (
     _solve,
     residual_jacobian,
 )
+from raycalib.models import _BLOCK
 
 from conftest import (
     ALL_MODEL_STRINGS,
@@ -92,7 +92,7 @@ class TestFitPpointAspect:
             np.array([[10.0, 10.0], [20.0, 20.0], [15.0, 15.0]]),
             np.array([[0.0, 0.0, 1.0], [0.1, 0.0, 0.995], [0.0, 0.1, 0.995]]),
         )
-        with pytest.raises(rc.DegenerateGeometry):
+        with pytest.raises(rc.DegenerateGeometry, match="2 rows cannot determine 3 unknowns"):
             rc.fit_ppoint_aspect(corrs)
 
     def test_rays_in_the_xz_plane_leave_a_zero_column(self):
@@ -164,7 +164,7 @@ class TestBlockedKernel:
         theta[88, 88] = 0.0
         theta[3, 5] = theta[100, 17] = theta[175, 175] = np.nan
         corrs = rc.Correspondences.from_field(rc.FovField(theta=theta))
-        assert len(corrs) == 176 * 176 - 3 and len(corrs) > 3 * _QR_BLOCK
+        assert len(corrs) == 176 * 176 - 3 and len(corrs) > 3 * _BLOCK
         assert np.count_nonzero(corrs.rays[:, 2] <= 0.0) > 0
         return corrs
 
@@ -497,7 +497,7 @@ class TestJacobians:
         pspec = spec.replace(fx=spec.fx * 1.02, cy=spec.cy - 0.7, dist=(spec.dist[0], -0.3))
         free = np.arange(4 + spec.model.num_dist)
         cost, valid, R, _ = _pass(pspec, corrs, free)
-        assert len(corrs) > 2 * _QR_BLOCK and 0 < valid < len(corrs)
+        assert len(corrs) > 2 * _BLOCK and 0 < valid < len(corrs)
         step = _solve(R, 2 * len(corrs), "step")
         J, e = residual_jacobian(pspec, corrs.pixels, corrs.rays)
         assert cost == pytest.approx(np.sum(e * e) / valid, rel=1e-12)
@@ -521,7 +521,7 @@ class TestJacobians:
                              dist=tuple(1.01 * k for k in spec.dist))
         k = 4 + spec.model.num_dist
         _, valid, R, _ = _pass(pspec, corrs, np.arange(k))
-        assert len(corrs) > 3 * _QR_BLOCK and valid > 0
+        assert len(corrs) > 3 * _BLOCK and valid > 0
         J, e = residual_jacobian(pspec, corrs.pixels, corrs.rays)
         J, e = J.reshape(-1, k), e.reshape(-1)
         dense = np.linalg.qr(np.column_stack([J, -e]), mode="r")
