@@ -37,20 +37,12 @@ from . import __version__
 from .errors import CalibError, DimensionMismatch, EmptyInput, FovOutOfRange, UnsupportedFamily
 from .fileio import dump_json, read_field, read_spec, write_field, write_json, write_spec
 from .fit import calibrate, calibrate_ransac, convert_model
-from .fov import FovField, field_from_spec, log_map
+from .fov import FovField, _log_grid, field_from_spec
 from .metrics import EvalReport, angular_error, auc, evaluate
-from .models import (
-    CameraSpec,
-    _grid_blocks,
-    _unproject_cells,
-    parse_model,
-    pixel_axes,
-    validate_spec,
-)
+from .models import CameraSpec, parse_model, validate_spec
 from .synth import (
     DatasetKind,
     IntrinsicsSampler,
-    SamplerConfig,
     add_noise,
     lensfun_to_eucm,
     load_lensfun_entry,
@@ -125,8 +117,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.n < 1 or not 0 <= args.noise_deg < np.inf:  # NaN fails too
         raise ValueError(f"need --n >= 1 and finite --noise-deg >= 0: {args.n}, {args.noise_deg}")
     out = Path(args.output)
-    cfg = SamplerConfig(kind=DatasetKind(args.kind), size=args.size, seed=args.seed)
-    sampler = IntrinsicsSampler(cfg)
+    sampler = IntrinsicsSampler(DatasetKind(args.kind), args.size, args.seed)
 
     specs = []
     for _ in range(args.n):
@@ -164,15 +155,8 @@ def _spec_files(root: Path) -> dict[str, Path]:
 
 def _theta_difference(gt: CameraSpec, est: CameraSpec, stride: int) -> FovField:
     """gt minus est tangent vectors at the pixel centers, NaN at every cell
-    that either camera cannot unproject; filled block by block."""
-    u, v = pixel_axes(gt.width, gt.height, stride)
-    diff = np.full((len(v) * len(u), 2), np.nan)
-    for sl, px in _grid_blocks(u, v):
-        p, ok_gt = _unproject_cells(gt, px)[:2]
-        q, ok_est = _unproject_cells(est, px)[:2]
-        ok = ok_gt & ok_est
-        diff[sl][ok] = log_map(np.compress(ok, p, axis=0)) - log_map(np.compress(ok, q, axis=0))
-    return FovField(theta=diff.reshape(len(v), len(u), 2), stride=stride)
+    that either camera cannot unproject."""
+    return FovField(theta=_log_grid(gt, stride)[0] - _log_grid(est, stride)[0], stride=stride)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

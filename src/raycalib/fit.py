@@ -30,9 +30,9 @@ unknowns:
    halved up to four times if the cost would increase, so the recorded
    per-iteration costs never increase; a step rejected at every length
    leaves the intrinsics unchanged, so the refinement stops there too,
-   exactly where further iterations would repeat it.  The radial/kb Newton
-   solves of a trial pass start from the accepted pass's solution, the only
-   per-cell state kept between passes.
+   exactly where further iterations would repeat it.  A pass keeps no
+   per-cell state: it depends on the intrinsics, the correspondences and
+   the free parameters alone.
 
 One row writer (``_block_rows``) fills a block's rows [J | -e] for
 refinement and ``residual_jacobian``: it unprojects the block, forms the
@@ -50,8 +50,8 @@ once more, a tall-skinny QR (Demmel et al., SIAM J. Sci. Comput. 2012);
 refinement hands the e1 rows and the e2 rows of a block over as two leaves,
 which factor faster than the block at once.  ``_solve`` then takes the
 unknowns from R with lstsq's column equilibration, SVD and rank rule.
-Bound re-solves work on columns of R.  Beyond the correspondences and the
-radial/kb Newton solutions, a fit so holds one block of rows at a time.
+Bound re-solves work on columns of R.  Beyond the correspondences, a fit so
+holds one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ _GN_ITERATIONS = 5
 _GN_MAX_HALVINGS = 4
 _EPS_XY = 1e-9  # rows with |X| and |Y| both below this are dropped
 _EPS_Z = 1e-6  # pinhole / radial rows require Z above this
-# families whose linear rows solve for 1/f and whose unprojection is a Newton solve
+# families whose linear rows solve for 1/f
 _INVERSE_FOCAL = (Family.BROWN_CONRADY, Family.KANNALA_BRANDT)
 
 
@@ -552,13 +552,11 @@ def _block_rows(
     targets: np.ndarray,
     free_idx: np.ndarray,
     out: np.ndarray,
-    x0: np.ndarray | None = None,
-) -> tuple[float, int, np.ndarray | None]:
+) -> tuple[float, int]:
     """Write the rows [J_free | -e] of some cells (targets (m, 3)) into out, a
     (k + 1, 2, m) view: the column pair of d(e1, e2)/d(fx, fy, cx, cy,
     *dist)[free_idx[i]] into out[i] and -(e1, e2) into out[k].  Returns the
-    sum of squared residuals, the count of valid cells and the radial/kb
-    Newton solution (None for the other families), which ``x0`` starts.
+    sum of squared residuals and the count of valid cells.
 
     The residual e_i = w(c) (b_i . q) of q = g / |g| and c = target . q, with
     b1, b2 the tangent basis of the block's own targets, has the gradient
@@ -571,7 +569,7 @@ def _block_rows(
     contractions times a per-cell or constant factor.  Invalid cells have
     zero rows.
     """
-    q, ok, ray = _unproject_cells(spec, pixels, x0)
+    q, ok, ray = _unproject_cells(spec, pixels)
     # component rows: views of the component-major rays and correspondences
     q, t = q.T, targets.T
     c = _contract(t, q)
@@ -604,7 +602,7 @@ def _block_rows(
         np.multiply(sources[j], factors[j], out=col)
     if not ok.all():
         out[:k, :, ~ok] = 0.0
-    return sq, int(np.count_nonzero(ok)), ray.sol
+    return sq, int(np.count_nonzero(ok))
 
 
 def residual_jacobian(
@@ -626,22 +624,18 @@ def residual_jacobian(
 
 
 def _pass(
-    spec: CameraSpec,
-    corrs: Correspondences,
-    free_idx: np.ndarray,
-    x0: np.ndarray | None = None,
-) -> tuple[float, int, np.ndarray, np.ndarray | None]:
+    spec: CameraSpec, corrs: Correspondences, free_idx: np.ndarray
+) -> tuple[float, int, np.ndarray]:
     """One residual pass of refinement, block by block.
 
     Returns the mean squared tangent residual over the valid cells (inf if
-    none), their count, the factor R of [J_free | -e] and the Newton solution
-    of radial/kb (None for the other families), which ``x0`` passes back as
-    the next pass's start.  ``_block_rows`` writes each block's rows into one
-    buffer of the pass, whose e1 half and e2 half are two column-major leaves
-    of ``_tsqr``; each leaf is factored before the next block overwrites it.
+    none), their count and the factor R of [J_free | -e].  ``_block_rows``
+    writes each block's rows into one buffer of the pass, whose e1 half and
+    e2 half are two column-major leaves of ``_tsqr``; each leaf is factored
+    before the next block overwrites it, so the pass allocates nothing per
+    cell beyond that buffer.
     """
     n, k = len(corrs), len(free_idx)
-    sol = np.empty(n) if spec.model.family in _INVERSE_FOCAL else None
     total, valid = 0.0, 0  # squared residuals and valid cells so far
     buffer = np.empty((2, k + 1, min(n, _BLOCK)))
 
@@ -651,19 +645,16 @@ def _pass(
             # halves[i].T is the leaf of e_i; its transpose (1, 0, 2) holds
             # column j of both halves at [j], (2, m)
             halves = buffer[:, :, : sl.stop - sl.start]
-            sq, block_valid, block_sol = _block_rows(
-                spec, corrs.pixels[sl], corrs.rays[sl], free_idx, halves.transpose(1, 0, 2),
-                None if x0 is None else x0[sl])
+            sq, block_valid = _block_rows(
+                spec, corrs.pixels[sl], corrs.rays[sl], free_idx, halves.transpose(1, 0, 2))
             total += sq
             valid += block_valid
-            if sol is not None:
-                sol[sl] = block_sol
             yield halves[0].T
             yield halves[1].T
 
     R, _ = _tsqr(rows(), k + 1)
     cost = total / valid if valid else math.inf
-    return cost, valid, R, sol
+    return cost, valid, R
 
 
 def refine(
@@ -685,7 +676,7 @@ def refine(
     free_idx = np.arange(len(kappa)) if free is None else np.asarray(free, dtype=int)
     k = len(free_idx)
 
-    cost, valid, R, sol = _pass(spec0, corrs, free_idx)
+    cost, valid, R = _pass(spec0, corrs, free_idx)
     costs = [cost]
     warning = None
 
@@ -708,9 +699,9 @@ def refine(
             cand[free_idx] += step * delta
             cand = _clamp_params(spec0.model, cand)
             if cand[0] > 0.0 and cand[1] > 0.0:
-                trial = _pass(_spec_of(spec0, cand), corrs, free_idx, sol)
+                trial = _pass(_spec_of(spec0, cand), corrs, free_idx)
                 if trial[0] <= cost:
-                    kappa, (cost, valid, R, sol) = cand, trial
+                    kappa, (cost, valid, R) = cand, trial
                     break
             step *= 0.5
         else:

@@ -126,28 +126,37 @@ class FovField:
         return pixel_centers(self.width, self.height, self.stride)
 
 
-def field_from_spec(spec: CameraSpec, stride: int = 1) -> FovField:
-    """Ground-truth FoV field of a camera, sampled at pixel centers.
-
-    With ``stride`` > 1 every block of stride x stride pixels contributes one
-    cell at its center, so the grid covers the same image extent at a coarser
-    pitch.  The grid is unprojected and log-mapped block by block
-    (``_grid_blocks``) into the field.
-
-    Raises:
-        ValueError: if ``stride`` is below 1.
-        NonInvertiblePixel: if any sampled pixel cannot be unprojected.
-    """
+def _log_grid(spec: CameraSpec, stride: int) -> tuple[np.ndarray, int]:
+    """The (h, w, 2) tangent vectors of a camera's pixel-center grid (NaN at
+    every cell it cannot unproject) and the count of those cells, unprojected
+    and log-mapped block by block (``_grid_blocks``)."""
     u, v = pixel_axes(spec.width, spec.height, stride)
-    theta = np.empty((len(v) * len(u), 2))
+    theta = np.full((len(v) * len(u), 2), np.nan)
     n_bad = 0
     for sl, px in _grid_blocks(u, v):
         # the per-cell state goes at once, not held while the block is log-mapped
         rays, ok = _unproject_cells(spec, px)[:2]
         n_bad += ok.size - int(np.count_nonzero(ok))
-        if not n_bad:  # past a bad cell only the count is wanted
+        if ok.all():  # a masked copy costs as much as the log map itself
             theta[sl] = log_map(rays)
+        else:
+            theta[sl][ok] = log_map(np.compress(ok, rays, axis=0))
+    return theta.reshape(len(v), len(u), 2), n_bad
+
+
+def field_from_spec(spec: CameraSpec, stride: int = 1) -> FovField:
+    """Ground-truth FoV field of a camera, sampled at pixel centers
+    (``_log_grid``).
+
+    With ``stride`` > 1 every block of stride x stride pixels contributes one
+    cell at its center, so the grid covers the same image extent at a coarser
+    pitch.
+
+    Raises:
+        ValueError: if ``stride`` is below 1.
+        NonInvertiblePixel: if any sampled pixel cannot be unprojected.
+    """
+    theta, n_bad = _log_grid(spec, stride)
     if n_bad:
         raise NonInvertiblePixel(f"{n_bad} grid pixels not invertible for {spec.model}")
-    return FovField(theta=theta.reshape(len(v), len(u), 2), stride=stride)
-
+    return FovField(theta=theta, stride=stride)

@@ -494,20 +494,19 @@ def project(spec: CameraSpec, rays: np.ndarray) -> np.ndarray:
 
 
 def _odd_poly_solve(
-    dist: tuple[float, ...], r: np.ndarray, cap: float, x0: np.ndarray | None = None
+    dist: tuple[float, ...], r: np.ndarray, cap: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve x + sum k_n x^(2n+1) = r on [0, hi = min(fold, cap)]: the
     undistorted rho for radial (cap 1e9), the polar angle theta for kb (cap
     ``_KB_THETA_CAP``).
 
     A cell past the domain end, r > h(hi), has no root; at r = h(hi) it takes
-    x = hi with no Newton step.  Newton starts from ``x0`` (default r), clipped
-    into [0, 0.999 hi]; a nearby solution, such as that of the same pixels
-    under nearly the same coefficients, saves iterations.  Returns (x, has_root).
+    x = hi with no Newton step.  Newton starts from r, clipped into
+    [0, 0.999 hi], so a cell's solution depends on its radius and the
+    coefficients alone.  Returns (x, has_root).
     """
     hi = min(_stationary_radius(dist), cap)
-    x0 = np.clip(r if x0 is None else x0, 0.0, 0.999 * hi)
-    return _newton(lambda x: _odd_poly(dist, x), r, x0, hi)
+    return _newton(lambda x: _odd_poly(dist, x), r, np.clip(r, 0.0, 0.999 * hi), hi)
 
 
 class _RayCells(NamedTuple):
@@ -516,7 +515,6 @@ class _RayCells(NamedTuple):
     mx: np.ndarray  # normalized coordinates ((u - cx) / fx, (v - cy) / fy)
     my: np.ndarray
     norm: np.ndarray  # |g| of the unnormalized ray g
-    sol: np.ndarray | None  # Newton solution of radial/kb, the next solve's start
     # () -> (dg/dmx, dg/dmy, d, scales): the distortion part of dg as one
     # direction d and one scale per coefficient, dg/dk_n = scales[n - 1] * d.
     # A vector is an (x, y, z) triple whose components are (n,) arrays or the
@@ -525,15 +523,14 @@ class _RayCells(NamedTuple):
 
 
 def _unproject_cells(
-    spec: CameraSpec, pixels: np.ndarray, x0: np.ndarray | None = None
+    spec: CameraSpec, pixels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, _RayCells]:
     """Unit rays (..., 3), their validity mask and the per-cell quantities
     behind them.  The rays are held component-major: ``rays.T`` is a view
     whose component rows are contiguous.
 
     Each family's branch builds the unnormalized ray g and, next to it, the
-    ``derivatives`` of g (``_RayCells``), which refinement calls.  ``x0`` is
-    the start of the radial/kb Newton solve (``_odd_poly_solve``).
+    ``derivatives`` of g (``_RayCells``), which refinement calls.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     fam = spec.model.family
@@ -541,7 +538,6 @@ def _unproject_cells(
     my = (pixels[..., 1] - spec.cy) / spec.fy
     r = np.hypot(mx, my)
     valid = np.isfinite(r)
-    sol = None
 
     # g = (gx, gy, gz); a constant component stays a scalar
     if fam is Family.PINHOLE:
@@ -552,7 +548,7 @@ def _unproject_cells(
     elif fam in (Family.BROWN_CONRADY, Family.KANNALA_BRANDT):
         # g = (s mx / r, s my / r, gz) with s = rho, gz = 1 or s = sin, gz = cos
         kb = fam is Family.KANNALA_BRANDT
-        sol, done = _odd_poly_solve(spec.dist, r, _KB_THETA_CAP if kb else 1e9, x0)
+        sol, done = _odd_poly_solve(spec.dist, r, _KB_THETA_CAP if kb else 1e9)
         valid &= done
         s, ds = (np.sin(sol), np.cos(sol)) if kb else (sol, 1.0)
         sc = np.where(r > 1e-12, s / np.where(r > 1e-12, r, 1.0), 1.0)
@@ -639,7 +635,7 @@ def _unproject_cells(
     rays = np.empty((3,) + mx.shape)
     for i in range(3):
         np.divide(g[i], safe, out=rays[i, ...])
-    return np.moveaxis(rays, 0, -1), valid, _RayCells(mx, my, norm, sol, derivatives)
+    return np.moveaxis(rays, 0, -1), valid, _RayCells(mx, my, norm, derivatives)
 
 
 def _ray_angle(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -73,13 +73,6 @@ class DatasetKind(Enum):
     OPG = "opg"
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    kind: DatasetKind
-    size: int
-    seed: int
-
-
 # ---------------------------------------------------------------------------
 # focal from field of view
 # ---------------------------------------------------------------------------
@@ -141,14 +134,14 @@ def _solve_radial1(k_hat: float, fov_deg: float, size: int) -> tuple[float, floa
 class IntrinsicsSampler:
     """Deterministic stream of ground-truth specs for one dataset kind."""
 
-    def __init__(self, cfg: SamplerConfig):
-        self.cfg = cfg
-        self.rng = np.random.default_rng(cfg.seed)
+    def __init__(self, kind: DatasetKind, size: int, seed: int):
+        self.kind, self.size = kind, size
+        self.rng = np.random.default_rng(seed)
 
     def draw(self) -> CameraSpec:
         """Pick the kind's model string (one uniform draw for the mixtures),
         then draw its spec with ``sample_spec_for_model``."""
-        kind, rng = self.cfg.kind, self.rng
+        kind, rng = self.kind, self.rng
         if kind is DatasetKind.OPP:
             name = "pinhole"
         elif kind is DatasetKind.OPR:
@@ -158,7 +151,7 @@ class IntrinsicsSampler:
         else:
             u = rng.uniform()
             name = "pinhole" if u < 0.34 else ("radial:1" if u < 0.67 else "eucm")
-        return sample_spec_for_model(parse_model(name), self.cfg.size, rng)
+        return sample_spec_for_model(parse_model(name), self.size, rng)
 
 
 def _radial_slope_floor(spec: CameraSpec) -> float:
@@ -340,7 +333,7 @@ class LensfunEntry:
     def __post_init__(self) -> None:
         if self.model_kind not in (*_POLY_KINDS, *_FISHEYE_KINDS):
             raise UnsupportedFamily(f"unsupported LensFun model kind {self.model_kind!r}")
-        for name in ("focal_mm", "sensor_width_mm", "sensor_height_mm"):
+        for name in ("focal_mm", "sensor_width_mm", "sensor_height_mm", "fov_deg"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")

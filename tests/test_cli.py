@@ -506,6 +506,10 @@ def _lensfun_unknown_projection(tmp: Path) -> list[str]:
     return ["lensfun", str(_lensfun_entry(tmp, projection="thoby"))]
 
 
+def _lensfun_fov(fov_deg: float, tmp: Path) -> list[str]:
+    return ["lensfun", str(_lensfun_entry(tmp, fov_deg=fov_deg))]
+
+
 def _convert_dist_length(tmp: Path) -> list[str]:
     data = centered_spec("kb:2", 100.0, 32, dist=(0.05, -0.01)).to_dict()
     (tmp / "spec.json").write_text(json.dumps({**data, "dist": [0.05]}))
@@ -546,6 +550,8 @@ class TestInputErrors:
             (_argv("calibrate", "F"), "InvalidInput"),
             (_eval_missing_gt_dir, "FileNotFound"),
             (_lensfun_unknown_projection, "InvalidInput"),
+            (functools.partial(_lensfun_fov, -10.0), "InvalidInput"),
+            (functools.partial(_lensfun_fov, float("nan")), "InvalidInput"),
         ],
         ids=["eval-missing-dir", "eval-no-common-name", "convert-invalid-spec",
              "fit-truncated-header", "fit-ragged-payload", "convert-spec-not-an-object",
@@ -555,7 +561,7 @@ class TestInputErrors:
              "convert-string-focal", "lensfun-string-coefficient", "fit-ransac-iters-negative",
              "fit-ransac-thresh-negative", "usage-fit-stride-not-an-int",
              "usage-eval-without-output", "usage-unknown-command", "eval-missing-gt-dir",
-             "lensfun-unknown-projection"],
+             "lensfun-unknown-projection", "lensfun-fov-negative", "lensfun-fov-nan"],
     )
     def test_exit_2_with_error_object(self, make_argv, kind, tmp_path, capsys):
         code = run(*make_argv(tmp_path))

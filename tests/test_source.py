@@ -8,6 +8,7 @@ import re
 import tokenize
 from collections import Counter
 from pathlib import Path
+from typing import Iterable
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "raycalib"
 
@@ -66,3 +67,51 @@ def test_every_private_top_level_name_is_used():
     assert "_unproject_cells" in defined and "_BLOCK" in defined
     unused = {name: files for name, files in defined.items() if words[name] <= len(files)}
     assert not unused, f"private names defined but never used in src/raycalib: {unused}"
+
+
+def _trees() -> list[tuple[str, ast.Module]]:
+    return [(p.name, ast.parse(p.read_text(encoding="utf-8"))) for p in sorted(SRC.glob("*.py"))]
+
+
+def _loaded_names(nodes: Iterable[ast.AST]) -> set[str]:
+    return {n.id for node in nodes for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_parameter_is_read():
+    # a parameter its function never reads is plumbing that carries nothing.
+    # Top-level functions and methods only: a nested closure's signature is
+    # fixed by its caller (Correspondences._from_grid calls rays_of(sl, px))
+    unread = []
+    for name, tree in _trees():
+        for node in tree.body:
+            methods = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in methods:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                a = fn.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg,
+                                          a.kwarg) if p is not None]
+                read = _loaded_names(fn.body)
+                unread += [f"{name}:{fn.name}({p})" for p in params if p not in read]
+    assert not unread, f"parameters never read in src/raycalib: {unread}"
+
+
+def test_every_import_is_used():
+    # an imported name that its module never reads is dead; the package's
+    # re-exports are used through __all__
+    unused = []
+    for name, tree in _trees():
+        read = _loaded_names([tree])
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(al.asname or al.name).partition(".")[0] for al in node.names]
+                unused += [f"{name}:{b}" for b in bound if b not in read]
+    assert not unused, f"imported names never used in src/raycalib: {unused}"

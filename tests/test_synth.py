@@ -70,7 +70,7 @@ class TestFocalFromFov:
 
 class TestIntrinsicsSampler:
     def test_opp_always_pinhole_in_range(self):
-        sampler = rc.IntrinsicsSampler(rc.SamplerConfig(rc.DatasetKind.OPP, 64, 5))
+        sampler = rc.IntrinsicsSampler(rc.DatasetKind.OPP, 64, 5)
         for _ in range(50):
             spec = sampler.draw()
             assert spec.model.family is rc.Family.PINHOLE
@@ -80,7 +80,7 @@ class TestIntrinsicsSampler:
 
     def test_opg_mixture_frequencies(self):
         # 10^4 draws land within +-2% of the 34/33/33 mixture
-        sampler = rc.IntrinsicsSampler(rc.SamplerConfig(rc.DatasetKind.OPG, 64, 11))
+        sampler = rc.IntrinsicsSampler(rc.DatasetKind.OPG, 64, 11)
         counts = {"pinhole": 0, "radial": 0, "eucm": 0}
         n = 10000
         for _ in range(n):
@@ -91,7 +91,7 @@ class TestIntrinsicsSampler:
         assert counts["eucm"] / n == pytest.approx(0.33, abs=0.02)
 
     def test_radial_normalized_coefficient_in_bounds(self):
-        sampler = rc.IntrinsicsSampler(rc.SamplerConfig(rc.DatasetKind.OPR, 64, 3))
+        sampler = rc.IntrinsicsSampler(rc.DatasetKind.OPR, 64, 3)
         for _ in range(200):
             spec = sampler.draw()
             k_hat = spec.dist[0] * spec.height / spec.fx
@@ -102,7 +102,7 @@ class TestIntrinsicsSampler:
         # whose focal was not raised to min_focal meets both
         n_checked = 0
         for seed in range(5):
-            sampler = rc.IntrinsicsSampler(rc.SamplerConfig(rc.DatasetKind.OPR, 64, seed))
+            sampler = rc.IntrinsicsSampler(rc.DatasetKind.OPR, 64, seed)
             mirror = np.random.default_rng(seed)
             for _ in range(40):
                 spec = sampler.draw()
@@ -119,13 +119,13 @@ class TestIntrinsicsSampler:
 
     def test_all_sampled_specs_validate(self):
         for kind in rc.DatasetKind:
-            sampler = rc.IntrinsicsSampler(rc.SamplerConfig(kind, 64, 17))
+            sampler = rc.IntrinsicsSampler(kind, 64, 17)
             for _ in range(50):
                 spec = sampler.draw()
                 assert rc.validate_spec(spec).ok
 
     def test_empirical_fov_inside_configured_range(self):
-        sampler = rc.IntrinsicsSampler(rc.SamplerConfig(rc.DatasetKind.OPG, 64, 23))
+        sampler = rc.IntrinsicsSampler(rc.DatasetKind.OPG, 64, 23)
         for _ in range(100):
             spec = sampler.draw()
             _, vfov = rc.fov_agnostic(spec)
@@ -135,7 +135,7 @@ class TestIntrinsicsSampler:
                 assert 20.0 - 1e-6 <= vfov <= 105.0 + 1e-6
 
     def test_determinism(self):
-        a, b = (rc.IntrinsicsSampler(rc.SamplerConfig(rc.DatasetKind.OPD, 64, 99))
+        a, b = (rc.IntrinsicsSampler(rc.DatasetKind.OPD, 64, 99)
                 for _ in range(2))
         assert [a.draw() for _ in range(20)] == [b.draw() for _ in range(20)]
 
