@@ -47,6 +47,17 @@ def max_param_error(got: rc.CameraSpec, want: rc.CameraSpec) -> float:
     return max(param_errors(got, want).values())
 
 
+def recovery_error(got: rc.CameraSpec, want: rc.CameraSpec) -> float:
+    """Criterion 1's error of a noise-free fit, held to 1e-6: the largest
+    parameter error, with the extended unified model's focal and (alpha,
+    beta) allowed 1e-3 and 1e-4 (its proxy-focal stage is not exact)."""
+    errs = param_errors(got, want)
+    if got.model.family is rc.Family.EUCM:
+        return max(errs["fx"] / 1e-3, errs["fy"] / 1e-3, errs["cx"], errs["cy"],
+                   errs["k1"] / 1e-4, errs["k2"] / 1e-4) * 1e-6
+    return max(errs.values())
+
+
 def centered_spec(model_str: str, fov_deg: float, size: int, dist=()) -> rc.CameraSpec:
     """Centered square spec with the focal solved from the field of view."""
     model = rc.parse_model(model_str)

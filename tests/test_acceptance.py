@@ -43,7 +43,7 @@ from conftest import (
     ALL_MODEL_STRINGS,
     centered_spec,
     max_param_error,
-    param_errors,
+    recovery_error,
     residual_jacobian_numeric,
 )
 
@@ -96,14 +96,7 @@ def test_criterion_1_exact_closed_form_recovery():
             res = rc.calibrate(rc.field_from_spec(spec), model)
             costs = res.gn_costs
             assert all(costs[i + 1] <= costs[i] for i in range(len(costs) - 1))
-            errs = param_errors(res.spec, spec)
-            if model.family is rc.Family.EUCM:
-                e = max(errs["fx"] / 1e-3, errs["fy"] / 1e-3,
-                        errs["cx"], errs["cy"],
-                        errs["k1"] / 1e-4, errs["k2"] / 1e-4) * 1e-6
-            else:
-                e = max(errs.values())
-            w = max(w, e)
+            w = max(w, recovery_error(res.spec, spec))
         worst[name] = w
     elapsed = time.time() - t0
     ok = all(w <= 1e-6 for w in worst.values()) and elapsed < 60.0

@@ -115,3 +115,18 @@ def test_every_import_is_used():
                 bound = [(al.asname or al.name).partition(".")[0] for al in node.names]
                 unused += [f"{name}:{b}" for b in bound if b not in read]
     assert not unused, f"imported names never used in src/raycalib: {unused}"
+
+
+def test_no_module_reads_the_environment():
+    # a fit is set by its arguments alone: a constant such as refine's
+    # standard-error stop or its coarse-stage threshold, read from the
+    # process environment, would be a knob no caller or test sets
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                reads.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{name}:{node.lineno}" for al in node.names if al.name in names]
+    assert not reads, f"src/raycalib reads the process environment at {reads}"
