@@ -713,14 +713,14 @@ def refine(
     ms at 64x64).  ``gn_costs`` are those of the full-resolution stage,
     starting at the subset's result; ``algebraic_spec`` stays ``spec0``.
     """
-    kappa, n, start = _params_of(spec0), len(corrs), spec0
+    kappa, n = _params_of(spec0), len(corrs)
     free_idx = np.arange(len(kappa)) if free is None else np.asarray(free, dtype=int)
     k = len(free_idx)
     if n >= _COARSE_MIN_CELLS:
-        start = refine(spec0, corrs.subset(np.arange(0, n, _COARSE_STEP)), free_idx).spec
-        kappa = _params_of(start)
+        kappa = _params_of(
+            refine(spec0, corrs.subset(np.arange(0, n, _COARSE_STEP)), free_idx).spec)
 
-    cost, valid, R = _pass(start, corrs, free_idx)
+    cost, valid, R = _pass(_spec_of(spec0, kappa), corrs, free_idx)
     costs = [cost]
     warning = None
 
