@@ -30,6 +30,7 @@ import json
 import sys
 from pathlib import Path
 from typing import NoReturn
+from xml.etree.ElementTree import ParseError
 
 import numpy as np
 
@@ -38,8 +39,8 @@ from .errors import CalibError, DimensionMismatch, EmptyInput, FovOutOfRange, Un
 from .fileio import dump_json, read_field, read_spec, write_field, write_json, write_spec
 from .fit import calibrate, calibrate_ransac, convert_model
 from .fov import FovField, _log_grid, field_from_spec
-from .metrics import EvalReport, angular_error, auc, evaluate
-from .models import CameraSpec, parse_model, validate_spec
+from .metrics import DEFAULT_AUC_THRESHOLDS, EvalReport, angular_error, auc, evaluate
+from .models import parse_model, validate_spec
 from .synth import (
     DatasetKind,
     IntrinsicsSampler,
@@ -53,6 +54,7 @@ _INPUT_ERRORS = (
     FileNotFoundError,
     IsADirectoryError,
     json.JSONDecodeError,
+    ParseError,
     KeyError,
     ValueError,
     DimensionMismatch,
@@ -68,6 +70,7 @@ def _error_kind(exc: Exception) -> str:
         FileNotFoundError: "FileNotFound",
         IsADirectoryError: "FileNotFound",
         json.JSONDecodeError: "ParseError",
+        ParseError: "ParseError",
         KeyError: "ParseError",
     }.get(type(exc), exc.kind if isinstance(exc, CalibError) else "InvalidInput")
 
@@ -153,12 +156,6 @@ def _spec_files(root: Path) -> dict[str, Path]:
     return {p.stem: p for p in sorted(base.glob("*.json")) if p.name != "manifest.json"}
 
 
-def _theta_difference(gt: CameraSpec, est: CameraSpec, stride: int) -> FovField:
-    """gt minus est tangent vectors at the pixel centers, NaN at every cell
-    that either camera cannot unproject."""
-    return FovField(theta=_log_grid(gt, stride)[0] - _log_grid(est, stride)[0], stride=stride)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     est_dir, gt_dir = Path(args.est_dir), Path(args.gt_dir)
     if not est_dir.is_dir():
@@ -182,7 +179,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             est = read_spec(est_files[name])
             report = evaluate(gt, est, grid_stride=args.stride)
             if args.dump_per_pixel:
-                diff = _theta_difference(gt, est, args.stride)
+                # gt minus est tangent vectors, NaN where either camera cannot unproject
+                theta = _log_grid(gt, args.stride)[0] - _log_grid(est, args.stride)[0]
+                diff = FovField(theta=theta, stride=args.stride)
                 (out / "perpixel").mkdir(parents=True, exist_ok=True)
                 write_field(out / "perpixel" / f"{name}.aff1", diff)
         except (*_INPUT_ERRORS, CalibError) as exc:  # a pair that cannot be scored fails alone
@@ -200,14 +199,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     columns = {key: [per_image[n][key] for n in names] for key in EvalReport.KEYS}
     # ef and ec measure an edit, so only an edited set reports their medians
     median_keys = EvalReport.KEYS if args.edited else EvalReport.KEYS[:4]
+    auc_labels = [f"{t:g}" for t in DEFAULT_AUC_THRESHOLDS]
     report = {
         "n_pairs": len(names),
         "missing": missing,
         "failed": {n: {"kind": _error_kind(exc), "message": str(exc)} for n, exc in failed.items()},
         "medians": {key: float(np.median(columns[key])) for key in median_keys},
         "auc": {
-            "hfov": dict(zip(("1", "5", "10"), auc(columns["hfov_err_deg"]))),
-            "vfov": dict(zip(("1", "5", "10"), auc(columns["vfov_err_deg"]))),
+            "hfov": dict(zip(auc_labels, auc(columns["hfov_err_deg"]))),
+            "vfov": dict(zip(auc_labels, auc(columns["vfov_err_deg"]))),
         },
         "per_image": per_image,
     }

@@ -23,20 +23,16 @@ unknowns:
    and then the Jacobian columns and the block's QR factor of [J | -e].  So
    a pass returns its cost together with the factor R of its step, and an
    accepted trial pass brings the R of the next step.  The factor gives the
-   share of |e|^2 the linearized step removes, |R[:k, k]|^2 of
-   |R[:k, k]|^2 + R[k, k]^2; below _GN_RTOL = 1e-14, under the roundoff of
-   the cost sum, refinement stops without a trial pass (relative-reduction
-   test, Nocedal & Wright, Numerical Optimization, 10.3).  It also gives the
    step's length in standard errors of the fit, |R[:k, k]| over the noise
    estimate |R[k, k]| / sqrt(2 valid - k); at _GN_TAU = 0.1 or less the
-   data cannot resolve the step, and refinement stops there too (relative
-   offset, Bates & Watts, Technometrics 1981).  Fields of _COARSE_MIN_CELLS
-   cells or more are first refined on every 16th cell, and the full cells
-   then start from that fit.  Each step is halved up to four times if the
-   cost would increase, so the recorded per-iteration costs never
-   increase; a step rejected at every length leaves the intrinsics
-   unchanged, so the refinement stops there too, exactly where further
-   iterations would repeat it.  A pass keeps no per-cell state: it depends
+   data cannot resolve the step, and refinement stops without a trial pass
+   (relative offset, Bates & Watts, Technometrics 1981).  Fields of
+   _COARSE_MIN_CELLS cells or more are first refined on every 16th cell,
+   and the full cells then start from that fit.  Each step is halved up to
+   four times if the cost would increase, so the recorded per-iteration
+   costs never increase; a step rejected at every length leaves the
+   intrinsics unchanged, so the refinement stops there too, exactly where
+   further iterations would repeat it.  A pass keeps no per-cell state: it depends
    on the intrinsics, the correspondences and the free parameters alone.
 
 One row writer (``_block_rows``) fills a block's rows [J | -e] for
@@ -86,8 +82,7 @@ from .models import (
 EUCM_PROXY_ORDER = 3  # kb order used to estimate the extended model's focal
 
 _RCOND = 1e-12
-_GN_RTOL = 1e-14  # stop once a step is predicted to remove less of the cost
-_GN_TAU = 0.1  # or once it moves the fit by at most this many standard errors
+_GN_TAU = 0.1  # stop once a step moves the fit by at most this many standard errors
 _COARSE_MIN_CELLS = 65536  # refine every _COARSE_STEP-th cell first from here on
 _COARSE_STEP = 16
 _GN_ITERATIONS = 5
@@ -682,11 +677,10 @@ def refine(
     (fx, fy, cx, cy, *dist) indexed by ``free`` (default: all of them).  Steps
     that would increase the cost are halved up to four times and rejected if
     still worse, so ``gn_costs`` never increases.  Refinement stops at a
-    cost at roundoff level, a singular step, a step predicted to remove at
-    most _GN_RTOL of the cost (no trial cost could tell it from roundoff), a
-    step the data cannot resolve, or a rejected step (the parameters did not
-    move, so every later iteration would repeat it); the remaining
-    ``gn_costs`` entries repeat the last cost.
+    cost at roundoff level, a singular step, a step the data cannot
+    resolve, or a rejected step (the parameters did not move, so every later
+    iteration would repeat it); the remaining ``gn_costs`` entries repeat
+    the last cost.
 
     A step the data cannot resolve moves the fit by at most _GN_TAU = 0.1
     standard errors, in the metric of the parameters' covariance (the
@@ -732,11 +726,9 @@ def refine(
         except DegenerateGeometry:
             warning = "singular Gauss-Newton step; refinement stopped early"
             break
-        # the step removes |R[:k, k]|^2 of |e|^2 = |R[:k, k]|^2 + R[k, k]^2
+        # the step removes |R[:k, k]|^2 of |e|^2 = |R[:k, k]|^2 + R[k, k]^2,
+        # and 2 valid - k residual degrees of freedom estimate the noise
         pred, rest = float(R[:k, k] @ R[:k, k]), float(R[k, k]) ** 2
-        if pred <= _GN_RTOL * (pred + rest):
-            break
-        # 2 valid - k residual degrees of freedom estimate the noise
         if 2 * valid > k and pred * (2 * valid - k) <= _GN_TAU**2 * rest:
             break
 
@@ -858,7 +850,7 @@ def calibrate_ransac(
         if count > best_count or (count == best_count and score < best_score):
             best_mask, best_count, best_score = mask, count, score
 
-    if best_mask is None or best_count < 0.1 * n:
+    if best_count < 0.1 * n:
         raise NoConsensus(
             f"best inlier count {best_count}/{n} below the 10% consensus floor"
         )

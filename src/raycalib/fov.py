@@ -72,7 +72,7 @@ def exp_map(theta2: np.ndarray) -> np.ndarray:
     if np.any(t >= np.pi):
         raise ThetaOutOfDomain("|theta| must be < pi")
     small = t < _SERIES_CUTOVER
-    sinc = np.where(small, 1.0, np.sin(t) / np.where(small, 1.0, np.maximum(t, 1e-300)))
+    sinc = np.where(small, 1.0, np.sin(t) / np.where(small, 1.0, t))
     rays = np.empty(t.shape + (3,))
     np.multiply(theta2, sinc[..., None], out=rays[..., :2])
     np.cos(t, out=rays[..., 2])

@@ -465,7 +465,7 @@ def parse_lensfun_xml(text: str) -> list[LensfunEntry]:
     ``<type>`` (fisheye geometries), ``<cropfactor>`` (for the sensor size,
     relative to full frame 36 x 24 mm) and ``<distortion>`` calibration rows.
     Rows of an unsupported model, or with neither ``focal`` nor
-    ``real-focal``, are skipped.
+    ``real-focal``, are skipped.  A crop factor must be positive and finite.
     """
     root = ET.fromstring(text)
     lenses = root.iter("lens") if root.tag != "lens" else [root]
@@ -485,6 +485,8 @@ def parse_lensfun_xml(text: str) -> list[LensfunEntry]:
             continue
         projection = type_map[lens_type]
         crop = float(lens.findtext("cropfactor") or 1.0)
+        if not (math.isfinite(crop) and crop > 0.0):
+            raise ValueError(f"cropfactor must be positive and finite, got {crop!r}")
         w_mm, h_mm = 36.0 / crop, 24.0 / crop
         rows = lens.findall(".//distortion")
         if not rows:
@@ -518,11 +520,14 @@ def parse_lensfun_xml(text: str) -> list[LensfunEntry]:
 
 
 def load_lensfun_entry(path: str | Path) -> LensfunEntry:
-    """Load one entry from minimal JSON or LensFun XML."""
+    """Load one entry from minimal JSON or LensFun XML; XML that is not
+    well-formed raises ``ParseError`` naming ``path``."""
     text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("<"):
-        entries = parse_lensfun_xml(text)
+    if text.lstrip().startswith("<"):
+        try:
+            entries = parse_lensfun_xml(text)
+        except ET.ParseError as exc:
+            raise ET.ParseError(f"{path}: {exc}") from None
         if not entries:
             raise UnsupportedFamily(f"{path}: no supported lens entry found")
         return entries[0]

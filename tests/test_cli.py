@@ -510,6 +510,11 @@ def _lensfun_fov(fov_deg: float, tmp: Path) -> list[str]:
     return ["lensfun", str(_lensfun_entry(tmp, fov_deg=fov_deg))]
 
 
+def _lensfun_xml(text: str, tmp: Path) -> list[str]:
+    (tmp / "lens.xml").write_text(text)
+    return ["lensfun", str(tmp / "lens.xml")]
+
+
 def _convert_dist_length(tmp: Path) -> list[str]:
     data = centered_spec("kb:2", 100.0, 32, dist=(0.05, -0.01)).to_dict()
     (tmp / "spec.json").write_text(json.dumps({**data, "dist": [0.05]}))
@@ -552,6 +557,11 @@ class TestInputErrors:
             (_lensfun_unknown_projection, "InvalidInput"),
             (functools.partial(_lensfun_fov, -10.0), "InvalidInput"),
             (functools.partial(_lensfun_fov, float("nan")), "InvalidInput"),
+            (functools.partial(_lensfun_xml, "<lensdatabase><lens><type>fisheye</lens>"),
+             "ParseError"),
+            (functools.partial(
+                _lensfun_xml, "<lens><type>fisheye</type><cropfactor>0</cropfactor></lens>"),
+             "InvalidInput"),
         ],
         ids=["eval-missing-dir", "eval-no-common-name", "convert-invalid-spec",
              "fit-truncated-header", "fit-ragged-payload", "convert-spec-not-an-object",
@@ -561,7 +571,8 @@ class TestInputErrors:
              "convert-string-focal", "lensfun-string-coefficient", "fit-ransac-iters-negative",
              "fit-ransac-thresh-negative", "usage-fit-stride-not-an-int",
              "usage-eval-without-output", "usage-unknown-command", "eval-missing-gt-dir",
-             "lensfun-unknown-projection", "lensfun-fov-negative", "lensfun-fov-nan"],
+             "lensfun-unknown-projection", "lensfun-fov-negative", "lensfun-fov-nan",
+             "lensfun-xml-not-well-formed", "lensfun-xml-crop-factor-0"],
     )
     def test_exit_2_with_error_object(self, make_argv, kind, tmp_path, capsys):
         code = run(*make_argv(tmp_path))
@@ -618,6 +629,62 @@ class TestInputErrors:
                    str(tmp_path / "rep")) == 0
         failed = json.loads((tmp_path / "rep" / "report.json").read_text())["failed"]
         assert list(failed) == ["0001"] and str(bad) in failed["0001"]["message"]
+
+
+_SPEC = centered_spec("pinhole", 60.0, 32).to_dict()
+_ENTRY = {"model_kind": "poly3", "coefficients": [0.01], "focal_mm": 8.0,
+          "sensor_width_mm": 36.0, "sensor_height_mm": 24.0}
+_AFF1_2X2 = b"AFF1" + struct.pack("<II", 2, 2)
+_LENS_XML = ("<lensdatabase><lens><type>fisheye</type><cropfactor>{}</cropfactor></lens>"
+             "</lensdatabase>")
+
+# one file per reader and kind of damage: (name, contents, command around it)
+_BAD_FILES = {
+    "aff1-empty": ("f.aff1", b"", "fit"),
+    "aff1-truncated": ("f.aff1", _AFF1_2X2[:9], "fit"),
+    "aff1-malformed": ("f.aff1", _AFF1_2X2 + b"\0" * 15, "fit"),
+    "aff1-zero": ("f.aff1", _AFF1_2X2 + b"\0" * 32, "fit"),
+    "csv-empty": ("f.csv", b"", "fit"),
+    "csv-truncated": ("f.csv", b"u,v,theta_x,theta_y\n0.5,0.5,0.1", "fit"),
+    "csv-malformed": ("f.csv", b"0.5;0.5;0.1;0.1\n", "fit"),
+    "csv-zero": ("f.csv", b"0.5,0.5,0,0\n1.5,0.5,0,0\n0.5,1.5,0,0\n1.5,1.5,0,0\n", "fit"),
+    "spec-empty": ("s.json", b"", "convert"),
+    "spec-truncated": ("s.json", json.dumps(_SPEC)[:40].encode(), "convert"),
+    "spec-malformed": ("s.json", json.dumps({**_SPEC, "fx": [30.0]}).encode(), "convert"),
+    "spec-zero": ("s.json", json.dumps({**_SPEC, "fx": 0.0, "fy": 0.0}).encode(), "convert"),
+    "lensfun-json-empty": ("e.json", b"", "lensfun"),
+    "lensfun-json-truncated": ("e.json", json.dumps(_ENTRY)[:30].encode(), "lensfun"),
+    "lensfun-json-malformed": ("e.json", json.dumps({**_ENTRY, "focal_mm": [8]}).encode(),
+                               "lensfun"),
+    "lensfun-json-zero": ("e.json", json.dumps({**_ENTRY, "focal_mm": 0}).encode(), "lensfun"),
+    "lensfun-xml-truncated": ("e.xml", _LENS_XML.format(1)[:40].encode(), "lensfun"),
+    "lensfun-xml-not-well-formed": ("e.xml", b"<lensdatabase><lens><type>fisheye</lens>",
+                                    "lensfun"),
+    "lensfun-xml-malformed": ("e.xml", _LENS_XML.format("x").encode(), "lensfun"),
+    "lensfun-xml-zero": ("e.xml", _LENS_XML.format(0).encode(), "lensfun"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_FILES))
+def test_bad_input_file_never_exits_1(name, tmp_path):
+    # the CLI run as its own process: whatever a damaged file holds, it
+    # reports an input error (2) or a numerical failure (3) as a JSON error
+    # object, and no exception escapes as a traceback with exit status 1
+    fname, contents, command = _BAD_FILES[name]
+    path = tmp_path / fname
+    path.write_bytes(contents)
+    argv = {"fit": ["fit", str(path), "--model", "pinhole"],
+            "convert": ["convert", str(path), "--to", "kb:2", "--stride", "4"],
+            "lensfun": ["lensfun", str(path), "--grid-stride", "4"]}[command]
+    src = str(Path(rc.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "raycalib.cli", *argv],
+                         env={**os.environ, "PYTHONPATH": pythonpath},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode in (2, 3), out.stderr
+    assert "Traceback" not in out.stderr
+    error = json.loads(out.stdout)["error"]
+    assert error["kind"] and error["message"]
 
 
 class TestExitCodesAndWorkers:

@@ -12,7 +12,6 @@ import pytest
 import raycalib as rc
 from raycalib.fit import (
     _COARSE_MIN_CELLS,
-    _GN_RTOL,
     _GN_TAU,
     _arc_factor,
     _eucm_dist,
@@ -364,8 +363,7 @@ class TestRefine:
     @pytest.mark.parametrize("size", [64, 256])
     def test_stops_where_the_data_cannot_resolve_the_step(self, name, size):
         # on both sides of the coarse stage's threshold, a noisy fit ends
-        # where its own pass predicts a step of at most _GN_TAU standard
-        # errors, or at most _GN_RTOL of the cost
+        # where its own pass predicts a step of at most _GN_TAU standard errors
         assert (size * size >= _COARSE_MIN_CELLS) == (size == 256)
         spec = rc.sample_spec_for_model(rc.parse_model(name), size, np.random.default_rng(3))
         field = rc.add_noise(rc.field_from_spec(spec), 0.3, seed=3)
@@ -373,7 +371,7 @@ class TestRefine:
         k = 4 + spec.model.num_dist
         _, valid, R = _pass(res.spec, rc.Correspondences.from_field(field), np.arange(k))
         pred, rest = float(R[:k, k] @ R[:k, k]), float(R[k, k]) ** 2
-        assert pred * (2 * valid - k) <= _GN_TAU**2 * rest or pred <= _GN_RTOL * (pred + rest)
+        assert pred * (2 * valid - k) <= _GN_TAU**2 * rest
 
     @pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
     def test_clean_fit_with_coarse_stage_recovers_exactly(self, name):

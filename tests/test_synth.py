@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -333,6 +334,19 @@ class TestLensfun:
         sizes = {"focal_mm": 8.0, "sensor_width_mm": 36.0, "sensor_height_mm": 24.0}
         with pytest.raises(ValueError, match=field):
             rc.LensfunEntry("poly3", (0.01,), **{**sizes, field: value})
+
+    @pytest.mark.parametrize("crop", ["0", "-1.5", "nan", "inf"])
+    def test_crop_factor_not_positive_and_finite_rejected(self, crop):
+        lens = f"<lens><type>fisheye</type><cropfactor>{crop}</cropfactor></lens>"
+        with pytest.raises(ValueError, match=f"cropfactor .* got {float(crop)!r}"):
+            parse_lensfun_xml(lens)
+
+    def test_not_well_formed_xml_names_the_file(self, tmp_path):
+        path = tmp_path / "lenses.xml"
+        path.write_text("<lensdatabase><lens><type>fisheye</lens>")
+        with pytest.raises(ET.ParseError) as exc_info:
+            load_lensfun_entry(path)
+        assert str(path) in str(exc_info.value)
 
     def test_distortion_row_without_focal_skipped(self, tmp_path):
         no_focal = '<distortion model="poly3" k1="0.01"/>'
