@@ -43,10 +43,6 @@ class InvalidFocal(CalibError):
     """A linear solve produced a nonpositive focal length."""
 
 
-class BoundInfeasible(CalibError):
-    """No clamping choice of the active-set solve leaves a solvable system."""
-
-
 class NoConsensus(CalibError):
     """RANSAC found no sample with a sufficient inlier ratio."""
 

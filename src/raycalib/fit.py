@@ -63,9 +63,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import (
-    BoundInfeasible, DegenerateGeometry, InvalidFocal, NoConsensus, UnsupportedFamily
-)
+from .errors import DegenerateGeometry, InvalidFocal, NoConsensus, UnsupportedFamily
 from .fov import FovField, exp_map
 from .models import (
     _BLOCK,
@@ -270,6 +268,18 @@ def _solve(R: np.ndarray, rows: int, what: str) -> np.ndarray:
     return sol
 
 
+def _resolve(col: np.ndarray, b: np.ndarray) -> float:
+    """Least-squares value of one unknown, from its column ``col`` of the factor
+    R of [A | b] and a right-hand side ``b`` built from R's columns.
+
+    Because R = Q^T [A | b], inner products of R's columns are those of the
+    rows, so a bound re-solve that holds the other unknowns needs no new
+    factor.  ``_solve`` has already found R's column norms positive and
+    finite, so ``col @ col`` is positive.
+    """
+    return float(col @ b) / float(col @ col)
+
+
 # ---------------------------------------------------------------------------
 # stage 1: principal point and aspect ratio
 # ---------------------------------------------------------------------------
@@ -423,8 +433,7 @@ def _fit_linear_full(
     if fam is Family.UCM and ks[0] < 0.0:
         ks, bounds = (0.0,), ("xi>=0",)
         if not held:
-            # the rows of [focal_col | rhs] alone have the factor of R's columns 0 and 2
-            f = float(_solve(np.linalg.qr(R[:, [0, 2]], mode="r"), m, "ucm re-solve with xi=0")[0])
+            f = _resolve(R[:, 0], R[:, 2])
     if fam is Family.DIVISION:  # the rows solve for k'_n = k_n / f^(2n-1)
         ks = [k * f ** (2 * n - 1) for n, k in enumerate(ks, start=1)]
     return _make_spec(model, f, a, c, tuple(ks), size), bounds
@@ -452,30 +461,22 @@ def _eucm_dist(
 ) -> tuple[tuple[float, float], tuple[str, ...]]:
     """(alpha, beta) of the extended unified model at a known focal, solved
     from the (gamma, alpha) rows with the active set, and the bounds it is on.
-
-    The re-solves work on the columns of the rows' factor R: R = Q^T [col_g |
-    col_a | rhs], so inner products of its columns are those of the rows.
+    A clamped unknown is held and the other one re-solved (``_resolve``).
     """
     R, m = _row_qr(corrs, lambda px, rays: _eucm_rows(px, rays, f, a, c), 3)
     gamma, alpha = _solve(R, m, "eucm (gamma, alpha) solve")
     col_g, col_a, rhs = R.T
 
-    def resolve(col: np.ndarray, b: np.ndarray, what: str) -> float:
-        denom = float(col @ col)
-        if denom <= 0.0:
-            raise BoundInfeasible(f"{what}: no free unknown left to re-solve")
-        return float(col @ b) / denom
-
     if not 0.0 <= alpha <= 1.0:
         alpha = min(max(alpha, 0.0), 1.0)
-        gamma = resolve(col_g, rhs - alpha * col_a, f"eucm re-solve gamma at alpha={alpha:g}")
+        gamma = _resolve(col_g, rhs - alpha * col_a)
 
     # a gamma within the solve's resolution of zero has the sign of roundoff
     if abs(gamma) <= _RCOND * float(np.linalg.norm(rhs)) / float(np.linalg.norm(col_g)):
         gamma = 0.0
     if gamma <= 0.0 and alpha > 0.0:
         gamma = 0.0
-        alpha = min(resolve(col_a, rhs, "eucm re-solve alpha at gamma=0"), 1.0)
+        alpha = min(_resolve(col_a, rhs), 1.0)
 
     if alpha < 1e-9:
         # alpha = 0 reduces the model to a pinhole: beta is unidentifiable
@@ -841,7 +842,7 @@ def calibrate_ransac(
         try:
             a, cx, cy, _ = _fit_ppoint_full(sub)
             cand, _ = _fit_linear_full(model, sub, a, (cx, cy), size)
-        except (DegenerateGeometry, InvalidFocal, BoundInfeasible):
+        except (DegenerateGeometry, InvalidFocal):
             continue
         ang = _angular_residuals(cand, corrs)
         mask = ang < thresh

@@ -199,9 +199,18 @@ class CameraSpec:
             cx=float(data["cx"]),
             cy=float(data["cy"]),
             dist=tuple(float(k) for k in data.get("dist", [])),
-            width=int(data["width"]),
-            height=int(data["height"]),
+            width=_whole(data, "width"),
+            height=_whole(data, "height"),
         )
+
+
+def _whole(data: dict, key: str) -> int:
+    """``data[key]`` as an int, rejecting a float that is not a finite whole
+    number (32.5, inf), which int() would truncate or fail on."""
+    value = data[key]
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be a finite whole number, got {value!r}")
+    return int(value)
 
 
 def pixel_axes(width: int, height: int, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:

@@ -465,7 +465,9 @@ def parse_lensfun_xml(text: str) -> list[LensfunEntry]:
     ``<type>`` (fisheye geometries), ``<cropfactor>`` (for the sensor size,
     relative to full frame 36 x 24 mm) and ``<distortion>`` calibration rows.
     Rows of an unsupported model, or with neither ``focal`` nor
-    ``real-focal``, are skipped.  A crop factor must be positive and finite.
+    ``real-focal``, are skipped.  A lens without rows is its ideal fisheye at
+    its ``<focal>``, or at half the sensor width when ``<focal>`` is missing
+    or empty.  A crop factor and a focal must be positive and finite.
     """
     root = ET.fromstring(text)
     lenses = root.iter("lens") if root.tag != "lens" else [root]
@@ -490,11 +492,12 @@ def parse_lensfun_xml(text: str) -> list[LensfunEntry]:
         w_mm, h_mm = 36.0 / crop, 24.0 / crop
         rows = lens.findall(".//distortion")
         if not rows:
+            focal = (lens.findtext("focal") or "").strip()
             out.append(
                 LensfunEntry(
                     model_kind=f"fisheye_{projection}",
                     coefficients=(),
-                    focal_mm=float(lens.findtext("focal") or 0.0) or w_mm / 2,
+                    focal_mm=float(focal) if focal else w_mm / 2,
                     sensor_width_mm=w_mm,
                     sensor_height_mm=h_mm,
                     projection=projection,
@@ -521,13 +524,14 @@ def parse_lensfun_xml(text: str) -> list[LensfunEntry]:
 
 def load_lensfun_entry(path: str | Path) -> LensfunEntry:
     """Load one entry from minimal JSON or LensFun XML; XML that is not
-    well-formed raises ``ParseError`` naming ``path``."""
+    well-formed raises ``ParseError``, and a value it rejects ``ValueError``,
+    naming ``path``."""
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("<"):
         try:
             entries = parse_lensfun_xml(text)
-        except ET.ParseError as exc:
-            raise ET.ParseError(f"{path}: {exc}") from None
+        except (ET.ParseError, ValueError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
         if not entries:
             raise UnsupportedFamily(f"{path}: no supported lens entry found")
         return entries[0]

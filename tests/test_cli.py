@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import shutil
 import struct
@@ -617,6 +618,25 @@ class TestInputErrors:
         assert run(*argv) == 2
         assert argv[1] in json.loads(capsys.readouterr().out)["error"]["message"]
 
+    @pytest.mark.parametrize("width", [32.5, math.inf])
+    def test_eval_spec_width_not_whole_fails_alone(self, width, tmp_path):
+        # a ground-truth spec whose width is not a finite whole number lands
+        # in "failed" next to a valid pair; the batch still writes its report
+        spec = centered_spec("pinhole", 60.0, 32)
+        for side in ("est", "gt"):
+            (tmp_path / side).mkdir()
+            for name in ("0000", "0001"):
+                write_spec(tmp_path / side / f"{name}.json", spec)
+        bad = tmp_path / "gt" / "0000.json"
+        bad.write_text(json.dumps({**spec.to_dict(), "width": width}))
+        assert run("eval", str(tmp_path / "est"), str(tmp_path / "gt"), "-o",
+                   str(tmp_path / "rep")) == 0
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+        assert list(report["failed"]) == ["0000"]
+        assert report["failed"]["0000"]["kind"] == "InvalidInput"
+        assert str(bad) in report["failed"]["0000"]["message"]
+        assert list(report["per_image"]) == ["0001"]
+
     def test_eval_failure_names_the_bad_side(self, tmp_path):
         spec = centered_spec("pinhole", 60.0, 32)
         for side in ("est", "gt"):
@@ -652,6 +672,9 @@ _BAD_FILES = {
     "spec-truncated": ("s.json", json.dumps(_SPEC)[:40].encode(), "convert"),
     "spec-malformed": ("s.json", json.dumps({**_SPEC, "fx": [30.0]}).encode(), "convert"),
     "spec-zero": ("s.json", json.dumps({**_SPEC, "fx": 0.0, "fy": 0.0}).encode(), "convert"),
+    "spec-width-not-whole": ("s.json", json.dumps({**_SPEC, "width": 32.5}).encode(), "convert"),
+    "spec-width-infinite": ("s.json", json.dumps({**_SPEC, "width": math.inf}).encode(),
+                            "convert"),
     "lensfun-json-empty": ("e.json", b"", "lensfun"),
     "lensfun-json-truncated": ("e.json", json.dumps(_ENTRY)[:30].encode(), "lensfun"),
     "lensfun-json-malformed": ("e.json", json.dumps({**_ENTRY, "focal_mm": [8]}).encode(),
@@ -662,7 +685,19 @@ _BAD_FILES = {
                                     "lensfun"),
     "lensfun-xml-malformed": ("e.xml", _LENS_XML.format("x").encode(), "lensfun"),
     "lensfun-xml-zero": ("e.xml", _LENS_XML.format(0).encode(), "lensfun"),
+    "lensfun-xml-focal-zero": ("e.xml", b"<lensdatabase><lens><type>fisheye</type>"
+                                        b"<focal>0</focal></lens></lensdatabase>", "lensfun"),
 }
+
+
+def _bad_file_argv(name: str, tmp: Path) -> list[str]:
+    """Write the damaged file ``name`` of _BAD_FILES; the command line reading it."""
+    fname, contents, command = _BAD_FILES[name]
+    path = tmp / fname
+    path.write_bytes(contents)
+    return {"fit": ["fit", str(path), "--model", "pinhole"],
+            "convert": ["convert", str(path), "--to", "kb:2", "--stride", "4"],
+            "lensfun": ["lensfun", str(path), "--grid-stride", "4"]}[command]
 
 
 @pytest.mark.parametrize("name", list(_BAD_FILES))
@@ -670,12 +705,7 @@ def test_bad_input_file_never_exits_1(name, tmp_path):
     # the CLI run as its own process: whatever a damaged file holds, it
     # reports an input error (2) or a numerical failure (3) as a JSON error
     # object, and no exception escapes as a traceback with exit status 1
-    fname, contents, command = _BAD_FILES[name]
-    path = tmp_path / fname
-    path.write_bytes(contents)
-    argv = {"fit": ["fit", str(path), "--model", "pinhole"],
-            "convert": ["convert", str(path), "--to", "kb:2", "--stride", "4"],
-            "lensfun": ["lensfun", str(path), "--grid-stride", "4"]}[command]
+    argv = _bad_file_argv(name, tmp_path)
     src = str(Path(rc.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-m", "raycalib.cli", *argv],
@@ -685,6 +715,17 @@ def test_bad_input_file_never_exits_1(name, tmp_path):
     assert "Traceback" not in out.stderr
     error = json.loads(out.stdout)["error"]
     assert error["kind"] and error["message"]
+
+
+@pytest.mark.parametrize("name", ["spec-width-not-whole", "spec-width-infinite",
+                                  "lensfun-xml-focal-zero"])
+def test_bad_size_or_focal_names_the_file(name, tmp_path, capsys):
+    # a width of 32.5 is no 32-pixel camera and <focal>0</focal> no default
+    # focal: each is an input error naming the file, not a fit of another camera
+    argv = _bad_file_argv(name, tmp_path)
+    assert run(*argv) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "InvalidInput" and argv[1] in error["message"]
 
 
 class TestExitCodesAndWorkers:

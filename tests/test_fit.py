@@ -15,6 +15,7 @@ from raycalib.fit import (
     _GN_TAU,
     _arc_factor,
     _eucm_dist,
+    _eucm_rows,
     _family_rows,
     _fit_linear_full,
     _fit_ppoint_full,
@@ -155,6 +156,40 @@ def dense_lstsq(rows: np.ndarray) -> np.ndarray:
     return sol / scale
 
 
+def _lstsq1(col: np.ndarray, b: np.ndarray) -> float:
+    """lstsq of one unknown: the value x minimizing |col x - b|."""
+    return float(np.linalg.lstsq(col[:, None], b, rcond=None)[0][0])
+
+
+def _six_rays(pixels: list, theta: list, phi: list) -> rc.Correspondences:
+    theta, phi = np.array(theta), np.array(phi)
+    s = np.sin(theta)
+    rays = np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], -1)
+    return rc.Correspondences(np.array(pixels), rays)
+
+
+# (pixels, theta, phi) of six-ray systems on whose eucm rows, at f = a = 1
+# and c = 0, alpha comes out above 1 and clamps
+_EUCM_SIX_ROWS = {
+    # gamma <= 0 at alpha = 1, so the gamma = 0 re-solve brings alpha back
+    # inside [0, 1]
+    "resolved-inside": ([[0.01, -0.711], [0.673, 0.43], [0.818, -0.91], [-0.14, 0.188],
+                         [-0.255, -0.914], [-0.326, 0.99]],
+                        [0.178, 2.196, 0.748, 0.617, 0.59, 0.621],
+                        [4.347, 4.395, 4.977, 1.396, 4.365, 4.439]),
+    # gamma <= 0 at alpha = 1, and the gamma = 0 re-solve clamps alpha again
+    "clamped-twice": ([[0.354, -0.866], [0.664, 0.551], [-0.932, 0.402], [-0.42, 0.812],
+                       [-0.639, -0.043], [0.911, -0.987]],
+                      [2.359, 2.194, 0.722, 0.626, 0.24, 0.887],
+                      [0.708, 3.077, 3.458, 0.357, 0.764, 3.662]),
+    # gamma > 0 at alpha = 1: beta is the gamma re-solve
+    "gamma-resolved": ([[-0.311, -0.139], [0.932, 0.124], [-0.482, -0.517], [0.776, -0.548],
+                        [-0.751, -0.423], [0.172, 0.108]],
+                       [1.962, 1.389, 0.763, 1.05, 1.982, 1.541],
+                       [6.026, 2.321, 3.472, 3.732, 5.33, 0.914]),
+}
+
+
 class TestBlockedKernel:
     @pytest.fixture(scope="class")
     def corrs(self):
@@ -250,31 +285,34 @@ class TestFitEucm:
         assert bounds == {("beta>0",)}
 
     @pytest.mark.parametrize(
-        "pixels, theta, phi, want, dist",
+        "case, want, dist",
         [
-            # alpha > 1 clamps, gamma <= 0 re-solves alpha back inside [0, 1]
-            ([[0.01, -0.711], [0.673, 0.43], [0.818, -0.91], [-0.14, 0.188],
-              [-0.255, -0.914], [-0.326, 0.99]],
-             [0.178, 2.196, 0.748, 0.617, 0.59, 0.621],
-             [4.347, 4.395, 4.977, 1.396, 4.365, 4.439],
-             ("beta>0",), (0.8894086203661069, 1e-6)),
-            # alpha > 1 clamps, and the gamma = 0 re-solve clamps it again
-            ([[0.354, -0.866], [0.664, 0.551], [-0.932, 0.402], [-0.42, 0.812],
-              [-0.639, -0.043], [0.911, -0.987]],
-             [2.359, 2.194, 0.722, 0.626, 0.24, 0.887],
-             [0.708, 3.077, 3.458, 0.357, 0.764, 3.662],
-             ("alpha<=1", "beta>0"), (1.0, 1e-6)),
+            ("resolved-inside", ("beta>0",), (0.8894086203661069, 1e-6)),
+            ("clamped-twice", ("alpha<=1", "beta>0"), (1.0, 1e-6)),
         ],
         ids=["resolved-inside", "clamped-twice"],
     )
-    def test_bounds_name_each_bound_the_result_is_on(self, pixels, theta, phi, want, dist):
-        theta, phi = np.array(theta), np.array(phi)
-        s = np.sin(theta)
-        rays = np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], -1)
-        corrs = rc.Correspondences(np.array(pixels), rays)
+    def test_bounds_name_each_bound_the_result_is_on(self, case, want, dist):
+        corrs = _six_rays(*_EUCM_SIX_ROWS[case])
         got, bounds = _fit_linear_full(rc.parse_model("eucm"), corrs, 1.0, (0.0, 0.0), (1, 1), 1.0)
         assert bounds == want
         assert got.dist == dist
+
+    @pytest.mark.parametrize("case", list(_EUCM_SIX_ROWS))
+    def test_resolves_match_dense_lstsq(self, case):
+        # the active set on the dense rows: each re-solve holds the clamped
+        # unknown, moves its column to the right-hand side and solves the
+        # other one with lstsq
+        corrs = _six_rays(*_EUCM_SIX_ROWS[case])
+        col_g, col_a, rhs = _eucm_rows(corrs.pixels, corrs.rays, 1.0, 1.0, (0.0, 0.0)).T
+        gamma, alpha = np.linalg.lstsq(np.column_stack([col_g, col_a]), rhs, rcond=None)[0]
+        assert alpha > 1.0
+        alpha, gamma = 1.0, _lstsq1(col_g, rhs - col_a)
+        if gamma <= 0.0:
+            gamma, alpha = 0.0, min(_lstsq1(col_a, rhs), 1.0)
+        want = (alpha, gamma / alpha**2 if gamma > 0.0 else 1e-6)
+        got, _ = _eucm_dist(corrs, 1.0, 1.0, (0.0, 0.0))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +690,19 @@ class TestCalibrate:
         assert res.active_bounds == ("xi>=0",)
         assert res.spec.dist == (0.0,)
         assert all(b <= a for a, b in zip(res.gn_costs, res.gn_costs[1:]))
+
+    def test_ucm_xi_resolve_matches_dense_lstsq(self):
+        # on the camera above, the focal re-solved with xi held at 0 is the
+        # lstsq of the dense focal column alone
+        spec = rc.CameraSpec(rc.parse_model("radial:1"), 200.0, 200.0, 64.0, 64.0, (0.1,), 128, 128)
+        corrs = rc.Correspondences.from_field(rc.field_from_spec(spec))
+        model = rc.parse_model("ucm")
+        a, cx, cy = rc.fit_ppoint_aspect(corrs)
+        col_f, col_xi, rhs = _family_rows(model, corrs.pixels, corrs.rays, a, (cx, cy)).T
+        assert np.linalg.lstsq(np.column_stack([col_f, col_xi]), rhs, rcond=None)[0][1] < 0.0
+        got, bounds = _fit_linear_full(model, corrs, a, (cx, cy), (128, 128))
+        assert bounds == ("xi>=0",) and got.dist == (0.0,)
+        assert got.fx == pytest.approx(_lstsq1(col_f, rhs), rel=1e-12)
 
     def test_foreign_family_is_not_fitted_as_division(self):
         # a family that is not this package's Family member has no rows here;

@@ -2,9 +2,11 @@
 
 Such a contract needs no ground truth, so it catches a fit that stops short
 of its minimum on one side only, which per-fixture recovery tests miss.
-The transposition contract (u <-> v) is not held here yet: stage 1 solves
-for (a, a cx, cy), which is not symmetric in x and y, and the extended
-unified model's fits then end measurably apart.
+A mirror leaves every stage symmetric, so mirrored fits agree to roundoff.
+A transposition (u <-> v) does not: stage 1 solves for (a, a cx, cy), which
+is not symmetric in x and y, so the two fits start apart and agree only as
+far as refinement's stop resolves them.  The extended unified model's
+transposed fits end further apart than that (ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import raycalib as rc
+from raycalib.fit import _GN_TAU
 
 from conftest import ALL_MODEL_STRINGS
 
@@ -31,14 +34,18 @@ def _params(spec: rc.CameraSpec) -> np.ndarray:
     return np.array([spec.fx, spec.fy, spec.cx, spec.cy, *spec.dist])
 
 
+def _noisy_fields(model: rc.ModelId):
+    for seed in (100, 101, 102):
+        spec = rc.sample_spec_for_model(model, 128, np.random.default_rng(seed))
+        yield seed, rc.add_noise(rc.field_from_spec(spec), 0.5, seed=seed - 100)
+
+
 @pytest.mark.parametrize("name", ALL_MODEL_STRINGS)
 def test_fit_commutes_with_mirrors(name):
     # mirroring in u maps u -> W - u and theta_x -> -theta_x (v and theta_y
     # likewise), so the mirrored field's fit is the fit with cx -> W - cx
     model = rc.parse_model(name)
-    for seed in (100, 101, 102):
-        spec = rc.sample_spec_for_model(model, 128, np.random.default_rng(seed))
-        field = rc.add_noise(rc.field_from_spec(spec), 0.5, seed=seed - 100)
+    for seed, field in _noisy_fields(model):
         base = rc.calibrate(field, model)
         for flip_u, flip_v in ((True, False), (False, True), (True, True)):
             theta = field.theta.copy()
@@ -59,3 +66,33 @@ def test_fit_commutes_with_mirrors(name):
             assert abs(cost - cost_want) <= _COST_RTOL * cost_want, (seed, flip_u, flip_v)
             assert (res.warning, res.active_bounds, res.dropped) == (
                 base.warning, base.active_bounds, base.dropped)
+
+
+# Refinement stops once the next step would move the fit by at most _GN_TAU
+# standard errors, that is once it would remove at most tau^2 / (2 valid - k)
+# of the cost.  The transposed fit starts elsewhere, so where the two stop is
+# resolved no finer than that: their parameters may differ along flat
+# directions of the cost (2.3e-4 relative on radial:2, well inside the
+# stop), and are not compared; their final costs agree within the stop's
+# resolution (measured: 1.2e-8 relative at most, on division:2, against a
+# bound of about 3.1e-7).  The eucm fits end 3.3e-6 apart (ROADMAP item 6).
+@pytest.mark.parametrize("name", [
+    pytest.param(n, marks=pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="ROADMAP item 6: transposed eucm fits stop 3.3e-6 apart in cost"))
+    if n == "eucm" else n
+    for n in ALL_MODEL_STRINGS
+])
+def test_fit_commutes_with_transposition(name):
+    # transposing maps u <-> v and theta_x <-> theta_y, so the transposed
+    # field's fit is the fit with fx <-> fy and cx <-> cy
+    model = rc.parse_model(name)
+    k = 4 + model.num_dist
+    for seed, field in _noisy_fields(model):
+        base = rc.calibrate(field, model)
+        res = rc.calibrate(rc.FovField(theta=field.theta.transpose(1, 0, 2)[..., ::-1]), model)
+        valid = field.width * field.height - base.dropped
+        cost, cost_want = res.gn_costs[-1], base.gn_costs[-1]
+        assert abs(cost - cost_want) <= _GN_TAU**2 / (2 * valid - k) * cost_want, seed
+        assert (res.warning, res.active_bounds, res.dropped) == (
+            base.warning, base.active_bounds, base.dropped), seed

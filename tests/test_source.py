@@ -130,3 +130,27 @@ def test_no_module_reads_the_environment():
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 reads += [f"{name}:{node.lineno}" for al in node.names if al.name in names]
     assert not reads, f"src/raycalib reads the process environment at {reads}"
+
+
+def test_every_error_class_is_raised():
+    # an error class that no code raises is dead: an export, an exit code and
+    # a parametrized exit-code test case that no input can reach
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = {"CalibError"}
+    for node in errors.body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(b, ast.Name) and b.id in classes for b in node.bases
+        ):
+            classes.add(node.name)
+    classes.remove("CalibError")
+    raised = set()
+    for name, tree in _trees():
+        if name == "errors.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                raised.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", ""))
+    assert "DegenerateGeometry" in classes
+    never = sorted(classes - raised)
+    assert not never, f"CalibError subclasses that src/raycalib never raises: {never}"

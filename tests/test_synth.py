@@ -341,6 +341,19 @@ class TestLensfun:
         with pytest.raises(ValueError, match=f"cropfactor .* got {float(crop)!r}"):
             parse_lensfun_xml(lens)
 
+    def test_xml_focal_given_is_read_as_given(self):
+        # only a missing or empty <focal> defaults to half the sensor width;
+        # a focal of 0 is rejected like a negative one, not replaced
+        lens = "<lens><type>fisheye</type><cropfactor>1.5</cropfactor>{}</lens>"
+        for focal in ("0", "-3"):
+            with pytest.raises(ValueError, match="focal_mm must be positive"):
+                parse_lensfun_xml(lens.format(f"<focal>{focal}</focal>"))
+        (given,) = parse_lensfun_xml(lens.format("<focal>8</focal>"))
+        assert given.focal_mm == 8.0
+        for absent in ("", "<focal/>", '<focal min="8" max="15"/>', "<focal> </focal>"):
+            (entry,) = parse_lensfun_xml(lens.format(absent))
+            assert entry.focal_mm == 12.0, absent
+
     def test_not_well_formed_xml_names_the_file(self, tmp_path):
         path = tmp_path / "lenses.xml"
         path.write_text("<lensdatabase><lens><type>fisheye</lens>")
