@@ -64,15 +64,17 @@ _INPUT_ERRORS = (
 )
 
 
-def _error_kind(exc: Exception) -> str:
-    """The ``kind`` reported for an input error or a library error."""
-    return {
+def _error(exc: Exception) -> dict:
+    """The ``{"kind", "message"}`` object reported for an input error or a
+    library error."""
+    kind = {
         FileNotFoundError: "FileNotFound",
         IsADirectoryError: "FileNotFound",
         json.JSONDecodeError: "ParseError",
         ParseError: "ParseError",
         KeyError: "ParseError",
     }.get(type(exc), exc.kind if isinstance(exc, CalibError) else "InvalidInput")
+    return {"kind": kind, "message": str(exc)}
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -203,7 +205,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = {
         "n_pairs": len(names),
         "missing": missing,
-        "failed": {n: {"kind": _error_kind(exc), "message": str(exc)} for n, exc in failed.items()},
+        "failed": {n: _error(exc) for n, exc in failed.items()},
         "medians": {key: float(np.median(columns[key])) for key in median_keys},
         "auc": {
             "hfov": dict(zip(auc_labels, auc(columns["hfov_err_deg"]))),
@@ -231,7 +233,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     src = read_spec(args.spec)
     report = validate_spec(src)
     if not report.ok:
-        raise ValueError(f"source spec invalid: {'; '.join(report.violations)}")
+        raise ValueError(f"{args.spec}: source spec invalid: {'; '.join(report.violations)}")
     dst = parse_model(args.to)
     converted = convert_model(src, dst, fix_focal=args.fix_focal, stride=args.stride)
     payload = converted.to_dict()
@@ -330,13 +332,10 @@ def main(argv: list[str] | None = None) -> int:
         args.argv = argv  # what the manifest records
         # looked up by name per call, not bound into the cached parser
         return globals()[f"cmd_{args.command}"](args)
-    except _INPUT_ERRORS as exc:
-        sys.stdout.write(dump_json({"error": {"kind": _error_kind(exc), "message": str(exc)}}))
-        return 2
-    except CalibError as exc:
-        # every other library error is a numerical failure
-        sys.stdout.write(dump_json({"error": {"kind": exc.kind, "message": str(exc)}}))
-        return 3
+    except (*_INPUT_ERRORS, CalibError) as exc:
+        sys.stdout.write(dump_json({"error": _error(exc)}))
+        # every library error that is not an input error is a numerical failure
+        return 2 if isinstance(exc, _INPUT_ERRORS) else 3
 
 
 if __name__ == "__main__":

@@ -145,15 +145,16 @@ def parse_json_object(path: str | Path, text: str, build: Callable[[dict], Any])
     Raises:
         ValueError: naming ``path``, if the document is not a JSON object or
             ``build`` meets a field of the wrong JSON type (a number where a
-            list belongs, a null) or a value it rejects (``"fx": "abc"``, an
-            unknown model string).
+            list belongs, a null, a boolean or a string where a number
+            belongs) or a value it rejects (an integer too large for a float,
+            an unknown model string).
     """
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
     try:
         return build(data)
-    except (TypeError, AttributeError, ValueError) as exc:
+    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: a field has the wrong type or value: {exc}") from None
 
 

@@ -150,19 +150,20 @@ class Correspondences:
 
     @classmethod
     def from_field(cls, fov_field: FovField, stride: int = 1) -> "Correspondences":
-        """Pixel centers and exp-mapped rays of a field's finite cells, optionally
-        strided, in grid order."""
+        """Pixel centers and exp-mapped rays of the field cells the exp map
+        accepts, |theta| < pi (so no NaN or inf cell), optionally strided, in
+        grid order."""
         if stride < 1:
             raise ValueError("stride must be >= 1")
         theta = fov_field.theta[::stride, ::stride].reshape(-1, 2)  # a view at stride 1
         u, v = pixel_axes(fov_field.width, fov_field.height, fov_field.stride)
 
-        def finite(sl: slice, px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def in_domain(sl: slice, px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             block = theta[sl]
-            keep = np.isfinite(block[:, 0]) & np.isfinite(block[:, 1])
+            keep = np.hypot(block[:, 0], block[:, 1]) < np.pi
             return keep, exp_map(_kept(keep, block))
 
-        return cls._from_grid(u[::stride], v[::stride], finite)
+        return cls._from_grid(u[::stride], v[::stride], in_domain)
 
     @classmethod
     def from_spec(cls, spec: CameraSpec, stride: int = 1) -> "Correspondences":
@@ -185,7 +186,8 @@ class CalibrationResult:
     Each later entry is the cost after one Gauss-Newton iteration, so the
     sequence is non-increasing, and after refinement stops the last cost
     repeats.  ``dropped`` counts the correspondences the refined spec cannot
-    unproject and, for a fit of a field, the field's non-finite cells.
+    unproject and, for a fit of a field, the field's cells outside the exp
+    map's domain: those that are not finite or have |theta| >= pi.
     """
 
     spec: CameraSpec
@@ -776,8 +778,9 @@ def _fit_corrs(
 
 
 def _field_corrs(fov_field: FovField, stride: int) -> tuple[Correspondences, int]:
-    """The correspondences of a field's finite cells and the count of its
-    non-finite cells, both at ``stride``."""
+    """The correspondences of a field's cells that the exp map accepts
+    (``Correspondences.from_field``) and the count of the others, both at
+    ``stride``."""
     corrs = Correspondences.from_field(fov_field, stride)
     return corrs, fov_field.theta[::stride, ::stride].size // 2 - len(corrs)
 

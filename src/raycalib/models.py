@@ -29,9 +29,10 @@ refinement's Jacobian takes (``_RayCells.derivatives``).
 
 Each family's image ends at one closed-form normalized radius,
 ``_domain_radius`` (Usenko et al., Double Sphere, 3DV 2018, tabulate these
-domains).  Only the ``_CLAMPED`` families, radial and eucm, clamp the focal
-to keep the image inside it (``min_focal``); the samplers redraw the other
-families' cameras instead.
+domains), which also decides which pixels unproject (radial and kb also
+need ``_newton``'s root).  Only the ``_CLAMPED`` families, radial and eucm,
+clamp the focal to keep the image inside it (``min_focal``); the samplers
+redraw the other families' cameras instead.
 
 Pixel coordinates live in the continuous domain [0, W] x [0, H]; sampled
 grids use pixel centers (i + 0.5, j + 0.5).
@@ -194,21 +195,31 @@ class CameraSpec:
     def from_dict(cls, data: dict) -> "CameraSpec":
         return cls(
             model=parse_model(data["model"]),
-            fx=float(data["fx"]),
-            fy=float(data["fy"]),
-            cx=float(data["cx"]),
-            cy=float(data["cy"]),
-            dist=tuple(float(k) for k in data.get("dist", [])),
+            fx=_json_float(data["fx"], "fx"),
+            fy=_json_float(data["fy"], "fy"),
+            cx=_json_float(data["cx"], "cx"),
+            cy=_json_float(data["cy"], "cy"),
+            dist=tuple(_json_float(k, "dist") for k in data.get("dist", [])),
             width=_whole(data, "width"),
             height=_whole(data, "height"),
         )
 
 
+def _json_float(value, key: str) -> float:
+    """``value`` of the JSON field ``key``, where a number belongs, as a float;
+    a boolean or a string, which float() reads as 1.0 or parses, raises a
+    ValueError naming ``key``."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _whole(data: dict, key: str) -> int:
-    """``data[key]`` as an int, rejecting a float that is not a finite whole
-    number (32.5, inf), which int() would truncate or fail on."""
-    value = data[key]
-    if isinstance(value, float) and not value.is_integer():
+    """``data[key]`` as an int: a JSON number (``_json_float``) that is a
+    finite whole number, not 32.5 or inf, which int() would truncate or fail
+    on."""
+    value = _json_float(data[key], key)
+    if not value.is_integer():
         raise ValueError(f"{key} must be a finite whole number, got {value!r}")
     return int(value)
 
@@ -364,11 +375,8 @@ def _corner_norm_radius(spec: CameraSpec) -> float:
 def theta_max(spec: CameraSpec) -> float:
     """Largest polar angle the camera images: the polar angle of the ray
     unprojected at the image corner's normalized radius, or at the model's
-    domain end (``_domain_radius``) if that comes first.
-
-    The ray's validity flag is ignored: at the ucm and eucm domain ends
-    roundoff can leave a square root's argument 1 ulp below 0 and flag an
-    exact ray.  A slack of 1e-9 rad keeps border pixels round-trippable.
+    domain end (``_domain_radius``) if that comes first.  A slack of 1e-9 rad
+    keeps border pixels round-trippable.
     """
     unit = spec.replace(fx=1.0, fy=1.0, cx=0.0, cy=0.0)  # pixels are normalized radii
     r = min(_corner_norm_radius(spec), _domain_radius(spec.model, spec.dist))
@@ -546,7 +554,7 @@ def _unproject_cells(
     mx = (pixels[..., 0] - spec.cx) / spec.fx
     my = (pixels[..., 1] - spec.cy) / spec.fy
     r = np.hypot(mx, my)
-    valid = np.isfinite(r)
+    valid = np.isfinite(r) & (r <= _domain_radius(spec.model, spec.dist))
 
     # g = (gx, gy, gz); a constant component stays a scalar
     if fam is Family.PINHOLE:
@@ -590,7 +598,6 @@ def _unproject_cells(
         xi = spec.dist[0]
         r2 = r * r
         arg = 1.0 + (1.0 - xi * xi) * r2
-        valid &= arg >= 0.0
         root = np.sqrt(np.maximum(arg, 0.0))
         s = (xi + root) / (1.0 + r2)
         g = (s * mx, s * my, s - xi)
@@ -607,10 +614,8 @@ def _unproject_cells(
         alpha, beta = spec.dist
         r2 = r * r
         arg = 1.0 - (2.0 * alpha - 1.0) * beta * r2
-        valid &= arg >= 0.0
         root = np.sqrt(np.maximum(arg, 0.0))
         den = alpha * root + (1.0 - alpha)
-        valid &= den > 1e-12
         g = (mx, my, (1.0 - beta * alpha * alpha * r2) / np.where(den > 1e-12, den, 1.0))
 
         def derivatives():
@@ -625,7 +630,6 @@ def _unproject_cells(
             return ((1.0, 0.0, 2.0 * mx * dz_dr2), (0.0, 1.0, 2.0 * my * dz_dr2),
                     (0.0, 0.0, 1.0), [dmz_da, dmz_db])
     elif fam is Family.DIVISION:
-        valid &= r <= _division_fold_radius(spec.dist)
         r2 = r * r
         psi, dpsi = _even_poly(spec.dist, r2)
         g = (mx, my, psi)
@@ -694,19 +698,17 @@ def unproject(spec: CameraSpec, pixels: np.ndarray) -> np.ndarray:
 def _domain_radius(model: ModelId, dist: tuple[float, ...]) -> float:
     """Normalized image radius at which unprojection ends, or inf: the one end
     of each family's image.  Radial and kb end at the odd polynomial's first
-    stationary point, kb capped at ``_KB_THETA_CAP``; eucm folds at
-    1/sqrt(beta (2 alpha - 1)) when alpha > 0.5, division where its angle
-    profile is stationary; ucm ends with its root 1 + (1 - xi^2) r^2 >= 0."""
+    stationary point, kb capped at ``_KB_THETA_CAP``; division where its angle
+    profile is stationary; ucm and eucm where their root's argument 1 - k r^2,
+    k = xi^2 - 1 or beta (2 alpha - 1), reaches 0, for any parameters."""
     fam = model.family
     if fam in (Family.BROWN_CONRADY, Family.KANNALA_BRANDT):
         cap = _KB_THETA_CAP if fam is Family.KANNALA_BRANDT else math.inf
         x = min(_stationary_radius(dist), cap)
         return float(_odd_poly(dist, np.array(x))[0]) if math.isfinite(x) else math.inf
-    if fam is Family.EUCM:
-        alpha, beta = dist
-        return 1.0 / math.sqrt(beta * (2.0 * alpha - 1.0)) if alpha > 0.5 else math.inf
-    if fam is Family.UCM:
-        return 1.0 / math.sqrt(dist[0] * dist[0] - 1.0) if dist[0] > 1.0 else math.inf
+    if fam in (Family.UCM, Family.EUCM):
+        k = dist[0] * dist[0] - 1.0 if fam is Family.UCM else dist[1] * (2.0 * dist[0] - 1.0)
+        return 1.0 / math.sqrt(k) if k > 0.0 else math.inf
     if fam is Family.DIVISION:
         return _division_fold_radius(dist)
     if fam is Family.PINHOLE:

@@ -54,6 +54,7 @@ from .models import (
     ModelId,
     _corner_norm_radius,
     _domain_radius,
+    _json_float,
     _newton,
     _odd_poly,
     min_focal,
@@ -357,15 +358,16 @@ class LensfunEntry:
     def from_dict(cls, data: dict) -> "LensfunEntry":
         kwargs = dict(
             model_kind=data["model_kind"],
-            coefficients=tuple(data.get("coefficients", ())),
-            focal_mm=float(data["focal_mm"]),
-            sensor_width_mm=float(data["sensor_width_mm"]),
-            sensor_height_mm=float(data["sensor_height_mm"]),
+            coefficients=tuple(
+                _json_float(c, "coefficients") for c in data.get("coefficients", ())),
+            focal_mm=_json_float(data["focal_mm"], "focal_mm"),
+            sensor_width_mm=_json_float(data["sensor_width_mm"], "sensor_width_mm"),
+            sensor_height_mm=_json_float(data["sensor_height_mm"], "sensor_height_mm"),
         )
         if "projection" in data:
             kwargs["projection"] = data["projection"]
         if "fov_deg" in data:
-            kwargs["fov_deg"] = float(data["fov_deg"])
+            kwargs["fov_deg"] = _json_float(data["fov_deg"], "fov_deg")
         return cls(**kwargs)
 
 

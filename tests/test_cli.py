@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import raycalib as rc
 import raycalib.cli
@@ -675,11 +677,21 @@ _BAD_FILES = {
     "spec-width-not-whole": ("s.json", json.dumps({**_SPEC, "width": 32.5}).encode(), "convert"),
     "spec-width-infinite": ("s.json", json.dumps({**_SPEC, "width": math.inf}).encode(),
                             "convert"),
+    "spec-width-zero": ("s.json", json.dumps({**_SPEC, "width": 0}).encode(), "convert"),
+    "spec-width-negative": ("s.json", json.dumps({**_SPEC, "width": -8}).encode(), "convert"),
+    "spec-fx-bool": ("s.json", json.dumps({**_SPEC, "fx": True}).encode(), "convert"),
+    "spec-fx-numeric-string": ("s.json", json.dumps({**_SPEC, "fx": "12"}).encode(), "convert"),
+    "spec-fx-huge-integer": ("s.json", json.dumps({**_SPEC, "fx": 10**400}).encode(), "convert"),
+    "spec-width-bool": ("s.json", json.dumps({**_SPEC, "width": True}).encode(), "convert"),
+    "spec-dist-bool": ("s.json", json.dumps({**_SPEC, "model": "kb:2", "dist": [True, 0.01]})
+                       .encode(), "convert"),
     "lensfun-json-empty": ("e.json", b"", "lensfun"),
     "lensfun-json-truncated": ("e.json", json.dumps(_ENTRY)[:30].encode(), "lensfun"),
     "lensfun-json-malformed": ("e.json", json.dumps({**_ENTRY, "focal_mm": [8]}).encode(),
                                "lensfun"),
     "lensfun-json-zero": ("e.json", json.dumps({**_ENTRY, "focal_mm": 0}).encode(), "lensfun"),
+    "lensfun-json-focal-bool": ("e.json", json.dumps({**_ENTRY, "focal_mm": True}).encode(),
+                                "lensfun"),
     "lensfun-xml-truncated": ("e.xml", _LENS_XML.format(1)[:40].encode(), "lensfun"),
     "lensfun-xml-not-well-formed": ("e.xml", b"<lensdatabase><lens><type>fisheye</lens>",
                                     "lensfun"),
@@ -718,14 +730,59 @@ def test_bad_input_file_never_exits_1(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["spec-width-not-whole", "spec-width-infinite",
+                                  "spec-width-zero", "spec-width-negative", "spec-fx-bool",
+                                  "spec-fx-numeric-string", "spec-fx-huge-integer",
+                                  "spec-width-bool", "spec-dist-bool", "lensfun-json-focal-bool",
                                   "lensfun-xml-focal-zero"])
 def test_bad_size_or_focal_names_the_file(name, tmp_path, capsys):
-    # a width of 32.5 is no 32-pixel camera and <focal>0</focal> no default
-    # focal: each is an input error naming the file, not a fit of another camera
+    # a width of 32.5 is no 32-pixel camera, "fx": true no focal of 1 and
+    # <focal>0</focal> no default focal: each is an input error naming the
+    # file, not a fit of another camera
     argv = _bad_file_argv(name, tmp_path)
     assert run(*argv) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["kind"] == "InvalidInput" and argv[1] in error["message"]
+
+
+def _outside_the_exp_map(kind: str, component: int, norm: float, angle: float) -> np.ndarray:
+    """A tangent vector of one AFF1 cell that the exp map refuses, exact in f32."""
+    if kind != "wide":
+        vec = np.zeros(2, dtype=np.float32)
+        vec[component] = float(kind)
+        return vec
+    vec = np.array([norm * math.cos(angle), norm * math.sin(angle)], dtype=np.float32)
+    while math.hypot(*map(float, vec)) < math.pi:  # f32 rounding may cut the norm
+        vec = np.nextafter(vec, np.copysign(np.float32(np.inf), vec))
+    return vec
+
+
+_HOLED = centered_spec("pinhole", 60.0, 32)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(cells=st.lists(
+    st.tuples(st.integers(0, 32 * 32 - 1), st.sampled_from(["nan", "inf", "-inf", "wide"]),
+              st.integers(0, 1), st.floats(math.pi, 10.0), st.floats(0.0, 2.0 * math.pi)),
+    min_size=1, max_size=20, unique_by=lambda cell: cell[0]))
+@example(cells=[(16 * 32 + 16, "wide", 0, 3.5, 0.0)])  # theta = (3.5, 0)
+@pytest.mark.parametrize("ransac", [[], ["--ransac", "--iters", "5"]], ids=["plain", "ransac"])
+def test_cells_outside_the_exp_map_are_dropped(ransac, cells, tmp_path_factory):
+    # a cell that is not finite or has |theta| >= pi is one the fit leaves
+    # out: it fits exactly as the field with a NaN there, and counts in dropped
+    tmp = tmp_path_factory.mktemp("holes")
+    theta = rc.field_from_spec(_HOLED).theta.astype(np.float32).astype(np.float64)
+    holed = theta.copy()
+    for index, kind, component, norm, angle in cells:
+        theta.reshape(-1, 2)[index] = _outside_the_exp_map(kind, component, norm, angle)
+        holed.reshape(-1, 2)[index] = np.nan
+    outputs = []
+    for name, field in (("bad", theta), ("nan", holed)):
+        write_field(tmp / f"{name}.aff1", rc.FovField(theta=field))
+        assert run("fit", str(tmp / f"{name}.aff1"), "--model", "pinhole", *ransac,
+                   "-o", str(tmp / f"{name}.json")) == 0
+        outputs.append((tmp / f"{name}.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["dropped"] == len(cells)
 
 
 class TestExitCodesAndWorkers:

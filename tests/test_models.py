@@ -403,8 +403,30 @@ class TestDomainRadius:
 
     @pytest.mark.parametrize(
         "name, dist",
+        [("ucm", (1.249,)), ("ucm", (3.324,)), ("eucm", (0.55, 1.8)), ("eucm", (1.0, 3.0)),
+         ("division:1", (0.3,)), ("division:2", (0.1, 0.05))],
+    )
+    def test_validity_is_the_domain_radius_on_a_ring(self, name, dist, rng):
+        # pixels within 3 ulps of the image end, in every direction: a pixel
+        # unprojects exactly when its normalized radius is at most the end
+        model = rc.parse_model(name)
+        spec = rc.CameraSpec(model, 37.3, 41.9, 31.7, 29.2, dist, 64, 64)
+        end = _domain_radius(model, dist)
+        radius = end * (1.0 + rng.integers(-3, 4, 2000) * np.finfo(float).eps)
+        phi = rng.uniform(0.0, 2.0 * math.pi, 2000)
+        px = np.stack([spec.cx + spec.fx * radius * np.cos(phi),
+                       spec.cy + spec.fy * radius * np.sin(phi)], axis=-1)
+        _, ok = rc.unproject_masked(spec, px)
+        r = np.hypot((px[:, 0] - spec.cx) / spec.fx, (px[:, 1] - spec.cy) / spec.fy)
+        assert 0 < np.count_nonzero(ok) < len(ok)
+        np.testing.assert_array_equal(ok, r <= end)
+
+    @pytest.mark.parametrize(
+        "name, dist",
         [("pinhole", ()), ("radial:1", (0.1,)), ("ucm", (0.9,)), ("ucm", (1.0,)),
-         ("eucm", (0.4, 1.0)), ("division:1", (-0.2,))],
+         ("eucm", (0.4, 1.0)), ("division:1", (-0.2,)),
+         # out of bounds, where the root's argument never reaches 0
+         ("eucm", (0.7, 0.0)), ("eucm", (0.7, -1.0))],
     )
     def test_unbounded_domains(self, name, dist):
         assert _domain_radius(rc.parse_model(name), dist) == math.inf
