@@ -13,9 +13,9 @@ unknowns:
 3. for the extended unified model, whose rows are not linear in f, the focal
    is held or first estimated with a kb:3 proxy fit and the constraint
    r^2 R^2 gamma + 2 r Z (r Z - R) alpha = (R - r Z)^2  is then solved for
-   (gamma, alpha) with gamma = alpha^2 beta, enforcing the parameter bounds
-   with a simplified active set (solve unconstrained, clamp violated bounds,
-   re-solve the free unknowns);
+   (gamma, alpha) with gamma = alpha^2 beta, enforcing the eucm box of
+   ``models._BOX`` with a simplified active set (solve unconstrained, clamp
+   violated bounds, re-solve the free unknowns);
 4. up to five Gauss-Newton iterations on the mean squared tangent-plane
    residual between the target rays and the unprojections of the current
    intrinsics.  A residual pass (``_pass``) sweeps the cells once, block by
@@ -72,6 +72,7 @@ from .models import (
     ModelId,
     _blocks,
     _grid_blocks,
+    _in_box,
     _ray_angle,
     _unproject_cells,
     pixel_axes,
@@ -405,7 +406,7 @@ def _fit_linear_full(
     """The stage-2 solve: the spec the family's rows give once (a, c) are known,
     and the bounds it enforced.  A held focal ``f`` moves its column to the
     right-hand side; eucm takes ``f`` or the focal of a kb:3 proxy fit.  A ucm
-    xi below 0 goes to 0, and a free focal is then solved again without xi."""
+    xi outside its box goes to its bound, and a free focal is solved again."""
     fam, held = model.family, f is not None
     if fam is Family.EUCM:
         if not held:
@@ -431,11 +432,9 @@ def _fit_linear_full(
             if f <= 0:
                 raise InvalidFocal(f"solved inverse focal {f:.6g} is not positive")
             f = 1.0 / f
-    bounds: tuple[str, ...] = ()
-    if fam is Family.UCM and ks[0] < 0.0:
-        ks, bounds = (0.0,), ("xi>=0",)
-        if not held:
-            f = _resolve(R[:, 0], R[:, 2])
+    ks, bounds, _ = _in_box(fam, ks)  # only ucm's xi has a bound
+    if bounds and not held:
+        f = _resolve(R[:, 0], R[:, 2] - ks[0] * R[:, 1])
     if fam is Family.DIVISION:  # the rows solve for k'_n = k_n / f^(2n-1)
         ks = [k * f ** (2 * n - 1) for n, k in enumerate(ks, start=1)]
     return _make_spec(model, f, a, c, tuple(ks), size), bounds
@@ -461,31 +460,27 @@ def fit_linear(
 def _eucm_dist(
     corrs: Correspondences, f: float, a: float, c: tuple[float, float]
 ) -> tuple[tuple[float, float], tuple[str, ...]]:
-    """(alpha, beta) of the extended unified model at a known focal, solved
-    from the (gamma, alpha) rows with the active set, and the bounds it is on.
-    A clamped unknown is held and the other one re-solved (``_resolve``).
+    """(alpha, beta) at a known focal from the (gamma, alpha) rows, gamma =
+    alpha^2 beta, with the active set on the eucm box (``models._BOX``), and
+    the bounds it is on.  A clamped unknown is held and the other re-solved.
     """
+    alpha_lo = _in_box(Family.EUCM, (-math.inf,))[0][0]  # the box's lowest alpha
     R, m = _row_qr(corrs, lambda px, rays: _eucm_rows(px, rays, f, a, c), 3)
     gamma, alpha = _solve(R, m, "eucm (gamma, alpha) solve")
     col_g, col_a, rhs = R.T
 
-    if not 0.0 <= alpha <= 1.0:
-        alpha = min(max(alpha, 0.0), 1.0)
-        gamma = _resolve(col_g, rhs - alpha * col_a)
+    if (clamped := _in_box(Family.EUCM, (alpha,))[0][0]) != alpha:
+        alpha, gamma = clamped, _resolve(col_g, rhs - clamped * col_a)
 
     # a gamma within the solve's resolution of zero has the sign of roundoff
-    if abs(gamma) <= _RCOND * float(np.linalg.norm(rhs)) / float(np.linalg.norm(col_g)):
-        gamma = 0.0
-    if gamma <= 0.0 and alpha > 0.0:
-        gamma = 0.0
-        alpha = min(_resolve(col_a, rhs), 1.0)
+    tol = _RCOND * float(np.linalg.norm(rhs)) / float(np.linalg.norm(col_g))
+    if gamma <= tol and alpha > alpha_lo:
+        gamma, alpha = 0.0, _in_box(Family.EUCM, (_resolve(col_a, rhs),))[0][0]
 
     if alpha < 1e-9:
         # alpha = 0 reduces the model to a pinhole: beta is unidentifiable
-        return (0.0, 1.0), ("alpha>=0",)
-    beta = 1e-6 if gamma <= 0.0 else float(gamma) / float(alpha) ** 2
-    bounds = tuple(b for b, on in (("alpha<=1", alpha == 1.0), ("beta>0", gamma <= 0.0)) if on)
-    return (float(alpha), beta), bounds
+        return _in_box(Family.EUCM, (alpha_lo, 1.0))[:2]
+    return _in_box(Family.EUCM, (float(alpha), float(gamma) / float(alpha) ** 2))[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -506,16 +501,6 @@ def _spec_of(template: CameraSpec, kappa: np.ndarray) -> CameraSpec:
         cy=float(kappa[3]),
         dist=tuple(float(k) for k in kappa[4:]),
     )
-
-
-def _clamp_params(model: ModelId, kappa: np.ndarray) -> np.ndarray:
-    kappa = kappa.copy()
-    if model.family is Family.EUCM:
-        kappa[4] = min(max(kappa[4], 1e-6), 1.0 - 1e-6)
-        kappa[5] = max(kappa[5], 1e-6)
-    elif model.family is Family.UCM:
-        kappa[4] = max(kappa[4], 0.0)
-    return kappa
 
 
 def _tangent_basis(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -677,13 +662,14 @@ def refine(
 
     Minimizes the mean squared tangent-plane distance between the target rays
     and the unprojections of the current intrinsics, over the parameters
-    (fx, fy, cx, cy, *dist) indexed by ``free`` (default: all of them).  Steps
-    that would increase the cost are halved up to four times and rejected if
-    still worse, so ``gn_costs`` never increases.  Refinement stops at a
-    cost at roundoff level, a singular step, a step the data cannot
-    resolve, or a rejected step (the parameters did not move, so every later
-    iteration would repeat it); the remaining ``gn_costs`` entries repeat
-    the last cost.
+    (fx, fy, cx, cy, *dist) indexed by ``free`` (default: all of them), with
+    the start and every trial clamped into the family's box (``models._BOX``).
+    Steps that would increase the cost are halved up to four times and
+    rejected if still worse, so ``gn_costs`` never increases.  Refinement
+    stops at a cost at roundoff level, a singular step, a step the data
+    cannot resolve, or a rejected step (the parameters did not move, so
+    every later iteration would repeat it); the remaining ``gn_costs``
+    entries repeat the last cost.
 
     A step the data cannot resolve moves the fit by at most _GN_TAU = 0.1
     standard errors, in the metric of the parameters' covariance (the
@@ -710,7 +696,8 @@ def refine(
     ms at 64x64).  ``gn_costs`` are those of the full-resolution stage,
     starting at the subset's result; ``algebraic_spec`` stays ``spec0``.
     """
-    kappa, n = _params_of(spec0), len(corrs)
+    kappa, n, family = _params_of(spec0), len(corrs), spec0.model.family
+    kappa[4:] = _in_box(family, kappa[4:])[0]
     free_idx = np.arange(len(kappa)) if free is None else np.asarray(free, dtype=int)
     k = len(free_idx)
     if n >= _COARSE_MIN_CELLS:
@@ -739,7 +726,7 @@ def refine(
         for _ in range(_GN_MAX_HALVINGS + 1):
             cand = kappa.copy()
             cand[free_idx] += step * delta
-            cand = _clamp_params(spec0.model, cand)
+            cand[4:] = _in_box(family, cand[4:])[0]
             if cand[0] > 0.0 and cand[1] > 0.0:
                 trial = _pass(_spec_of(spec0, cand), corrs, free_idx)
                 if trial[0] <= cost:
@@ -883,6 +870,4 @@ def convert_model(
     if dst_model.num_dist == 0:
         return _make_spec(dst_model, src.fx, a, c, (), size)
     spec0, _ = _fit_linear_full(dst_model, corrs, a, c, size, src.fx)
-    # the parameter bounds, as the refinement enforces them
-    spec0 = _spec_of(spec0, _clamp_params(dst_model, _params_of(spec0)))
     return refine(spec0, corrs, free=np.arange(4, 4 + dst_model.num_dist)).spec

@@ -106,6 +106,17 @@ _VARIABLE_DIST = {Family.BROWN_CONRADY, Family.KANNALA_BRANDT, Family.DIVISION}
 
 _CLAMPED = (Family.BROWN_CONRADY, Family.EUCM)  # the families whose focal min_focal clamps
 
+# each family's parameter box, (name, lo_op, lo, hi_op, hi) per coefficient in
+# dist order (Khomutenko et al., RA-L 2016; Usenko et al., Double Sphere, 3DV 2018)
+_BOX = {
+    Family.UCM: (("xi", ">=", 0.0, "<", math.inf),),
+    Family.EUCM: (("alpha", ">=", 0.0, "<=", 1.0), ("beta", ">", 0.0, "<", math.inf)),
+}
+_FREE = tuple((f"k{n}", ">", -math.inf, "<", math.inf) for n in range(1, 5))  # any finite k_n
+# a clamp stops this far inside an open end (beta > 0): at beta = 0 every alpha
+# unprojects the pinhole ray (mx, my, 1), so a step in alpha would be singular
+_OPEN_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class ModelId:
@@ -144,6 +155,21 @@ def parse_model(text: str) -> ModelId:
             raise ValueError(f"{name} does not take a coefficient count")
         num = _DIST_RANGE[family][0]
     return ModelId(family, num)
+
+
+def _in_box(family: Family, dist) -> tuple[tuple[float, ...], tuple[str, ...], list[str]]:
+    """``dist`` clamped into ``family``'s box (``_BOX``, or ``_FREE``),
+    _OPEN_FLOOR inside an open end; the ``active_bounds`` names of the ends it
+    lies on; and ``validate_spec``'s message for each coefficient outside."""
+    out, on, bad = [], [], []
+    for (name, lo_op, lo, hi_op, hi), x in zip(_BOX.get(family, _FREE), dist):
+        if not (lo < x < hi or x == lo and lo_op == ">=" or x == hi and hi_op == "<="):
+            what = f"in [{lo:g}, {hi:g}]" if hi < math.inf else f"{lo_op} {lo:g}"
+            bad.append(f"{name} must be {what if lo > -math.inf else 'finite'}, got {x}")
+        a = lo if lo_op == ">=" else lo + _OPEN_FLOOR  # every open upper end is inf
+        out.append(min(max(x, a), hi))
+        on += [f"{name}{op}{e:g}" for op, e, at in ((lo_op, lo, a), (hi_op, hi, hi)) if out[-1] == at]
+    return tuple(out), tuple(on), bad
 
 
 @dataclass(frozen=True)
@@ -206,18 +232,21 @@ class CameraSpec:
 
 
 def _json_float(value, key: str) -> float:
-    """``value`` of the JSON field ``key``, where a number belongs, as a float;
-    a boolean or a string, which float() reads as 1.0 or parses, raises a
-    ValueError naming ``key``."""
+    """``value`` of the JSON field ``key``, where a number belongs, as a finite
+    float.  A boolean or a string, which float() reads as 1.0 or parses, and
+    the NaN and Infinity that Python's json module reads, raise a ValueError
+    naming ``key``."""
     if isinstance(value, (bool, str)):
         raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return value
 
 
 def _whole(data: dict, key: str) -> int:
     """``data[key]`` as an int: a JSON number (``_json_float``) that is a
-    finite whole number, not 32.5 or inf, which int() would truncate or fail
-    on."""
+    whole number, not 32.5, which int() would truncate."""
     value = _json_float(data[key], key)
     if not value.is_integer():
         raise ValueError(f"{key} must be a finite whole number, got {value!r}")
@@ -547,8 +576,11 @@ def _unproject_cells(
     whose component rows are contiguous.
 
     Each family's branch builds the unnormalized ray g and, next to it, the
-    ``derivatives`` of g (``_RayCells``), which refinement calls.
+    ``derivatives`` of g (``_RayCells``), which refinement calls.  A spec
+    outside its family's box (``_BOX``) raises a ValueError.
     """
+    if bad := _in_box(spec.model.family, spec.dist)[2]:
+        raise ValueError(f"{spec.model} spec outside its parameter box: {'; '.join(bad)}")
     pixels = np.asarray(pixels, dtype=np.float64)
     fam = spec.model.family
     mx = (pixels[..., 0] - spec.cx) / spec.fx
@@ -745,27 +777,18 @@ class ValidityReport:
 
 
 def validate_spec(spec: CameraSpec) -> ValidityReport:
-    """Check parameter bounds and the injectivity clamp for a spec.  The clamp
-    is the ``_CLAMPED`` families' only (``min_focal``): a kb, division or ucm
-    camera with its corner past ``_domain_radius`` passes and images up to
-    that end."""
-    bad: list[str] = []
-    if not (spec.fx > 0.0 and math.isfinite(spec.fx)):
-        bad.append(f"fx must be positive, got {spec.fx}")
-    if not (spec.fy > 0.0 and math.isfinite(spec.fy)):
-        bad.append(f"fy must be positive, got {spec.fy}")
+    """Check a spec's focal, principal point, size, coefficients (against its
+    family's box, ``_BOX``) and injectivity clamp.  The clamp is the
+    ``_CLAMPED`` families' only (``min_focal``): a kb, division or ucm camera
+    with its corner past ``_domain_radius`` passes and images up to that end."""
+    bad = [f"{k} must be positive, got {v}" for k, v in (("fx", spec.fx), ("fy", spec.fy))
+           if not (v > 0.0 and math.isfinite(v))]
+    bad += [f"{k} must be finite, got {v}" for k, v in (("cx", spec.cx), ("cy", spec.cy))
+            if not math.isfinite(v)]
     if spec.width <= 0 or spec.height <= 0:
         bad.append("image size must be positive")
-    fam = spec.model.family
-    if fam is Family.UCM and spec.dist[0] < 0.0:
-        bad.append(f"xi must be >= 0, got {spec.dist[0]}")
-    if fam is Family.EUCM:
-        alpha, beta = spec.dist
-        if not 0.0 <= alpha <= 1.0:
-            bad.append(f"alpha must be in [0, 1], got {alpha}")
-        if beta <= 0.0:
-            bad.append(f"beta must be > 0, got {beta}")
-    if not bad and fam in _CLAMPED:
+    bad += _in_box(spec.model.family, spec.dist)[2]
+    if not bad and spec.model.family in _CLAMPED:
         # corner-vs-fold check in normalized units; for a centered square spec
         # with unit aspect this is exactly fx >= min_focal(...)
         fold = _domain_radius(spec.model, spec.dist)

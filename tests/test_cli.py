@@ -639,6 +639,24 @@ class TestInputErrors:
         assert str(bad) in report["failed"]["0000"]["message"]
         assert list(report["per_image"]) == ["0001"]
 
+    @pytest.mark.parametrize("change, key", [
+        ({"cx": math.nan}, "cx"), ({"model": "ucm", "dist": [math.nan]}, "dist"),
+        ({"model": "kb:2", "dist": [math.inf, 0.0]}, "dist")], ids=["cx-nan", "xi-nan", "k1-inf"])
+    def test_eval_non_finite_value_fails_alone(self, change, key, tmp_path):
+        spec = centered_spec("pinhole", 60.0, 32)
+        for side in ("est", "gt"):
+            (tmp_path / side).mkdir()
+            for name in ("0000", "0001"):
+                write_spec(tmp_path / side / f"{name}.json", spec)
+        bad = tmp_path / "est" / "0000.json"
+        bad.write_text(json.dumps({**spec.to_dict(), **change}))
+        assert run("eval", str(tmp_path / "est"), str(tmp_path / "gt"), "-o",
+                   str(tmp_path / "rep")) == 0
+        failed = json.loads((tmp_path / "rep" / "report.json").read_text())["failed"]
+        assert list(failed) == ["0000"] and failed["0000"]["kind"] == "InvalidInput"
+        assert str(bad) in failed["0000"]["message"]
+        assert f"{key} must be a finite number" in failed["0000"]["message"]
+
     def test_eval_failure_names_the_bad_side(self, tmp_path):
         spec = centered_spec("pinhole", 60.0, 32)
         for side in ("est", "gt"):
@@ -685,6 +703,16 @@ _BAD_FILES = {
     "spec-width-bool": ("s.json", json.dumps({**_SPEC, "width": True}).encode(), "convert"),
     "spec-dist-bool": ("s.json", json.dumps({**_SPEC, "model": "kb:2", "dist": [True, 0.01]})
                        .encode(), "convert"),
+    # Python's json module reads NaN and Infinity, which JSON does not have
+    "spec-cx-nan": ("s.json", json.dumps({**_SPEC, "cx": math.nan}).encode(), "convert"),
+    "spec-dist-nan-ucm": ("s.json", json.dumps({**_SPEC, "model": "ucm", "dist": [math.nan]})
+                          .encode(), "convert"),
+    "spec-dist-nan-eucm": ("s.json", json.dumps({**_SPEC, "model": "eucm",
+                                                 "dist": [0.5, math.nan]}).encode(), "convert"),
+    "spec-dist-infinite-kb": ("s.json", json.dumps({**_SPEC, "model": "kb:2",
+                                                    "dist": [math.inf, 0.0]}).encode(), "convert"),
+    "spec-dist-nan-radial": ("s.json", json.dumps({**_SPEC, "model": "radial:1",
+                                                   "dist": [math.nan]}).encode(), "convert"),
     "lensfun-json-empty": ("e.json", b"", "lensfun"),
     "lensfun-json-truncated": ("e.json", json.dumps(_ENTRY)[:30].encode(), "lensfun"),
     "lensfun-json-malformed": ("e.json", json.dumps({**_ENTRY, "focal_mm": [8]}).encode(),
@@ -692,6 +720,8 @@ _BAD_FILES = {
     "lensfun-json-zero": ("e.json", json.dumps({**_ENTRY, "focal_mm": 0}).encode(), "lensfun"),
     "lensfun-json-focal-bool": ("e.json", json.dumps({**_ENTRY, "focal_mm": True}).encode(),
                                 "lensfun"),
+    "lensfun-json-coefficient-nan": ("e.json", json.dumps({**_ENTRY, "coefficients": [math.nan]})
+                                     .encode(), "lensfun"),
     "lensfun-xml-truncated": ("e.xml", _LENS_XML.format(1)[:40].encode(), "lensfun"),
     "lensfun-xml-not-well-formed": ("e.xml", b"<lensdatabase><lens><type>fisheye</lens>",
                                     "lensfun"),
@@ -729,19 +759,28 @@ def test_bad_input_file_never_exits_1(name, tmp_path):
     assert error["kind"] and error["message"]
 
 
+# the JSON key each non-finite value sits under
+_NON_FINITE_KEYS = {"spec-cx-nan": "cx", "spec-dist-nan-ucm": "dist",
+                    "spec-dist-nan-eucm": "dist", "spec-dist-infinite-kb": "dist",
+                    "spec-dist-nan-radial": "dist", "lensfun-json-coefficient-nan": "coefficients"}
+
+
 @pytest.mark.parametrize("name", ["spec-width-not-whole", "spec-width-infinite",
                                   "spec-width-zero", "spec-width-negative", "spec-fx-bool",
                                   "spec-fx-numeric-string", "spec-fx-huge-integer",
                                   "spec-width-bool", "spec-dist-bool", "lensfun-json-focal-bool",
-                                  "lensfun-xml-focal-zero"])
+                                  "lensfun-xml-focal-zero", *_NON_FINITE_KEYS])
 def test_bad_size_or_focal_names_the_file(name, tmp_path, capsys):
     # a width of 32.5 is no 32-pixel camera, "fx": true no focal of 1 and
-    # <focal>0</focal> no default focal: each is an input error naming the
-    # file, not a fit of another camera
+    # <focal>0</focal> no default focal, and "cx": NaN no principal point:
+    # each is an input error naming the file (and a non-finite value's key),
+    # not a fit of another camera
     argv = _bad_file_argv(name, tmp_path)
     assert run(*argv) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["kind"] == "InvalidInput" and argv[1] in error["message"]
+    if name in _NON_FINITE_KEYS:
+        assert f"{_NON_FINITE_KEYS[name]} must be a finite number" in error["message"]
 
 
 def _outside_the_exp_map(kind: str, component: int, norm: float, angle: float) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Metamorphic contracts: a fit commutes with symmetries of the image.
+"""Metamorphic contracts: a fit commutes with symmetries of the image, and a
+conversion's round trip A -> B -> A fits B no worse than A does.
 
 Such a contract needs no ground truth, so it catches a fit that stops short
 of its minimum on one side only, which per-fixture recovery tests miss.
@@ -96,3 +97,44 @@ def test_fit_commutes_with_transposition(name):
         assert abs(cost - cost_want) <= _GN_TAU**2 / (2 * valid - k) * cost_want, seed
         assert (res.warning, res.active_bounds, res.dropped) == (
             base.warning, base.active_bounds, base.dropped), seed
+
+
+# The round trip A -> B -> A (convert_model) on clean 128x128 cameras drawn
+# with rng 200-202, each conversion at stride 4.  B cannot represent
+# everything A images, and the way back cannot restore what was lost, so the
+# two A cameras differ: each bound (angular_error, degrees) sits just above
+# the largest gap measured, and pins the conversion's accuracy.  A pair whose
+# two models image the same rays comes back to roundoff (pinhole -> ucm, with
+# xi = 0).  Whatever B is, the way back fits B's grid at least as well as A
+# does, since A is one of the cameras it chooses from: refinement stops
+# within _GN_TAU standard errors of its optimum, at most
+# tau^2 / (2 valid - k) above it in cost, and 1e-30 is its roundoff level.
+_ROUND_TRIP_GAP_DEG = {
+    ("ucm", "pinhole"): 8.5, ("ucm", "radial:1"): 1.3, ("ucm", "kb:2"): 2.7e-3,
+    ("ucm", "division:1"): 0.038, ("eucm", "pinhole"): 8.6, ("eucm", "radial:1"): 14.0,
+    ("eucm", "kb:2"): 0.019, ("eucm", "division:1"): 0.96, ("pinhole", "ucm"): 1e-13,
+    ("radial:1", "ucm"): 3.6e-3, ("kb:2", "ucm"): 0.38, ("division:1", "ucm"): 0.040,
+    ("pinhole", "eucm"): 1.6e-5, ("radial:1", "eucm"): 0.45, ("kb:2", "eucm"): 2.4e-3,
+    ("division:1", "eucm"): 1.95,
+}
+
+
+@pytest.mark.parametrize("a, b", [
+    pytest.param(a, b, id=f"{a}->{b}", marks=[pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="ROADMAP item 6: the eucm fit of the radial:1 camera stops at alpha = 0 on a "
+               "singular step, at 40-94 times the cost of A")] if a == "eucm" and b == "radial:1"
+        else [])
+    for a, b in _ROUND_TRIP_GAP_DEG
+])
+def test_round_trip_comes_back(a, b):
+    model_a, model_b = rc.parse_model(a), rc.parse_model(b)
+    for seed in (200, 201, 202):
+        spec = rc.sample_spec_for_model(model_a, 128, np.random.default_rng(seed))
+        there = rc.convert_model(spec, model_b, stride=4)
+        back = rc.convert_model(there, model_a, stride=4)
+        corrs = rc.Correspondences.from_spec(there, 4)
+        cost, cost_back = (rc.refine(s, corrs).gn_costs[0] for s in (spec, back))
+        k = 4 + model_a.num_dist
+        assert cost_back <= cost * (1.0 + _GN_TAU**2 / (2 * len(corrs) - k)) + 1e-30, seed
+        assert rc.angular_error(spec, back, grid_stride=4) <= _ROUND_TRIP_GAP_DEG[a, b], seed

@@ -493,14 +493,34 @@ class TestValidateSpec:
         [("pinhole", {"fy": 0.0}, "fy must be positive, got 0.0"),
          ("pinhole", {"width": 0}, "image size must be positive"),
          ("eucm", {"dist": (0.6, -1.0)}, "beta must be > 0, got -1.0"),
-         ("eucm", {"dist": (0.6, 0.0)}, "beta must be > 0, got 0.0")],
-        ids=["fy-0", "width-0", "beta-negative", "beta-0"],
+         ("eucm", {"dist": (0.6, 0.0)}, "beta must be > 0, got 0.0"),
+         ("radial:1", {"dist": (math.nan,)}, "k1 must be finite, got nan"),
+         ("kb:2", {"dist": (math.inf, 0.0)}, "k1 must be finite, got inf"),
+         ("ucm", {"dist": (math.nan,)}, "xi must be >= 0, got nan"),
+         ("eucm", {"dist": (0.6, math.nan)}, "beta must be > 0, got nan"),
+         ("division:1", {"dist": (math.nan,)}, "k1 must be finite, got nan"),
+         ("pinhole", {"cx": math.nan}, "cx must be finite, got nan")],
+        ids=["fy-0", "width-0", "beta-negative", "beta-0", "radial-k1-nan", "kb-k1-inf",
+             "ucm-xi-nan", "eucm-beta-nan", "division-k1-nan", "pinhole-cx-nan"],
     )
     def test_each_violation_is_reported(self, name, change, violation):
-        dist = (0.6, 1.1) if name == "eucm" else ()
+        dist = {"eucm": (0.6, 1.1), "ucm": (0.8,), "kb:2": (0.01, 0.0), "radial:1": (-0.1,),
+                "division:1": (-0.1,)}.get(name, ())
         spec = rc.CameraSpec(rc.parse_model(name), 400, 400, 240, 240, dist, 480, 480)
         assert rc.validate_spec(spec).ok
         assert rc.validate_spec(spec.replace(**change)).violations == (violation,)
+
+    @pytest.mark.parametrize("name, dist, coefficient", [
+        ("eucm", (1.2, 1.0), "alpha"), ("eucm", (0.6, 0.0), "beta"), ("ucm", (-0.1,), "xi"),
+        ("kb:2", (math.nan, 0.0), "k1")],
+        ids=["eucm-alpha-above-1", "eucm-beta-0", "ucm-xi-negative", "kb-k1-nan"])
+    def test_spec_outside_its_box_does_not_unproject(self, name, dist, coefficient):
+        # with alpha > 1 the eucm denominator alpha * root + 1 - alpha changes
+        # sign inside the image, so no rays there are the model's: a
+        # unprojection that floored it flagged 904 of these 4,096 cells valid
+        spec = rc.CameraSpec(rc.parse_model(name), 20.0, 20.0, 32.0, 32.0, dist, 64, 64)
+        with pytest.raises(ValueError, match=f"{coefficient} must be"):
+            rc.unproject_masked(spec, pixel_centers(64, 64))
 
 
 class TestSpecSerialization:

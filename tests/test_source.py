@@ -154,3 +154,61 @@ def test_every_error_class_is_raised():
     assert "DegenerateGeometry" in classes
     never = sorted(classes - raised)
     assert not never, f"CalibError subclasses that src/raycalib never raises: {never}"
+
+
+# the coefficients that a family's box (models._BOX) bounds, and its
+# constants: the ends 0 and 1 and the floor inside an open end
+_BOXED = {"xi", "alpha", "beta"}
+_BOX_CONSTANTS = {0.0, 1.0, 1e-6}
+_BOUND_TEXT = re.compile(r"\b(xi|alpha|beta)\s*(>=|<=|>|<|must be)")
+
+
+def _is_coefficient(node: ast.AST) -> bool:
+    """xi, alpha or beta, a subscript of a dist or ks tuple, or of a parameter
+    vector (kappa, cand) past its four intrinsics."""
+    if isinstance(node, ast.Name):
+        return node.id in _BOXED
+    if not isinstance(node, ast.Subscript):
+        return False
+    base = ast.unparse(node.value)
+    if base.endswith("dist") or base == "ks":
+        return True
+    index = node.slice
+    return (base in ("kappa", "cand") and isinstance(index, ast.Constant)
+            and isinstance(index.value, int) and index.value >= 4)
+
+
+def _box_constants(node: ast.AST) -> list:
+    return [n.value for n in ast.walk(node) if isinstance(n, ast.Constant)
+            and isinstance(n.value, float) and n.value in _BOX_CONSTANTS]
+
+
+def test_each_box_is_stated_once():
+    # the parameter boxes live in models._BOX alone: outside it, no string
+    # states a bound ("xi>=0", "alpha must be in [0, 1]"), and no comparison
+    # or clamp holds a box coefficient against a box constant
+    found = []
+    for name, tree in _trees():
+        table = [node for node in tree.body if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("_BOX", "_OPEN_FLOOR") for t in node.targets)]
+        skip = {id(n) for node in table for n in ast.walk(node)}
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings and _BOUND_TEXT.search(node.value)):
+                found.append(f"{name}:{node.lineno} {node.value!r}")
+            parts = []
+            if isinstance(node, ast.Compare):
+                parts = [node.left, *node.comparators]
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                    "min", "max", "np.clip", "np.minimum", "np.maximum"):
+                parts = list(node.args)
+            elif isinstance(node, ast.Assign) and any(_is_coefficient(t) for t in node.targets):
+                parts = [node.value, *node.targets]
+            if any(_is_coefficient(p) for p in parts) and _box_constants(node):
+                found.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, f"box bounds stated outside models._BOX: {found}"
