@@ -27,13 +27,15 @@ unknowns:
    estimate |R[k, k]| / sqrt(2 valid - k); at _GN_TAU = 0.1 or less the
    data cannot resolve the step, and refinement stops without a trial pass
    (relative offset, Bates & Watts, Technometrics 1981).  Fields of
-   _COARSE_MIN_CELLS cells or more are first refined on every 16th cell,
-   and the full cells then start from that fit.  Each step is halved up to
-   four times if the cost would increase, so the recorded per-iteration
-   costs never increase; a step rejected at every length leaves the
-   intrinsics unchanged, so the refinement stops there too, exactly where
-   further iterations would repeat it.  A pass keeps no per-cell state: it depends
-   on the intrinsics, the correspondences and the free parameters alone.
+   _COARSE_MIN_CELLS cells or more are first refined once on every fourth
+   grid column and row, counted from the nearer image edge
+   (``_coarse_cells``), and the full cells then start from that fit.  Each
+   step is halved up to four times if the cost would increase, so the
+   recorded per-iteration costs never increase; a step rejected at every
+   length leaves the intrinsics unchanged, so the refinement stops there
+   too, exactly where further iterations would repeat it.  A pass keeps no
+   per-cell state: it depends on the intrinsics, the correspondences and
+   the free parameters alone.
 
 One row writer (``_block_rows``) fills a block's rows [J | -e] for
 refinement and ``residual_jacobian``: it unprojects the block, forms the
@@ -64,7 +66,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import DegenerateGeometry, InvalidFocal, NoConsensus, UnsupportedFamily
-from .fov import FovField, exp_map
+from .fov import FovField, _exp_map
 from .models import (
     _BLOCK,
     CameraSpec,
@@ -76,14 +78,15 @@ from .models import (
     _ray_angle,
     _unproject_cells,
     pixel_axes,
+    validate_spec,
 )
 
 EUCM_PROXY_ORDER = 3  # kb order used to estimate the extended model's focal
 
 _RCOND = 1e-12
 _GN_TAU = 0.1  # stop once a step moves the fit by at most this many standard errors
-_COARSE_MIN_CELLS = 65536  # refine every _COARSE_STEP-th cell first from here on
-_COARSE_STEP = 16
+_COARSE_MIN_CELLS = 12544  # 112x112: refine the _coarse_cells subset first from here on
+_COARSE_STEP = 4  # the coarse subset's pitch in grid columns and rows; a power of two
 _GN_ITERATIONS = 5
 _GN_MAX_HALVINGS = 4
 _EPS_XY = 1e-9  # rows with |X| and |Y| both below this are dropped
@@ -161,8 +164,9 @@ class Correspondences:
 
         def in_domain(sl: slice, px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             block = theta[sl]
-            keep = np.hypot(block[:, 0], block[:, 1]) < np.pi
-            return keep, exp_map(_kept(keep, block))
+            t = np.hypot(block[:, 0], block[:, 1])
+            keep = t < np.pi
+            return keep, _exp_map(_kept(keep, block), _kept(keep, t))
 
         return cls._from_grid(u[::stride], v[::stride], in_domain)
 
@@ -183,7 +187,8 @@ class CalibrationResult:
 
     ``gn_costs[0]`` is the mean squared tangent residual (radians^2) where
     full-resolution refinement starts: at the algebraic solution, or, from
-    65,536 cells on (``_COARSE_MIN_CELLS``), at the fit of every 16th cell.
+    12,544 cells on (``_COARSE_MIN_CELLS``), at the fit of the coarse subset
+    (``_coarse_cells``, 1/16 of a grid's cells).
     Each later entry is the cost after one Gauss-Newton iteration, so the
     sequence is non-increasing, and after refinement stops the last cost
     repeats.  ``dropped`` counts the correspondences the refined spec cannot
@@ -655,55 +660,46 @@ def _pass(
     return cost, valid, R
 
 
-def refine(
-    spec0: CameraSpec, corrs: Correspondences, free: np.ndarray | None = None
-) -> CalibrationResult:
-    """Polish intrinsics with up to five Gauss-Newton iterations on tangent residuals.
+def _coarse_cells(corrs: Correspondences, width: int, height: int) -> np.ndarray:
+    """Indices of the cells whose grid column and row, counted from the nearer
+    image edge, are multiples of _COARSE_STEP: 1/16 of a full grid (exactly
+    so when both sides are multiples of 8 cells).
 
-    Minimizes the mean squared tangent-plane distance between the target rays
-    and the unprojections of the current intrinsics, over the parameters
-    (fx, fy, cx, cy, *dist) indexed by ``free`` (default: all of them), with
-    the start and every trial clamped into the family's box (``models._BOX``).
-    Steps that would increase the cost are halved up to four times and
-    rejected if still worse, so ``gn_costs`` never increases.  Refinement
-    stops at a cost at roundoff level, a singular step, a step the data
-    cannot resolve, or a rejected step (the parameters did not move, so
-    every later iteration would repeat it); the remaining ``gn_costs``
-    entries repeat the last cost.
+    The cells come in grid order (``Correspondences._from_grid``), so the
+    smallest positive step in u between neighbors of the first block is the
+    grid's pitch p, and a cell at distance x from the nearer edge lies in
+    column floor(x / p) counted from that edge.  That holds whenever the
+    grid's outermost centers lie less than p inside the edges: p / 2 on a
+    field's own grid (``pixel_axes``), and up to p - 1/2 at the far end of
+    a stride-1 grid sampled at stride p.  A mirror keeps each cell's
+    distances to the nearer edges, and a transposition swaps its column
+    and row distances, which the rule treats alike, so both map the kept
+    cells of a grid onto themselves.  With no such step (a single column)
+    every cell is kept.  Built block by block, so the mask holds one byte
+    per cell."""
+    u, v = corrs.pixels.T
+    steps = np.diff(u[:_BLOCK])
+    scale = 1.0 / np.min(steps, where=steps > 0.0, initial=np.inf)
 
-    A step the data cannot resolve moves the fit by at most _GN_TAU = 0.1
-    standard errors, in the metric of the parameters' covariance (the
-    relative-offset criterion of Bates & Watts, Technometrics 23(2), 1981):
-    its squared length there is |R[:k, k]|^2 over the residual variance
-    R[k, k]^2 / (2 valid - k).  Stopping 0.1 standard errors short adds
-    0.01 to the expected squared Mahalanobis error of the fit, which is
-    k >= 4 at the optimum, so the fit loses at most 0.25% of its efficiency.
-    On a clean field R[k, k] is roundoff, so this stop waits for a step far
-    below roundoff, and exact recovery keeps its tolerances.
+    def lines(x: np.ndarray, extent: int) -> np.ndarray:
+        return (np.minimum(x, extent - x) * scale).astype(np.intp)
 
-    From _COARSE_MIN_CELLS correspondences on, refinement first runs on
-    every _COARSE_STEP-th cell (the subset recurses from 16 times that
-    size on) and then at full resolution from that result, with the same
-    stops.  The subset's optimum lies a few standard errors of the full
-    data from the full optimum, so one full step from there usually ends
-    inside the 0.1-standard-error stop.  The threshold comes from a size
-    sweep (21 fits of 7 models at 0.3 degrees of noise, CPU time, best of
-    3, 2 vCPUs): the coarse stage cut the cells passed over by 15-25% at
-    every size from 64x64 to 384x384, but the time per fit only from
-    256x256 = 65,536 cells on (86 to 58 ms there, 164 to 132 ms at
-    384x384).  Below, its own passes' overhead ate the saving: from 64x64
-    to 224x224 fits took between 16% less and 18% more time (4.8 to 5.3
-    ms at 64x64).  ``gn_costs`` are those of the full-resolution stage,
-    starting at the subset's result; ``algebraic_spec`` stays ``spec0``.
-    """
-    kappa, n, family = _params_of(spec0), len(corrs), spec0.model.family
-    kappa[4:] = _in_box(family, kappa[4:])[0]
-    free_idx = np.arange(len(kappa)) if free is None else np.asarray(free, dtype=int)
-    k = len(free_idx)
-    if n >= _COARSE_MIN_CELLS:
-        kappa = _params_of(
-            refine(spec0, corrs.subset(np.arange(0, n, _COARSE_STEP)), free_idx).spec)
+    keep = np.empty(len(corrs), dtype=bool)
+    for sl in _blocks(len(corrs)):
+        # _COARSE_STEP is a power of two, so the low bits of both indices decide
+        np.equal((lines(u[sl], width) | lines(v[sl], height)) & (_COARSE_STEP - 1), 0,
+                 out=keep[sl])
+    return np.flatnonzero(keep)
 
+
+def _gauss_newton(
+    spec0: CameraSpec, kappa: np.ndarray, corrs: Correspondences, free_idx: np.ndarray
+) -> tuple[np.ndarray, tuple[float, ...], int, str | None]:
+    """Up to _GN_ITERATIONS Gauss-Newton iterations on corrs from the
+    parameters kappa of ``spec0``'s model, with ``refine``'s steps and stops.
+    Returns the final parameters, the per-iteration costs, the count of
+    valid cells in the last pass and the warning, if any."""
+    n, k, family = len(corrs), len(free_idx), spec0.model.family
     cost, valid, R = _pass(_spec_of(spec0, kappa), corrs, free_idx)
     costs = [cost]
     warning = None
@@ -739,11 +735,69 @@ def refine(
             break
         costs.append(cost)
     costs.extend([cost] * (_GN_ITERATIONS + 1 - len(costs)))
+    return kappa, tuple(costs), valid, warning
 
+
+def refine(
+    spec0: CameraSpec, corrs: Correspondences, free: np.ndarray | None = None
+) -> CalibrationResult:
+    """Polish intrinsics with up to five Gauss-Newton iterations on tangent residuals.
+
+    Minimizes the mean squared tangent-plane distance between the target rays
+    and the unprojections of the current intrinsics, over the parameters
+    (fx, fy, cx, cy, *dist) indexed by ``free`` (default: all of them), with
+    the start and every trial clamped into the family's box (``models._BOX``).
+    Steps that would increase the cost are halved up to four times and
+    rejected if still worse, so ``gn_costs`` never increases.  Refinement
+    stops at a cost at roundoff level, a singular step, a step the data
+    cannot resolve, or a rejected step (the parameters did not move, so
+    every later iteration would repeat it); the remaining ``gn_costs``
+    entries repeat the last cost.
+
+    A step the data cannot resolve moves the fit by at most _GN_TAU = 0.1
+    standard errors, in the metric of the parameters' covariance (the
+    relative-offset criterion of Bates & Watts, Technometrics 23(2), 1981):
+    its squared length there is |R[:k, k]|^2 over the residual variance
+    R[k, k]^2 / (2 valid - k).  Stopping 0.1 standard errors short adds
+    0.01 to the expected squared Mahalanobis error of the fit, which is
+    k >= 4 at the optimum, so the fit loses at most 0.25% of its efficiency.
+    On a clean field R[k, k] is roundoff, so this stop waits for a step far
+    below roundoff, and exact recovery keeps its tolerances.
+
+    From _COARSE_MIN_CELLS correspondences on, refinement first runs once
+    on the coarse subset (``_coarse_cells``: every fourth grid column and
+    row, counted from the nearer image edge, so that mirrored and
+    transposed fields refine the same cells) and then at full resolution
+    from that result, with the same stops.  The subset's optimum lies a few
+    standard errors of the full data from the full optimum, so one full
+    step from there usually ends inside the 0.1-standard-error stop.  The
+    threshold comes from a size sweep (14 fits of 7 models x 2 cameras at
+    0.3 degrees of noise, CPU time of ``calibrate`` with and without the
+    coarse stage, alternated per fit, best of 5, 2 vCPUs); time with it
+    over time without it:
+
+        side      64     96    104    112    128    192    256    384
+        ratio   1.22   0.91   1.02   0.94   0.91   0.80   0.75   0.79
+
+    The coarse stage cut the cells passed over by 11-33% at every size,
+    but below 112x112 = 12,544 cells its own passes' overhead ate the
+    saving at some sizes (8.6 to 10.6 ms at 64x64); from there on it saved
+    time at every size.  ``gn_costs`` are those of the full-resolution
+    stage, starting at the subset's result; ``algebraic_spec`` stays
+    ``spec0``.
+    """
+    kappa = _params_of(spec0)
+    kappa[4:] = _in_box(spec0.model.family, kappa[4:])[0]
+    free_idx = np.arange(len(kappa)) if free is None else np.asarray(free, dtype=int)
+    if len(corrs) >= _COARSE_MIN_CELLS:
+        coarse = corrs.subset(_coarse_cells(corrs, spec0.width, spec0.height))
+        kappa = _gauss_newton(spec0, kappa, coarse, free_idx)[0]
+        del coarse  # so the full-resolution passes do not hold it too
+    kappa, costs, valid, warning = _gauss_newton(spec0, kappa, corrs, free_idx)
     return CalibrationResult(
         spec=_spec_of(spec0, kappa),
         algebraic_spec=spec0,
-        gn_costs=tuple(costs),
+        gn_costs=costs,
         warning=warning,
         dropped=len(corrs) - valid,
     )
@@ -761,6 +815,10 @@ def _fit_corrs(
     a, cx, cy, ppoint_residual = _fit_ppoint_full(corrs)
     algebraic, bounds = _fit_linear_full(model, corrs, a, (cx, cy), size)
     result = refine(algebraic, corrs)
+    invalid = validate_spec(result.spec).violations
+    if invalid:
+        notes = (result.warning, f"fitted spec invalid: {'; '.join(invalid)}")
+        result = replace(result, warning="; ".join(w for w in notes if w))
     return replace(result, ppoint_residual=ppoint_residual, active_bounds=bounds)
 
 

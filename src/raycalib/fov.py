@@ -71,6 +71,12 @@ def exp_map(theta2: np.ndarray) -> np.ndarray:
     t = np.hypot(theta2[..., 0], theta2[..., 1])
     if np.any(t >= np.pi):
         raise ThetaOutOfDomain("|theta| must be < pi")
+    return _exp_map(theta2, t)
+
+
+def _exp_map(theta2: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``exp_map`` of float64 vectors theta2 (..., 2) whose norms
+    t = hypot(theta_x, theta_y) the caller has taken and found below pi."""
     small = t < _SERIES_CUTOVER
     sinc = np.where(small, 1.0, np.sin(t) / np.where(small, 1.0, t))
     rays = np.empty(t.shape + (3,))

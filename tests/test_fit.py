@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from raycalib.fit import (
     _COARSE_MIN_CELLS,
     _GN_TAU,
     _arc_factor,
+    _coarse_cells,
     _eucm_dist,
     _eucm_rows,
     _family_rows,
@@ -26,7 +28,7 @@ from raycalib.fit import (
     _solve,
     residual_jacobian,
 )
-from raycalib.models import _BLOCK
+from raycalib.models import _BLOCK, pixel_centers
 
 from conftest import (
     ALL_MODEL_STRINGS,
@@ -421,17 +423,58 @@ class TestRefine:
     @pytest.mark.parametrize("n", [_COARSE_MIN_CELLS - 1, _COARSE_MIN_CELLS])
     def test_coarse_stage_from_threshold(self, n, monkeypatch):
         # from _COARSE_MIN_CELLS correspondences on, the first passes cover
-        # every 16th cell and the later ones all of them; below, every pass
-        # covers all of them
-        spec = rc.sample_spec_for_model(rc.parse_model("kb:2"), 256, np.random.default_rng(6))
-        field = rc.add_noise(rc.field_from_spec(spec), 0.3, seed=6)
-        corrs = rc.Correspondences.from_field(field).subset(np.arange(n))
+        # the 784 cells of every fourth column and row of the 112 x 112 grid
+        # (1/16 of it), and the later ones all of them; below, one hole
+        # in the grid, every pass covers all of them
+        assert 112 * 112 == _COARSE_MIN_CELLS
+        spec = rc.sample_spec_for_model(rc.parse_model("kb:2"), 112, np.random.default_rng(6))
+        theta = rc.add_noise(rc.field_from_spec(spec), 0.3, seed=6).theta.copy()
+        if n < _COARSE_MIN_CELLS:
+            theta[40, 50] = np.nan
+        corrs = rc.Correspondences.from_field(rc.FovField(theta=theta))
+        assert len(corrs) == n
         (passes,) = count_calls(monkeypatch, "_pass")
         rc.refine(spec.replace(fx=spec.fx * 1.01, fy=spec.fy * 1.01), corrs)
         cells = [len(args[1]) for args in passes]
         coarse = 0 if n < _COARSE_MIN_CELLS else cells.index(n)
-        assert cells == [-(-n // 16)] * coarse + [n] * (len(cells) - coarse)
+        assert cells == [112 * 112 // 16] * coarse + [n] * (len(cells) - coarse)
         assert len(cells) > coarse >= (n >= _COARSE_MIN_CELLS)
+
+    @staticmethod
+    def coarse_centers(corrs: rc.Correspondences, width: int, height: int) -> set:
+        """Pixel centers of the coarse subset of corrs."""
+        return {(u, v) for u, v in corrs.pixels[_coarse_cells(corrs, width, height)].tolist()}
+
+    @pytest.mark.parametrize("width, height", [(128, 128), (256, 256), (129, 97)])
+    def test_coarse_subset_commutes_with_mirrors_and_transposition(self, width, height):
+        # on a stride-1 grid, the pixel centers the coarse stage keeps map
+        # onto themselves under both mirrors, and the transposed grid keeps
+        # their transposes: 1/16 of the grid
+        def grid(w: int, h: int) -> rc.Correspondences:
+            px = pixel_centers(w, h).reshape(-1, 2)
+            return rc.Correspondences(px, np.tile([0.0, 0.0, 1.0], (len(px), 1)))
+
+        kept = self.coarse_centers(grid(width, height), width, height)
+        assert abs(len(kept) / (width * height) - 1 / 16) <= 0.01
+        assert {(width - u, v) for u, v in kept} == kept
+        assert {(u, height - v) for u, v in kept} == kept
+        assert {(width - u, height - v) for u, v in kept} == kept
+        assert {(v, u) for u, v in kept} == self.coarse_centers(grid(height, width), height, width)
+
+    @pytest.mark.parametrize("field_stride, stride", [(2, 1), (1, 2)])
+    def test_coarse_subset_of_a_strided_grid(self, field_stride, stride):
+        # a field sampled at stride 2, and a stride-1 field fitted at stride 2
+        # (whose last column lies 1.5 pixels from the edge): every fourth of
+        # the grid's own columns and rows, counted from either end, so the
+        # subset is 1/16 of the grid and maps onto itself under its mirrors
+        spec = rc.sample_spec_for_model(rc.parse_model("kb:2"), 128, np.random.default_rng(1))
+        corrs = rc.Correspondences.from_field(rc.field_from_spec(spec, stride=field_stride), stride)
+        assert len(corrs) == 64 * 64
+        kept = self.coarse_centers(corrs, 128, 128)
+        assert len(kept) == 64 * 64 // 16
+        (u0, v0), (u1, v1) = corrs.pixels.min(axis=0), corrs.pixels.max(axis=0)
+        assert {(u0 + u1 - u, v) for u, v in kept} == kept
+        assert {(u, v0 + v1 - v) for u, v in kept} == kept
 
     @staticmethod
     def fit_peak(size: int) -> int:
@@ -452,17 +495,18 @@ class TestRefine:
                 tracemalloc.stop()
 
     def test_fit_peak_memory(self):
-        # a fit holds the correspondences, their every-16th-cell subset and
-        # one block of rows at a time: about 9.7 MiB on this 384x384 field;
+        # a fit holds the correspondences, their coarse subset and one
+        # block of rows at a time: about 9.7 MiB on this 384x384 field;
         # stages that build whole-field (n, k) arrays take 46 MiB, twice the
         # bound
         assert self.fit_peak(384) <= 23 * 2**20
 
     def test_fit_peak_grows_at_most_48_bytes_per_cell(self):
         # per cell, a fit holds the correspondences (40 bytes) and, from
-        # 65,536 cells on, their every-16th-cell subset (2.5 bytes; 43.3
-        # measured); each Newton solution kept between passes would add 8
-        # bytes, and a whole-grid tangent basis 48 bytes
+        # 12,544 cells on, their coarse subset (1/16 of the cells, 2.5
+        # bytes) and while it is chosen a one-byte mask (43.3 measured);
+        # each Newton solution kept between passes would add 8 bytes, and a
+        # whole-grid tangent basis 48 bytes
         small, large = self.fit_peak(256), self.fit_peak(512)
         assert (large - small) / (512**2 - 256**2) <= 48
 
@@ -715,6 +759,27 @@ class TestCalibrate:
         object.__setattr__(model, "family", Foreign.UCM)
         with pytest.raises(rc.UnsupportedFamily):
             rc.calibrate(rc.field_from_spec(spec), model)
+
+    def test_fit_that_fails_validation_warns(self, monkeypatch):
+        # the radial:1 fit of a wide eucm camera (hFoV 134 deg) puts the
+        # image corner past the fold radius, which validate_spec rejects:
+        # both fits say so, after any warning of refinement
+        spec = rc.sample_spec_for_model(rc.parse_model("eucm"), 128, np.random.default_rng(200))
+        field, model = rc.field_from_spec(spec), rc.parse_model("radial:1")
+
+        def fits():
+            return (rc.calibrate(field, model, stride=4),
+                    rc.calibrate_ransac(field, model, seed=1, stride=4))
+
+        for res in fits():
+            (violation,) = rc.validate_spec(res.spec).violations
+            assert violation.startswith("focal below the injectivity clamp")
+            assert res.warning == f"fitted spec invalid: {violation}"
+        refine, stopped = rc.fit.refine, "singular Gauss-Newton step; refinement stopped early"
+        monkeypatch.setattr(rc.fit, "refine", lambda s, c: replace(refine(s, c), warning=stopped))
+        for res in fits():
+            (violation,) = rc.validate_spec(res.spec).violations
+            assert res.warning == f"{stopped}; fitted spec invalid: {violation}"
 
     def test_reparameterization_consistency(self):
         # refitting the correspondences of a fitted division spec returns the

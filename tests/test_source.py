@@ -132,6 +132,20 @@ def test_no_module_reads_the_environment():
     assert not reads, f"src/raycalib reads the process environment at {reads}"
 
 
+def test_fit_takes_no_flat_index_subset():
+    # which cells np.arange(0, n, step) takes depends on the grid's width
+    # and not on the cells' places in the image, so a mirrored field's fit
+    # would refine other cells; fit.py picks cells by grid column and row
+    # (_coarse_cells)
+    tree = ast.parse((SRC / "fit.py").read_text(encoding="utf-8"))
+    strided = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "arange" and len(node.args) + len(node.keywords) >= 3
+    ]
+    assert not strided, f"fit.py takes np.arange(start, stop, step) subsets at lines {strided}"
+
+
 def test_every_error_class_is_raised():
     # an error class that no code raises is dead: an export, an exit code and
     # a parametrized exit-code test case that no input can reach
